@@ -53,6 +53,8 @@ def _load_config(path: str) -> dict:
 
 
 def _check_keys(cfg: dict, allowed: set[str], context: str) -> None:
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{context} block must be a JSON object, got {cfg!r}")
     unknown = set(cfg) - allowed
     if unknown:
         raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
@@ -117,11 +119,13 @@ def _grid(cfg: dict) -> simulator.GridConfig:
             threshold=float(cfg.get("threshold", 1e10)),
             rmax=float(cfg["rmax"]) if "rmax" in cfg else None,
             sample_every=int(cfg.get("sample_every", 1)),
-            snapshot_every=int(cfg["snapshot_every"]) if cfg.get("snapshot_every") else None,
+            snapshot_every=(
+                int(cfg["snapshot_every"]) if cfg.get("snapshot_every") is not None else None
+            ),
             linear_mode=bool(cfg.get("linear_mode", False)),
             enforce_cone=bool(cfg.get("enforce_cone", True)),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc))
 
 
@@ -337,6 +341,10 @@ def cmd_sweep(cfg: dict, out: str) -> list[Check]:
     simulator.write_records_csv(sweep.records, os.path.join(out, "records.csv"))
 
     usable = [r for r in sweep.records if r.detection is not simulator.Detection.SURVIVED]
+    if len(usable) < 2:
+        return [Check("sweep-fit", False,
+                      f"{len(usable)} blow-up records, 2 needed to fit a slope; "
+                      f"excluded={sweep.excluded}")]
     eps = np.array([r.eps for r in usable])
     ts = np.array([r.t_blow for r in usable])
     fit_series, plot_slope = plotting.loglog_fit_series(eps, ts)

@@ -9,9 +9,10 @@ verification, blow-up detection and lifespan sweeps.
 Scheme: explicit leapfrog with the radial Laplacian u_rr + (n-1) u_r / r
 (n u_rr at the origin via the symmetric ghost node), time-centered damping
 solved pointwise, nonlinear sources at the current level, CFL <= 0.5.
-Finite propagation speed is enforced: nodes outside r <= t + R + 2 dr are
-zeroed each step (the exact solution vanishes there; the scheme's own
-dispersive leakage would otherwise pollute the support cone).
+Finite propagation speed is enforced: only the cone prefix r <= t + R + 2 dr
+is stepped, sampled and searched for blow-up, and every node past it stays
+zero (the exact solution vanishes there; the scheme's own dispersive
+leakage would otherwise pollute the support cone).
 """
 
 from __future__ import annotations
@@ -66,6 +67,10 @@ class GridConfig:
     enforce_cone: bool = True
 
     def __post_init__(self):
+        # the cone window takes floor((t + R) / dr): no grid value may be non-finite
+        for name in ("dr", "horizon", "threshold", "rmax"):
+            if not math.isfinite(getattr(self, name) or 0.0):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dr <= 0:
             raise ValueError(f"dr must be positive, got {self.dr}")
         if not 0 < self.cfl <= 0.5:
@@ -74,6 +79,8 @@ class GridConfig:
             raise ValueError("horizon and threshold must be positive")
         if self.sample_every < 1:
             raise ValueError("sample_every must be >= 1")
+        if self.snapshot_every is not None and self.snapshot_every < 1:
+            raise ValueError("snapshot_every must be >= 1")
 
     @property
     def dt(self) -> float:
@@ -110,7 +117,9 @@ class FunctionalTrace:
 
 
 class GridState:
-    """One radial solution snapshot (two time levels) plus grid metadata."""
+    """One radial solution snapshot (two time levels, t = 0 before the first
+    `step`) plus grid metadata.  Both levels are zero at every node at or
+    past the cone window m, so the kernels only touch the prefix [0, m)."""
 
     def __init__(self, params: SystemParams, profiles, data: InitialData, grid: GridConfig):
         self.params = params
@@ -141,88 +150,97 @@ class GridState:
         self.v_init = eps * data.v0_amp * bump
         self.vt_init = eps * data.v1_amp * bump
 
-        # second level by a second-order Taylor start from the PDE at t = 0
-        su0, sv0 = self._sources(self.u_init, self.v_init)
-        u1 = self.u_init + dt * self.ut_init + 0.5 * dt * dt * (
-            self._laplacian(self.u_init) - self.b1.b(0.0) * self.ut_init + su0
-        )
-        v1 = self.v_init + dt * self.vt_init + 0.5 * dt * dt * (
-            self._laplacian(self.v_init) - self.b2.b(0.0) * self.vt_init + sv0
-        )
-        self.u_prev, self.v_prev = self.u_init.copy(), self.v_init.copy()
-        self.u, self.v = u1, v1
-        self.t = dt
-        self.step_index = 1
-        self._apply_cone()
+        self.u, self.v = self.u_init.copy(), self.v_init.copy()
+        # `step` writes the new level into the previous one's buffers
+        self.u_prev, self.v_prev = np.zeros_like(self.u), np.zeros_like(self.v)
+        self.t = 0.0
+        self.step_index = 0
+        self.m = self._window(0.0)
+        # (|v|^p, |u|^q) of the level at _src_index; zero past its window
+        self._src = (np.zeros_like(self.u), np.zeros_like(self.v))
+        self._src_index = -1
 
-    def _sources(self, u, v):
-        if self.grid.linear_mode:
-            z = np.zeros_like(u)
-            return z, z
-        p, q = float(self.params.p), float(self.params.q)
-        return np.abs(v) ** p, np.abs(u) ** q
+    def _window(self, t: float) -> int:
+        """Length of the grid prefix that can be nonzero at time t: the exact
+        solution is supported in r <= t + R; allow a 2 dr buffer."""
+        if not self.grid.enforce_cone:
+            return self.r.size
+        return min(self.r.size, int(math.floor((t + self.params.R) / self.dr + 2.0)) + 1)
 
-    def _laplacian(self, u):
-        dr, n, r = self.dr, self.params.n, self.r
-        out = np.zeros_like(u)
-        out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dr ** 2
+    def _sources(self):
+        """(|v|^p, |u|^q) of the current level, computed once per level."""
+        if self._src_index != self.step_index and not self.grid.linear_mode:
+            m = self.m
+            src_u, src_v = self._src
+            src_u[:m] = np.abs(self.v[:m]) ** float(self.params.p)
+            src_v[:m] = np.abs(self.u[:m]) ** float(self.params.q)
+            self._src_index = self.step_index
+        return self._src
+
+    def _laplacian(self, u, k: int):
+        """Radial Laplacian at the nodes [0, k), k < r.size: u_rr + (n-1) u_r / r,
+        and n u_rr at the origin via the symmetric ghost node."""
+        dr, n = self.dr, self.params.n
+        out = np.empty(k)
+        out[1:] = (u[2:k + 1] - 2.0 * u[1:k] + u[:k - 1]) / dr ** 2
         if n > 1:
-            out[1:-1] += (n - 1) * (u[2:] - u[:-2]) / (2.0 * dr * r[1:-1])
+            out[1:] += (n - 1) * (u[2:k + 1] - u[:k - 1]) / (2.0 * dr * self.r[1:k])
         out[0] = n * 2.0 * (u[1] - u[0]) / dr ** 2
         return out
 
-    def _apply_cone(self):
-        if not self.grid.enforce_cone:
-            return
-        # exact solution is supported in r <= t + R; allow a 2 dr buffer
-        start = int(math.floor((self.t + self.params.R) / self.dr + 2.0)) + 1
-        if start < self.r.size:
-            self.u[start:] = 0.0
-            self.v[start:] = 0.0
-
     def integral(self, f) -> float:
-        return float(self.weights @ f)
+        """Trapezoid integral of f, given on the grid or on a prefix of it."""
+        return float(self.weights[: f.size] @ f)
 
     def functionals(self) -> tuple[float, float, float, float, float]:
         # _sources returns (|v|^p, |u|^q): the u-equation source integrates
         # to Nv and the v-equation source to Nu
-        src_u, src_v = self._sources(self.u, self.v)
-        U = self.integral(self.u)
-        V = self.integral(self.v)
-        Nv = self.integral(src_u) if not self.grid.linear_mode else 0.0
-        Nu = self.integral(src_v) if not self.grid.linear_mode else 0.0
-        sup = max(float(np.max(np.abs(self.u))), float(np.max(np.abs(self.v))))
-        return U, V, Nu, Nv, sup
+        m = self.m
+        with np.errstate(over="ignore", invalid="ignore"):
+            src_u, src_v = self._sources()
+            U, V = self.integral(self.u[:m]), self.integral(self.v[:m])
+            Nv, Nu = self.integral(src_u[:m]), self.integral(src_v[:m])
+        return U, V, Nu, Nv, self.sup_norm()
 
     def sup_norm(self) -> float:
+        # np.maximum, unlike the builtin max, propagates a NaN from either side
+        m = self.m
         with np.errstate(invalid="ignore"):
-            return max(float(np.max(np.abs(self.u))), float(np.max(np.abs(self.v))))
+            return float(np.maximum(np.abs(self.u[:m]).max(), np.abs(self.v[:m]).max()))
+
+
+def _advance(state: GridState, k: int, w, w_prev, w_t0, src, prof: DampingProfile) -> None:
+    """Write one component's next level on [0, k) into w_prev; the old level
+    there was zero past k, as windows never shrink and the last node stays 0."""
+    dt = state.dt
+    lap = state._laplacian(w, k)
+    b = prof.b(state.t)
+    if state.step_index == 0:
+        # second-order Taylor start from the PDE at t = 0
+        w_prev[:k] = w[:k] + dt * w_t0[:k] + 0.5 * dt * dt * (lap - b * w_t0[:k] + src[:k])
+    else:
+        half = 0.5 * b * dt
+        w_prev[:k] = (
+            2.0 * w[:k] - w_prev[:k] + half * w_prev[:k] + dt * dt * (lap + src[:k])
+        ) / (1.0 + half)
 
 
 def step(state: GridState) -> GridState:
-    """Advance one leapfrog step (mutates and returns the state).  Non-finite
-    values are not an error here; blow-up detection is the caller's job."""
-    dt = state.dt
+    """Advance one leapfrog step (mutates and returns the state), on the cone
+    window of the new level.  Non-finite values are not an error here;
+    blow-up detection is the caller's job."""
+    t_new = state.t + state.dt
+    m_new = state._window(t_new)
+    k = min(m_new, state.r.size - 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        su, sv = state._sources(state.u, state.v)
-        b1t = state.b1.b(state.t)
-        b2t = state.b2.b(state.t)
-        lap_u = state._laplacian(state.u)
-        lap_v = state._laplacian(state.v)
-        half1, half2 = 0.5 * b1t * dt, 0.5 * b2t * dt
-        u_new = (
-            2.0 * state.u - state.u_prev + half1 * state.u_prev + dt * dt * (lap_u + su)
-        ) / (1.0 + half1)
-        v_new = (
-            2.0 * state.v - state.v_prev + half2 * state.v_prev + dt * dt * (lap_v + sv)
-        ) / (1.0 + half2)
-    u_new[-1] = 0.0
-    v_new[-1] = 0.0
-    state.u_prev, state.u = state.u, u_new
-    state.v_prev, state.v = state.v, v_new
-    state.t += dt
+        src_u, src_v = state._sources()
+        _advance(state, k, state.u, state.u_prev, state.ut_init, src_u, state.b1)
+        _advance(state, k, state.v, state.v_prev, state.vt_init, src_v, state.b2)
+    state.u_prev, state.u = state.u, state.u_prev
+    state.v_prev, state.v = state.v, state.v_prev
+    state.t = t_new
     state.step_index += 1
-    state._apply_cone()
+    state.m = m_new
     return state
 
 
@@ -247,50 +265,29 @@ def run_until_blowup(
     """Step until the sup norm crosses the threshold, a non-finite value
     appears, or the horizon is reached (a Survived record, not an error)."""
     state = init_state(params, profiles, data, grid)
-
     samples = {k: [] for k in ("t", "U", "V", "Nu", "Nv", "sup")}
-
-    def sample_at_zero():
-        # the t = 0 level lives in (u_prev, v_prev) plus the initial arrays
-        U = state.integral(state.u_init)
-        V = state.integral(state.v_init)
-        if grid.linear_mode:
-            Nu = Nv = 0.0
-        else:
-            Nu = state.integral(np.abs(state.u_init) ** float(params.q))
-            Nv = state.integral(np.abs(state.v_init) ** float(params.p))
-        sup0 = max(float(np.max(np.abs(state.u_init))), float(np.max(np.abs(state.v_init))))
-        for k, val in zip(("t", "U", "V", "Nu", "Nv", "sup"), (0.0, U, V, Nu, Nv, sup0)):
-            samples[k].append(val)
-
     snapshots: list[tuple[float, np.ndarray, np.ndarray]] = []
-    if grid.snapshot_every is not None:
-        snapshots.append((0.0, state.u_init.copy(), state.v_init.copy()))
-
-    sample_at_zero()
-    if state.sup_norm() >= grid.threshold:
-        raise ValueError("threshold must exceed the initial sup norm")
-
     meta = {
         "n": params.n, "p": float(params.p), "q": float(params.q), "R": params.R,
         "dr": grid.dr, "cfl": grid.cfl, "horizon": grid.horizon,
         "threshold": grid.threshold,
     }
 
-    def sample_current():
-        U, V, Nu, Nv, sup = state.functionals()
-        for k, val in zip(("t", "U", "V", "Nu", "Nv", "sup"), (state.t, U, V, Nu, Nv, sup)):
-            samples[k].append(val)
-
     detection = Detection.SURVIVED
     t_blow = grid.horizon
     n_steps = int(round(grid.horizon / state.dt))
-    while state.step_index <= n_steps:
+    while True:
         if state.step_index % grid.sample_every == 0:
-            sample_current()
+            row = (state.t, *state.functionals())
+            for key, val in zip(samples, row):
+                samples[key].append(val)
+            sup = row[-1]
+        else:
+            sup = state.sup_norm()
         if grid.snapshot_every is not None and state.step_index % grid.snapshot_every == 0:
             snapshots.append((state.t, state.u.copy(), state.v.copy()))
-        sup = state.sup_norm()
+        if state.step_index == 0 and sup >= grid.threshold:
+            raise ValueError("threshold must exceed the initial sup norm")
         if not math.isfinite(sup):
             detection, t_blow = Detection.NONFINITE, state.t
             break
@@ -584,7 +581,8 @@ def lifespan_sweep(
 ) -> SweepResult:
     """Run one blow-up detection per eps (independently, optionally in
     parallel processes), fit log T against log eps, and compare with the
-    theoretical law.  Survived records are excluded from the fit and counted."""
+    theoretical law.  Survived records are excluded from the fit and counted;
+    with fewer than 2 blow-ups the fitted fields are NaN."""
     eps_list = list(eps_list)
     if len(eps_list) < 4:
         raise ValueError(f"sweep needs >= 4 eps points, got {len(eps_list)}")
@@ -602,10 +600,12 @@ def lifespan_sweep(
     excluded = len(records) - len(usable)
     eps = np.array([rec.eps for rec in usable])
     ts = np.array([rec.t_blow for rec in usable])
-    slope, intercept = fit_power_law(eps, ts)
-
     law = lifespan_law(params_template, data.speed_flags())
     theory = float(law.exponent)
+    if eps.size < 2:
+        # too few blow-ups to fit: a numerical outcome, not a usage error
+        return SweepResult(records, math.nan, math.nan, theory, math.nan, math.nan, excluded)
+    slope, intercept = fit_power_law(eps, ts)
     ratios = ts * eps ** (-theory)
     c_fit = float(np.max(ratios))
     spread = float(np.max(ratios) / np.min(ratios))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -39,6 +40,19 @@ class TestConfigValidation:
     def test_invalid_exponent_rejected(self, tmp_path):
         code, _ = run_cli(tmp_path, "classify", {"n": 3, "p": 0.5, "q": 2})
         assert code == 2
+
+    @pytest.mark.parametrize("extra,reason", [
+        ({"horizon": math.inf}, "horizon must be finite"),
+        ({"snapshot_every": 0}, "snapshot_every must be >= 1"),
+        ({"damping": "poly"}, "damping block must be a JSON object"),
+    ], ids=["infinite-horizon", "zero-snapshot-cadence", "damping-not-object"])
+    def test_bad_simulation_value_is_one_line_config_error(self, tmp_path, capsys, extra, reason):
+        cfg = {"n": 1, "p": 2, "q": 2, "horizon": 2.0, **extra}
+        code, _ = run_cli(tmp_path, "simulate", cfg)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert reason in err
 
     def test_fraction_strings_accepted(self, tmp_path):
         code, out = run_cli(tmp_path, "classify", {"n": 2, "p": "3/2", "q": "3/2"})
@@ -132,6 +146,15 @@ class TestSimulateAndSweep:
                               extra_env={"BLOWUP_LAB_THREADS": "2"})
         assert code1 == 0 and code2 == 0
         assert (out1 / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
+
+    def test_all_survived_sweep_is_a_failed_check(self, tmp_path):
+        cfg = {"n": 1, "p": 2, "q": 2, "horizon": 2, "eps_list": [0.01, 0.02, 0.03, 0.04],
+               "workers": 1}
+        code, out = run_cli(tmp_path, "sweep", cfg)
+        assert code == 1
+        rows = (out / "records.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["Survived"] * 4
+        assert "CHECK sweep-fit: FAIL" in (out / "summary.txt").read_text()
 
     def test_sweep_needs_eps_list(self, tmp_path):
         code, _ = run_cli(tmp_path, "sweep", {"n": 1, "p": 2, "q": 2})

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -56,6 +57,14 @@ class TestInit:
         with pytest.raises(ValueError):
             GridConfig(cfl=0.9)
 
+    @pytest.mark.parametrize("bad", [
+        {"dr": math.nan}, {"horizon": math.inf}, {"threshold": math.inf},
+        {"rmax": math.inf}, {"snapshot_every": 0},
+    ])
+    def test_nonfinite_lengths_and_zero_cadence_rejected(self, bad):
+        with pytest.raises(ValueError):
+            GridConfig(**bad)
+
 
 class TestStep:
     def test_zero_state_stays_zero(self):
@@ -79,6 +88,138 @@ class TestStep:
         grid = GridConfig(dr=0.02, horizon=3.0, enforce_cone=True)
         res = run_until_blowup(params1d(), (ZERO, ZERO), BUMPS, grid)
         assert cone_leakage(res) < 1e-12
+
+
+def reference_levels(state):
+    """Yield (t, u, v) at t = 0, dt, 2 dt, ... from a plain full-grid leapfrog:
+    every node is updated, then the nodes past r = t + R + 2 dr are zeroed."""
+    params, grid, r = state.params, state.grid, state.r
+    n, R, dr, dt = params.n, params.R, state.dr, state.dt
+    b1, b2 = state.b1, state.b2
+
+    def sources(u, v):
+        if grid.linear_mode:
+            return np.zeros_like(u), np.zeros_like(v)
+        return np.abs(v) ** float(params.p), np.abs(u) ** float(params.q)
+
+    def lap(u):
+        out = np.zeros_like(u)
+        out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dr ** 2
+        if n > 1:
+            out[1:-1] += (n - 1) * (u[2:] - u[:-2]) / (2.0 * dr * r[1:-1])
+        out[0] = n * 2.0 * (u[1] - u[0]) / dr ** 2
+        return out
+
+    def cone(t, u, v):
+        start = int(math.floor((t + R) / dr + 2.0)) + 1
+        if grid.enforce_cone and start < r.size:
+            u[start:] = 0.0
+            v[start:] = 0.0
+
+    u_prev, v_prev, ut, vt = state.u_init, state.v_init, state.ut_init, state.vt_init
+    yield 0.0, u_prev, v_prev
+    su, sv = sources(u_prev, v_prev)
+    u = u_prev + dt * ut + 0.5 * dt * dt * (lap(u_prev) - b1.b(0.0) * ut + su)
+    v = v_prev + dt * vt + 0.5 * dt * dt * (lap(v_prev) - b2.b(0.0) * vt + sv)
+    t = dt
+    cone(t, u, v)
+    while True:
+        yield t, u, v
+        with np.errstate(over="ignore", invalid="ignore"):
+            su, sv = sources(u, v)
+            h1, h2 = 0.5 * b1.b(t) * dt, 0.5 * b2.b(t) * dt
+            u_new = (2.0 * u - u_prev + h1 * u_prev + dt * dt * (lap(u) + su)) / (1.0 + h1)
+            v_new = (2.0 * v - v_prev + h2 * v_prev + dt * dt * (lap(v) + sv)) / (1.0 + h2)
+        u_new[-1] = v_new[-1] = 0.0
+        u_prev, u, v_prev, v = u, u_new, v, v_new
+        t += dt
+        cone(t, u, v)
+
+
+def reference_record(params, profiles, data, grid):
+    """(t_blow, detection) of the full-grid reference, checked every step."""
+    state = init_state(params, profiles, data, grid)
+    n_steps = int(round(grid.horizon / state.dt))
+    for i, (t, u, v) in enumerate(reference_levels(state)):
+        sup = float(np.maximum(np.max(np.abs(u)), np.max(np.abs(v))))
+        if not math.isfinite(sup):
+            return t, Detection.NONFINITE
+        if sup > grid.threshold:
+            return t, Detection.THRESHOLD
+        if i == n_steps:
+            return grid.horizon, Detection.SURVIVED
+
+
+POLY = DampingProfile.polynomial_tail(1.0, 2.0)
+ROOT2 = 1.0 + math.sqrt(2.0)
+
+
+class TestWindowedStep:
+    """The cone-windowed step against the full-grid reference, bit for bit."""
+
+    @staticmethod
+    def assert_same_levels(params, profiles, grid, steps, data=BUMPS):
+        state = init_state(params, profiles, data, grid)
+        ref = reference_levels(init_state(params, profiles, data, grid))
+        t, u, v = next(ref)
+        for _ in range(steps):
+            assert state.t == t
+            assert np.array_equal(state.u, u) and np.array_equal(state.v, v)
+            step(state)
+            t, u, v = next(ref)
+        assert state.t == t
+        assert np.array_equal(state.u, u) and np.array_equal(state.v, v)
+        return state
+
+    @pytest.mark.parametrize("n,p", [(1, F(2)), (2, F(3, 2)), (3, ROOT2)])
+    @pytest.mark.parametrize("damping", [ZERO, POLY], ids=["zero", "poly"])
+    def test_matches_full_grid(self, n, p, damping):
+        params = SystemParams(n, p, p, R=1.0, eps=1.0)
+        data = InitialData(1.0, 0.3, 0.5, -0.2)
+        state = self.assert_same_levels(params, (damping, damping), GridConfig(dr=0.04, horizon=8.0),
+                                        300, data)
+        assert state.m < state.r.size
+
+    def test_cone_reaching_rmax(self):
+        # rmax = horizon + R + 4 dr: the window covers the whole grid after
+        # t = horizon + 2 dr, and the boundary node must stay zero
+        grid = GridConfig(dr=0.04, horizon=2.0, rmax=3.16)
+        state = self.assert_same_levels(params1d(eps=0.3), (POLY, POLY), grid, 300)
+        assert state.m == state.r.size and state.u[-1] == 0.0
+
+    def test_cone_not_enforced(self):
+        grid = GridConfig(dr=0.04, horizon=8.0, enforce_cone=False)
+        params = SystemParams(2, F(3, 2), F(3, 2), R=1.0, eps=0.5)
+        state = self.assert_same_levels(params, (ZERO, POLY), grid, 300)
+        assert np.any(state.u[state.r > state.t + 1.0 + 0.08] != 0.0)
+
+    def test_linear_mode(self):
+        grid = GridConfig(dr=0.04, horizon=4.0, linear_mode=True)
+        self.assert_same_levels(SystemParams(3, F(2), F(3), R=1.0, eps=1.0), (POLY, ZERO), grid, 300)
+
+    def test_sweep_family_matches_full_grid(self):
+        params = SystemParams(2, F(3, 2), F(3, 2), R=1.0, eps=1.0)
+        grid = GridConfig(dr=0.04, horizon=40.0)
+        eps_list = [1.0, 0.5, 0.25, 0.125]
+        sweep = lifespan_sweep(params, (POLY, POLY), BUMPS, grid, eps_list, workers=1)
+        for rec in sweep.records:
+            ref = reference_record(replace(params, eps=rec.eps), (POLY, POLY), BUMPS, grid)
+            assert (rec.t_blow, rec.detection) == ref
+        assert sweep.excluded == 0
+
+    def test_sources_computed_once_per_sampled_step(self, monkeypatch):
+        calls = []
+        original = np.abs
+
+        def counting_abs(x, *args, **kwargs):
+            calls.append(x.size)
+            return original(x, *args, **kwargs)
+
+        state = init_state(params1d(), (ZERO, ZERO), BUMPS, GridConfig(dr=0.1, horizon=2.0))
+        state.functionals()
+        monkeypatch.setattr(np, "abs", counting_abs)
+        step(state)
+        assert calls == []  # the sampled level's sources were reused
 
 
 class TestBlowupDetection:
@@ -106,6 +247,21 @@ class TestBlowupDetection:
         with pytest.raises(ValueError):
             run_until_blowup(params1d(), (ZERO, ZERO), BUMPS, GridConfig(horizon=1.0, threshold=0.5))
 
+    def test_overflow_in_functionals_raises_no_warning(self):
+        # at a threshold of 1e200 the last sampled level has sup ~ 1e248, so
+        # |v|^2 overflows in the functionals before the threshold is seen
+        grid = GridConfig(dr=0.1, horizon=20.0, threshold=1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_until_blowup(params1d(), (ZERO, ZERO), BUMPS, grid)
+        assert res.record.detection is Detection.THRESHOLD
+        assert np.isinf(res.trace.Nv[-1])
+
+    def test_nan_in_second_component_is_nonfinite(self):
+        state = init_state(params1d(), (ZERO, ZERO), BUMPS, GridConfig(horizon=2.0))
+        state.v[3] = np.nan
+        assert math.isnan(state.sup_norm())
+
     def test_determinism(self):
         grid = GridConfig(dr=0.05, horizon=5.0)
         a = run_until_blowup(params1d(), (ZERO, ZERO), BUMPS, grid)
@@ -127,6 +283,17 @@ class TestFunctionals:
         assert abs(res.trace.Nu[0] - nu0) < 1e-14
         assert abs(res.trace.Nv[0] - nv0) < 1e-14
         assert nu0 != nv0
+
+    def test_initial_row_is_the_full_grid_data(self):
+        params = SystemParams(2, F(3), F(2), R=1.0, eps=0.7)
+        data = InitialData(u0_amp=1.0, u1_amp=0.4, v0_amp=0.5, v1_amp=0.0)
+        res = run_until_blowup(params, (ZERO, POLY), data, GridConfig(dr=0.05, horizon=1.0))
+        s, w = res.state, res.state.weights
+        row = [getattr(res.trace, k)[0] for k in ("t", "U", "V", "Nu", "Nv", "sup")]
+        assert row[0] == 0.0
+        assert row[5] == max(np.max(np.abs(s.u_init)), np.max(np.abs(s.v_init)))
+        full = [w @ s.u_init, w @ s.v_init, w @ np.abs(s.u_init) ** 2.0, w @ np.abs(s.v_init) ** 3.0]
+        assert np.allclose(row[1:5], full, rtol=1e-14, atol=0.0)
 
     def test_asymmetric_ode_identity(self):
         # the functional ODE pairs U'' with the |v|^p mass and V'' with |u|^q;

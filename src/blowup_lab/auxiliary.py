@@ -271,7 +271,7 @@ def solve_fundamental_pair(
     Runge-Kutta along t_grid (starting at s, strictly increasing)."""
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = np.ascontiguousarray(t_grid, dtype=float)
     if t_grid.size < 2 or not np.all(np.diff(t_grid) > 0):
         raise ValueError("t_grid must be strictly increasing with >= 2 nodes")
     if abs(t_grid[0] - s) > 1e-14:
@@ -280,34 +280,43 @@ def solve_fundamental_pair(
     if abs(lam) * hmax > 0.1:
         raise ValueError(f"step too large for accuracy: |lambda| h = {abs(lam) * hmax:g} > 0.1")
 
-    lam2 = lam * lam
+    # memoryviews of contiguous float64 arrays hand the loop Python floats
+    # without copies
+    t = memoryview(t_grid)
+    b = _stage_damping(profile, t_grid)
+    out = np.empty((4, t_grid.size))  # rows: y1, dy1, y2, dy2
+    y1, dy1, y2, dy2 = (memoryview(row) for row in out)
+    _rk4_column(1.0, 0.0, lam * lam, t, *b, y1, dy1)
+    _rk4_column(0.0, 1.0, lam * lam, t, *b, y2, dy2)
+    return FundamentalPair(t=t_grid, y1=out[0], dy1=out[1], y2=out[2], dy2=out[3], lam=lam, s=s)
 
-    def rhs(t, state):
-        y, dy = state
-        return np.array([dy, lam2 * y - profile.b(t) * dy])
 
-    # state[:, 0] -> y1 problem, state[:, 1] -> y2 problem
-    out = np.empty((t_grid.size, 2, 2))
-    out[0] = np.array([[1.0, 0.0], [0.0, 1.0]])
-    state = out[0].copy()
-    for i in range(t_grid.size - 1):
-        t, h = t_grid[i], t_grid[i + 1] - t_grid[i]
-        k1 = rhs(t, state)
-        k2 = rhs(t + 0.5 * h, state + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, state + 0.5 * h * k2)
-        k4 = rhs(t + h, state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = state
+def _stage_damping(profile, t_grid):
+    """b at the start, midpoint and end of every step, one call each (in its
+    own function, so the step array is freed before the RK4 loop runs)."""
+    t0, h = t_grid[:-1], np.diff(t_grid)
+    return [memoryview(np.ascontiguousarray(profile.b(tt), dtype=float))
+            for tt in (t0, t0 + 0.5 * h, t0 + h)]
 
-    return FundamentalPair(
-        t=t_grid,
-        y1=out[:, 0, 0],
-        dy1=out[:, 1, 0],
-        y2=out[:, 0, 1],
-        dy2=out[:, 1, 1],
-        lam=lam,
-        s=s,
-    )
+
+def _rk4_column(y, dy, lam2, t, b_start, b_mid, b_end, y_out, dy_out):
+    """Classic RK4 for (y, y') along the nodes t, given b at each step's
+    start, midpoint and end; writes the trajectory into y_out, dy_out."""
+    y_out[0], dy_out[0] = y, dy
+    for i, (ta, tb, ba, bm, bb) in enumerate(zip(t[:-1], t[1:], b_start, b_mid, b_end), 1):
+        h = tb - ta
+        half = 0.5 * h
+        k1y, k1d = dy, lam2 * y - ba * dy
+        y2, d2 = y + half * k1y, dy + half * k1d
+        k2y, k2d = d2, lam2 * y2 - bm * d2
+        y3, d3 = y + half * k2y, dy + half * k2d
+        k3y, k3d = d3, lam2 * y3 - bm * d3
+        y4, d4 = y + h * k3y, dy + h * k3d
+        k4y, k4d = d4, lam2 * y4 - bb * d4
+        sixth = h / 6.0
+        y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        dy = dy + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+        y_out[i], dy_out[i] = y, dy
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
@@ -60,6 +61,40 @@ def _check_keys(cfg: dict, allowed: set[str], context: str) -> None:
         raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
 
 
+def _convert(cfg: dict, key: str, convert, default=None):
+    """cfg[key] (or the default) passed through convert; a value convert
+    rejects becomes a config error that names the key."""
+    try:
+        return convert(cfg.get(key, default))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key}: {exc}")
+
+
+def _whole(value) -> int:
+    """A whole number >= 1; an integral float such as 3.0 is accepted."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"must be a whole number >= 1, got {value!r}")
+    return value
+
+
+def _positive(value) -> float:
+    x = float(value)
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"must be finite and positive, got {value!r}")
+    return x
+
+
+def _list_of(convert):
+    def parse(value) -> list:
+        if not isinstance(value, list) or not value:
+            raise ValueError(f"must be a non-empty list, got {value!r}")
+        return [convert(v) for v in value]
+
+    return parse
+
+
 def _exponent(value, name: str):
     if isinstance(value, str):
         try:
@@ -79,11 +114,11 @@ def _params(cfg: dict) -> exponents.SystemParams:
             raise ConfigError(f"missing required key {key!r}")
     try:
         return exponents.SystemParams(
-            n=int(cfg["n"]),
+            n=_convert(cfg, "n", _whole),
             p=_exponent(cfg["p"], "p"),
             q=_exponent(cfg["q"], "q"),
-            R=float(cfg.get("R", 1.0)),
-            eps=float(cfg.get("eps", 1.0)),
+            R=_convert(cfg, "R", float, 1.0),
+            eps=_convert(cfg, "eps", float, 1.0),
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
@@ -99,7 +134,7 @@ def _damping(block) -> damping.DampingProfile:
             return damping.DampingProfile.zero()
         if kind == "poly":
             return damping.DampingProfile.polynomial_tail(
-                float(block.get("mu", 1.0)), float(block.get("beta", 2.0))
+                _convert(block, "mu", float, 1.0), _convert(block, "beta", float, 2.0)
             )
         if kind == "tabulated":
             if "csv" not in block:
@@ -113,19 +148,20 @@ def _damping(block) -> damping.DampingProfile:
 def _grid(cfg: dict) -> simulator.GridConfig:
     try:
         return simulator.GridConfig(
-            dr=float(cfg.get("dr", 0.02)),
-            cfl=float(cfg.get("CFL", 0.5)),
-            horizon=float(cfg.get("horizon", 10.0)),
-            threshold=float(cfg.get("threshold", 1e10)),
-            rmax=float(cfg["rmax"]) if "rmax" in cfg else None,
-            sample_every=int(cfg.get("sample_every", 1)),
+            dr=_convert(cfg, "dr", float, 0.02),
+            cfl=_convert(cfg, "CFL", float, 0.5),
+            horizon=_convert(cfg, "horizon", float, 10.0),
+            threshold=_convert(cfg, "threshold", float, 1e10),
+            rmax=_convert(cfg, "rmax", float) if "rmax" in cfg else None,
+            sample_every=_convert(cfg, "sample_every", int, 1),
             snapshot_every=(
-                int(cfg["snapshot_every"]) if cfg.get("snapshot_every") is not None else None
+                _convert(cfg, "snapshot_every", int)
+                if cfg.get("snapshot_every") is not None else None
             ),
             linear_mode=bool(cfg.get("linear_mode", False)),
             enforce_cone=bool(cfg.get("enforce_cone", True)),
         )
-    except (TypeError, ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc))
 
 
@@ -134,10 +170,10 @@ def _data(block) -> simulator.InitialData:
         return simulator.InitialData()
     _check_keys(block, {"u0", "u1", "v0", "v1"}, "data")
     return simulator.InitialData(
-        u0_amp=float(block.get("u0", 1.0)),
-        u1_amp=float(block.get("u1", 0.0)),
-        v0_amp=float(block.get("v0", 1.0)),
-        v1_amp=float(block.get("v1", 0.0)),
+        u0_amp=_convert(block, "u0", float, 1.0),
+        u1_amp=_convert(block, "u1", float, 0.0),
+        v0_amp=_convert(block, "v0", float, 1.0),
+        v1_amp=_convert(block, "v1", float, 0.0),
     )
 
 
@@ -256,14 +292,18 @@ def cmd_iterate(cfg: dict, out: str) -> list[Check]:
 def cmd_kernels(cfg: dict, out: str) -> list[Check]:
     _check_keys(cfg, {"n", "lambda0", "quad_nodes", "orders", "t_max", "t_points",
                       "x_points", "damping", "lambdas", "horizon", "R"}, "kernels")
-    n = int(cfg.get("n", 3))
-    lambda0 = float(cfg.get("lambda0", 1.0))
-    R = float(cfg.get("R", 1.0))
-    quad_nodes = int(cfg.get("quad_nodes", 64))
-    orders = [float(_exponent(r, "order")) for r in cfg.get("orders", [0.5])]
-    t_max = float(cfg.get("t_max", 50.0))
-    t_points = int(cfg.get("t_points", 11))
-    x_points = int(cfg.get("x_points", 9))
+    n = _convert(cfg, "n", _whole, 3)
+    lambda0 = _convert(cfg, "lambda0", _positive, 1.0)
+    R = _convert(cfg, "R", _positive, 1.0)
+    quad_nodes = _convert(cfg, "quad_nodes", _whole, 64)
+    orders = _convert(cfg, "orders", _list_of(lambda r: float(_exponent(r, "order"))), [0.5])
+    t_max = _convert(cfg, "t_max", _positive, 50.0)
+    t_points = _convert(cfg, "t_points", _whole, 11)
+    x_points = _convert(cfg, "x_points", _whole, 9)
+    prof = _damping(cfg.get("damping", {"kind": "poly", "mu": 1.0, "beta": 2.0}))
+    horizon = _convert(cfg, "horizon", _positive, 10.0)
+    lambdas = _convert(cfg, "lambdas", _list_of(_positive), [0.5, 1.0, 2.0])
+
     t_grid = np.linspace(0.0, t_max, t_points)
     rows = []
     all_positive = True
@@ -279,9 +319,6 @@ def cmd_kernels(cfg: dict, out: str) -> list[Check]:
             fh.write(f'{name},{item},"{spec}",{val!r}\n')
     checks = [Check("kernel-bounds-positive", all_positive, f"orders={orders}")]
 
-    prof = _damping(cfg.get("damping", {"kind": "poly", "mu": 1.0, "beta": 2.0}))
-    horizon = float(cfg.get("horizon", 10.0))
-    lambdas = [float(v) for v in cfg.get("lambdas", [0.5, 1.0, 2.0])]
     ok = True
     details = []
     for lam in lambdas:
@@ -332,8 +369,8 @@ def cmd_sweep(cfg: dict, out: str) -> list[Check]:
     if "eps_list" not in cfg:
         raise ConfigError("sweep needs eps_list")
     params, profiles, data, grid = _run_from_config(cfg)
-    eps_list = [float(e) for e in cfg["eps_list"]]
-    workers = int(cfg["workers"]) if "workers" in cfg else None
+    eps_list = _convert(cfg, "eps_list", _list_of(float))
+    workers = _convert(cfg, "workers", int) if "workers" in cfg else None
     try:
         sweep = simulator.lifespan_sweep(params, profiles, data, grid, eps_list, workers)
     except ValueError as exc:

@@ -53,8 +53,8 @@ class SystemParams:
             raise ValueError(f"exponents must satisfy p, q > 1, got p={self.p}, q={self.q}")
         if not self.R > 0:
             raise ValueError(f"support radius must be positive, got {self.R}")
-        if not self.eps > 0:
-            raise ValueError(f"data size must be positive, got {self.eps}")
+        if not (self.eps > 0 and math.isfinite(self.eps)):
+            raise ValueError(f"data size must be finite and positive, got {self.eps}")
 
     @property
     def exact(self) -> bool:

@@ -591,8 +591,11 @@ def lifespan_sweep(
     ]
     nw = sweep_workers(len(jobs), workers)
     if nw > 1:
+        # smallest eps first: it runs longest, so it must not start last
         with ProcessPoolExecutor(max_workers=nw) as pool:
-            records = list(pool.map(_sweep_one, jobs))
+            futures = {i: pool.submit(_sweep_one, jobs[i])
+                       for i in sorted(range(len(jobs)), key=lambda i: jobs[i][0].eps)}
+            records = [futures[i].result() for i in range(len(jobs))]
     else:
         records = [_sweep_one(j) for j in jobs]
 

@@ -162,6 +162,40 @@ class TestKernelBounds:
             critical_kernel_orders(3, 2.0, 3.0)
 
 
+class _CountingDamping:
+    """Stand-in damping profile that counts its calls to b."""
+
+    def __init__(self, profile):
+        self.profile, self.l1, self.calls = profile, profile.l1, 0
+
+    def b(self, t):
+        self.calls += 1
+        return self.profile.b(t)
+
+
+def _reference_rk4(profile, lam, t_grid):
+    """Classic RK4 on the (n, 2, 2) state [[y1, y2], [y1', y2']], stepping
+    with numpy arrays and calling profile.b at every stage."""
+    lam2 = lam * lam
+
+    def rhs(t, state):
+        y, dy = state
+        return np.array([dy, lam2 * y - profile.b(t) * dy])
+
+    out = np.empty((t_grid.size, 2, 2))
+    out[0] = np.eye(2)
+    state = out[0].copy()
+    for i in range(t_grid.size - 1):
+        t, h = t_grid[i], t_grid[i + 1] - t_grid[i]
+        k1 = rhs(t, state)
+        k2 = rhs(t + 0.5 * h, state + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, state + 0.5 * h * k2)
+        k4 = rhs(t + h, state + h * k3)
+        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[i + 1] = state
+    return out
+
+
 class TestFundamentalPair:
     def test_undamped_matches_hyperbolic_solutions(self):
         grid = np.arange(0.0, 10.0 + 1e-9, 1e-3)
@@ -204,6 +238,30 @@ class TestFundamentalPair:
         # with no damping the envelopes are the exact solutions
         assert abs(report.slack1_min) < 1e-10
         assert abs(report.slack2_min) < 1e-10
+
+    @pytest.mark.parametrize("name,rtol", [("zero", 0.0), ("poly", 1e-13), ("tabulated", 0.0)])
+    def test_matches_numpy_reference_loop(self, name, rtol):
+        # the vectorized pow in DampingProfile.b may differ from the scalar one
+        # by 1 ULP, so poly damping agrees to rounding rather than bit for bit
+        rng = np.random.default_rng(7)
+        prof = {"zero": DampingProfile.zero(),
+                "poly": DampingProfile.polynomial_tail(0.7, 1.3),
+                "tabulated": DampingProfile.tabulated(np.linspace(0.0, 6.0, 13),
+                                                      rng.uniform(0.0, 2.0, 13))}[name]
+        lam, s = 1.7, 2.0
+        steps = rng.uniform(0.3, 1.0, 1500) * 2e-3
+        grid = s + np.concatenate([[0.0], np.cumsum(steps)])
+        pair = solve_fundamental_pair(prof, lam, s, grid)
+        ref = _reference_rk4(prof, lam, grid)
+        for got, want in ((pair.y1, ref[:, 0, 0]), (pair.dy1, ref[:, 1, 0]),
+                          (pair.y2, ref[:, 0, 1]), (pair.dy2, ref[:, 1, 1])):
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+
+    def test_damping_evaluated_per_solve_not_per_step(self):
+        prof = _CountingDamping(DampingProfile.polynomial_tail(1.0, 2.0))
+        pair = solve_fundamental_pair(prof, 1.0, 0.0, np.linspace(0.0, 5.0, 2001))
+        assert 1 <= prof.calls <= 3
+        assert verify_fundamental_bounds(pair, prof, 1.0, 0.0).ok()
 
     def test_small_lambda_envelope_linear_limit(self):
         # sinh(lambda tau)/lambda -> tau as lambda -> 0+, via the series patch

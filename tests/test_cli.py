@@ -45,7 +45,8 @@ class TestConfigValidation:
         ({"horizon": math.inf}, "horizon must be finite"),
         ({"snapshot_every": 0}, "snapshot_every must be >= 1"),
         ({"damping": "poly"}, "damping block must be a JSON object"),
-    ], ids=["infinite-horizon", "zero-snapshot-cadence", "damping-not-object"])
+        ({"eps": math.inf}, "data size must be finite and positive"),
+    ], ids=["infinite-horizon", "zero-snapshot-cadence", "damping-not-object", "infinite-eps"])
     def test_bad_simulation_value_is_one_line_config_error(self, tmp_path, capsys, extra, reason):
         cfg = {"n": 1, "p": 2, "q": 2, "horizon": 2.0, **extra}
         code, _ = run_cli(tmp_path, "simulate", cfg)
@@ -53,6 +54,41 @@ class TestConfigValidation:
         assert code == 2
         assert err.startswith("config error:") and err.count("\n") == 1
         assert reason in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("lambdas", [0]),
+        ("lambdas", [math.inf]),
+        ("lambdas", 1),
+        ("horizon", math.inf),
+        ("lambdas", [-1]),
+        ("x_points", 0),
+        ("t_max", math.inf),
+        ("n", 2.7),
+    ], ids=["zero-lambda", "infinite-lambda", "lambdas-not-list", "infinite-horizon",
+            "negative-lambda", "zero-x-points", "infinite-t-max", "fractional-n"])
+    def test_bad_kernels_value_names_key(self, tmp_path, capsys, key, value):
+        cfg = {"n": 3, "orders": [0.5], "t_max": 4, "t_points": 3, "horizon": 2,
+               "lambdas": [1.0], key: value}
+        code, out = run_cli(tmp_path, "kernels", cfg)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1
+        assert not (out / "kernel_bounds.csv").exists()
+
+    @pytest.mark.parametrize("command,extra,key", [
+        ("simulate", {"dr": None}, "dr"),
+        ("simulate", {"R": None}, "R"),
+        ("simulate", {"n": 2.7}, "n"),
+        ("simulate", {"damping": {"kind": "poly", "mu": None}}, "mu"),
+        ("simulate", {"data": {"u0": None}}, "u0"),
+        ("sweep", {"eps_list": 1}, "eps_list"),
+    ], ids=["dr-null", "R-null", "fractional-n", "mu-null", "u0-null", "eps-list-not-list"])
+    def test_wrong_type_names_key(self, tmp_path, capsys, command, extra, key):
+        cfg = {"n": 1, "p": 2, "q": 2, "horizon": 2.0, **extra}
+        code, _ = run_cli(tmp_path, command, cfg)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1
 
     def test_fraction_strings_accepted(self, tmp_path):
         code, out = run_cli(tmp_path, "classify", {"n": 2, "p": "3/2", "q": "3/2"})

@@ -99,6 +99,11 @@ class TestClassify:
         p0 = strauss_exponent(3)
         assert classify(SystemParams(3, p0, p0)).tag is RegionTag.CRITICAL_BLOWUP
 
+    @pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0])
+    def test_data_size_must_be_finite_and_positive(self, eps):
+        with pytest.raises(ValueError, match="data size must be finite and positive"):
+            SystemParams(3, F(2), F(2), eps=eps)
+
     @given(n=dims, p=rationals, q=rationals)
     def test_swap_invariance(self, n, p, q):
         a = classify(SystemParams(n, p, q))

@@ -1,11 +1,13 @@
 import math
 import warnings
+from concurrent.futures import Future
 from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from blowup_lab import simulator
 from blowup_lab.damping import DampingProfile
 from blowup_lab.exponents import SystemParams
 from blowup_lab.simulator import (
@@ -454,6 +456,46 @@ class TestSweep:
         parallel = lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, grid, eps, workers=2)
         assert [r.t_blow for r in serial.records] == [r.t_blow for r in parallel.records]
         assert serial.slope == parallel.slope
+
+    def test_records_keep_caller_order(self, tmp_path):
+        grid = GridConfig(dr=0.05, horizon=30.0)
+        eps = [0.5, 1.0, 0.35, 0.7]
+        for workers in (1, 2):
+            sweep = lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, grid, eps, workers=workers)
+            assert [r.eps for r in sweep.records] == eps
+            write_records_csv(sweep.records, tmp_path / f"records{workers}.csv")
+        assert (tmp_path / "records1.csv").read_bytes() == (tmp_path / "records2.csv").read_bytes()
+
+    def test_pool_starts_smallest_eps_first(self, monkeypatch):
+        submitted = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, job):
+                submitted.append(job[0].eps)
+                fut = Future()
+                fut.set_result(fn(job))
+                return fut
+
+        def fake_run(job):
+            eps = job[0].eps
+            return LifespanRecord(eps, 1.0 / eps, Detection.THRESHOLD)
+
+        monkeypatch.setenv("BLOWUP_LAB_THREADS", "2")
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(simulator, "_sweep_one", fake_run)
+        eps = [0.5, 1.0, 0.25, 0.7]
+        sweep = lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, GridConfig(), eps, workers=2)
+        assert submitted == [0.25, 0.5, 0.7, 1.0]
+        assert [r.eps for r in sweep.records] == eps
 
 
 class TestPersistence:

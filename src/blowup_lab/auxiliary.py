@@ -34,11 +34,17 @@ def _gl_nodes(a: float, b: float, nnodes: int):
 
 def sphere_area(d: int) -> float:
     """Surface measure of the unit sphere S^d in R^(d+1)."""
-    return 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
+    try:
+        return 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
+    except OverflowError:
+        raise ValueError(f"dimension too large: |S^{d}| is out of float range") from None
 
 
 def ball_volume(n: int) -> float:
-    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+    try:
+        return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+    except OverflowError:
+        raise ValueError(f"dimension too large: |B^{n}| is out of float range") from None
 
 
 def phi_eval(n: int, rho):
@@ -138,14 +144,6 @@ class KernelQuadrature:
             raise ValueError("eta requires t >= s >= 0")
         coeff = self.w * np.exp(-self.lam * (t + self.cfg.R)) * sinhc(self.lam * (t - s))
         return coeff @ self.phi_mat
-
-
-def xi_eval(cfg: KernelConfig, n: int, t: float, x_radius: float) -> float:
-    return float(KernelQuadrature(cfg, n, [x_radius]).xi(t)[0])
-
-
-def eta_eval(cfg: KernelConfig, n: int, t: float, s: float, x_radius: float) -> float:
-    return float(KernelQuadrature(cfg, n, [x_radius]).eta(t, s)[0])
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,19 @@ def _positive(value) -> float:
     return x
 
 
+def _pair(value) -> tuple[float, float]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"must be a list of two numbers, got {value!r}")
+    return float(value[0]), float(value[1])
+
+
+def _flags(value) -> tuple[bool, bool]:
+    if not (isinstance(value, list) and len(value) == 2
+            and all(isinstance(v, bool) for v in value)):
+        raise ValueError(f"must be a list of two booleans, got {value!r}")
+    return value[0], value[1]
+
+
 def _list_of(convert):
     def parse(value) -> list:
         if not isinstance(value, list) or not value:
@@ -196,7 +209,7 @@ def _frac_str(x) -> str:
 def cmd_classify(cfg: dict, out: str) -> list[Check]:
     _check_keys(cfg, {"n", "p", "q", "R", "eps", "speeds"}, "classify")
     params = _params(cfg)
-    speeds = tuple(bool(s) for s in cfg.get("speeds", [False, False]))
+    speeds = _convert(cfg, "speeds", _flags, [False, False])
     region = exponents.classify(params)
     rows = [
         ("F(n,p,q)", _frac_str(region.f_values[0])),
@@ -213,10 +226,7 @@ def cmd_classify(cfg: dict, out: str) -> list[Check]:
                  ("law_note", law.note)]
     except exponents.RegionError:
         rows += [("law_form", "none"), ("law_exponent", ""), ("law_note", "unknown region")]
-    with open(os.path.join(out, "classify.csv"), "w") as fh:
-        fh.write("quantity,value\n")
-        for k, v in rows:
-            fh.write(f"{k},{v}\n")
+    plotting.write_csv(os.path.join(out, "classify.csv"), ("quantity", "value"), rows)
     return [Check("classification", True, f"region={region.tag.value}")]
 
 
@@ -224,30 +234,31 @@ def cmd_iterate(cfg: dict, out: str) -> list[Check]:
     _check_keys(cfg, {"n", "p", "q", "R", "eps", "j_max", "scheme", "constants",
                       "low_dim", "speed_integrals"}, "iterate")
     params = _params(cfg)
-    j_max = int(cfg.get("j_max", 9))
+    j_max = _convert(cfg, "j_max", _whole, 9)
     scheme = cfg.get("scheme", "subcritical")
     consts_cfg = cfg.get("constants", {}) or {}
     _check_keys(consts_cfg, {"C0", "K0", "C1", "K1", "C", "K", "Ctilde", "m1_0", "m2_0"},
                 "constants")
+    constants = {key: _convert(consts_cfg, key, _positive) for key in consts_cfg}
+    speed = _convert(cfg, "speed_integrals", _pair, [0.0, 0.0])
+    trace_path = os.path.join(out, "iterate_trace.csv")
     checks: list[Check] = []
 
     if scheme == "subcritical":
         consts = iteration.derive_constants(
             params,
-            m1_0=float(consts_cfg.get("m1_0", 1.0)),
-            m2_0=float(consts_cfg.get("m2_0", 1.0)),
-            C1=float(consts_cfg.get("C1", 1.0)),
-            K1=float(consts_cfg.get("K1", 1.0)),
-            C0=float(consts_cfg["C0"]) if "C0" in consts_cfg else None,
-            K0=float(consts_cfg["K0"]) if "K0" in consts_cfg else None,
+            m1_0=constants.get("m1_0", 1.0),
+            m2_0=constants.get("m2_0", 1.0),
+            C1=constants.get("C1", 1.0),
+            K1=constants.get("K1", 1.0),
+            C0=constants.get("C0"),
+            K0=constants.get("K0"),
         )
         low_dim = bool(cfg.get("low_dim", False))
-        speed = tuple(float(s) for s in cfg.get("speed_integrals", [0.0, 0.0]))
         states = iteration.iterate_subcritical(params, consts, j_max, low_dim, speed)
-        with open(os.path.join(out, "iterate_trace.csv"), "w") as fh:
-            fh.write("j,a,b,alpha,beta,logD,logDelta\n")
-            for st in states:
-                fh.write(f"{st.j},{st.a},{st.b},{st.alpha},{st.beta},{st.logD!r},{st.logDelta!r}\n")
+        plotting.write_csv(trace_path, ("j", "a", "b", "alpha", "beta", "logD", "logDelta"),
+                           ((st.j, st.a, st.b, st.alpha, st.beta, st.logD, st.logDelta)
+                            for st in states))
         base = states[0]
         exact = True
         for st in states:
@@ -265,15 +276,13 @@ def cmd_iterate(cfg: dict, out: str) -> list[Check]:
             checks.append(Check("weighted-sum-identity", ws_ok, f"odd j <= {j_max}"))
     elif scheme == "critical":
         consts = iteration.CriticalConstants(
-            C=float(consts_cfg.get("C", 1.0)),
-            K=float(consts_cfg.get("K", 1.0)),
-            Ctilde=float(consts_cfg.get("Ctilde", 1.0)),
+            C=constants.get("C", 1.0),
+            K=constants.get("K", 1.0),
+            Ctilde=constants.get("Ctilde", 1.0),
         )
         states = iteration.iterate_critical(params, consts, j_max)
-        with open(os.path.join(out, "iterate_trace.csv"), "w") as fh:
-            fh.write("j,a,b,logC\n")
-            for st in states:
-                fh.write(f"{st.j},{st.a},{st.b},{st.logC!r}\n")
+        plotting.write_csv(trace_path, ("j", "a", "b", "logC"),
+                           ((st.j, st.a, st.b, st.logC) for st in states))
         exact = all(
             (st.a, st.b) == iteration.critical_closed_form(params, st.j) for st in states
         )
@@ -313,10 +322,8 @@ def cmd_kernels(cfg: dict, out: str) -> list[Check]:
         all_positive = all_positive and fit.all_positive()
         for item, val in (("A0", fit.a0), ("B0", fit.b0), ("B1", fit.b1), ("B2", fit.b2)):
             rows.append((f"{item}[r={r:g}]", item, fit.grid_spec, val))
-    with open(os.path.join(out, "kernel_bounds.csv"), "w") as fh:
-        fh.write("item,constant,grid,value\n")
-        for name, item, spec, val in rows:
-            fh.write(f'{name},{item},"{spec}",{val!r}\n')
+    plotting.write_csv(os.path.join(out, "kernel_bounds.csv"),
+                       ("item", "constant", "grid", "value"), rows)
     checks = [Check("kernel-bounds-positive", all_positive, f"orders={orders}")]
 
     ok = True
@@ -370,7 +377,8 @@ def cmd_sweep(cfg: dict, out: str) -> list[Check]:
         raise ConfigError("sweep needs eps_list")
     params, profiles, data, grid = _run_from_config(cfg)
     eps_list = _convert(cfg, "eps_list", _list_of(float))
-    workers = _convert(cfg, "workers", int) if "workers" in cfg else None
+    workers = _convert(cfg, "workers", _whole) if "workers" in cfg else None
+    rtol = _convert(cfg, "slope_rtol", _positive) if "slope_rtol" in cfg else None
     try:
         sweep = simulator.lifespan_sweep(params, profiles, data, grid, eps_list, workers)
     except ValueError as exc:
@@ -406,12 +414,10 @@ def cmd_sweep(cfg: dict, out: str) -> list[Check]:
     order = np.argsort(eps)
     mono = bool(np.all(np.diff(ts[order]) <= grid.dt + 1e-12))
     checks.append(Check("lifespans-monotone", mono, "smaller eps never blows up sooner"))
-    rtol = cfg.get("slope_rtol")
     if rtol is not None:
-        ok = sweep.slope_matches(float(rtol))
-        checks.append(Check("slope-window", ok,
+        checks.append(Check("slope-window", sweep.slope_matches(rtol),
                             f"|{sweep.slope:.4g} - {sweep.theory_exponent:.4g}| "
-                            f"<= {float(rtol):g}|theory|"))
+                            f"<= {rtol:g}|theory|"))
     checks.append(Check("upper-bound-uniform", sweep.upper_bound_holds(),
                         f"C={sweep.c_fit:.6g} spread={sweep.ratio_spread:.4g}"))
     return checks
@@ -424,16 +430,19 @@ def cmd_verify(cfg: dict, out: str) -> list[Check]:
     critical = bool(cfg.get("critical", False))
     if critical and grid.snapshot_every is None:
         raise ConfigError("critical verification needs snapshot_every")
+    window = _convert(cfg, "window", _pair) if "window" in cfg else None
+    ode_tol = _convert(cfg, "ode_tol", _positive) if "ode_tol" in cfg else None
+    log_window = _convert(cfg, "log_window", _pair, [5.0, grid.horizon])
+    lambda0 = _convert(cfg, "lambda0", _positive, 1.0)
+    quad_nodes = _convert(cfg, "quad_nodes", _whole, 64)
+
     result = simulator.run_until_blowup(params, profiles, data, grid)
     simulator.write_trace_csv(result.trace, os.path.join(out, "trace.csv"))
-    window = tuple(cfg["window"]) if "window" in cfg else None
     report = simulator.verify_identities(result.trace, profiles, params, window)
     checks = []
-    ode_tol = cfg.get("ode_tol")
     res = max(report.ode_residual_u, report.ode_residual_v)
     if ode_tol is not None:
-        checks.append(Check("ode-residual", res <= float(ode_tol),
-                            f"max={res:.3g} tol={float(ode_tol):g}"))
+        checks.append(Check("ode-residual", res <= ode_tol, f"max={res:.3g} tol={ode_tol:g}"))
     else:
         checks.append(Check("ode-residual", True, f"max={res:.3g} (reported)"))
     checks.append(Check("frame-inequalities", report.inequalities_hold(1e-9),
@@ -444,12 +453,14 @@ def cmd_verify(cfg: dict, out: str) -> list[Check]:
     leak = simulator.cone_leakage(result)
     checks.append(Check("cone-containment", leak < 1e-12, f"leakage={leak:.3g}"))
     if critical:
-        log_window = tuple(cfg.get("log_window", (5.0, grid.horizon)))
         crit = simulator.verify_critical_inequalities(
-            result, params,
-            lambda0=float(cfg.get("lambda0", 1.0)),
-            quad_nodes=int(cfg.get("quad_nodes", 64)),
-            log_window=log_window,
+            result, params, lambda0=lambda0, quad_nodes=quad_nodes, log_window=log_window
+        )
+        plotting.write_csv(
+            os.path.join(out, "critical_functionals.csv"),
+            ("t", "weighted_u", "lower_bound_u", "weighted_v", "lower_bound_v", "log_ratio"),
+            zip(crit.t_checked, crit.weighted_u, crit.rhs_u, crit.weighted_v, crit.rhs_v,
+                crit.log_ratio),
         )
         checks.append(Check("critical-bounds", crit.bounds_hold(),
                             f"checked {crit.t_checked.size} times"))

@@ -135,23 +135,9 @@ class DampingProfile:
         return float(self.tail(0.0))
 
 
-@dataclass(frozen=True)
-class Multiplier:
-    """m(t) = exp(-int_t^inf b) with m(0) <= m(t) <= 1, nondecreasing."""
-
-    profile: DampingProfile
-
-    def __call__(self, t):
-        return np.exp(-self.profile.tail(t))
-
-    @property
-    def m0(self) -> float:
-        # same exp implementation as __call__, so m(0) == m0 bit-for-bit
-        return float(np.exp(-self.profile.l1))
-
-
 def multiplier_eval(profile: DampingProfile, t) -> float:
-    """Evaluate m(t) = exp(-tail(t)) in (0, 1]."""
+    """Evaluate m(t) = exp(-tail(t)) in (0, 1]: m(0) = exp(-l1) <= m(t) <= 1,
+    nondecreasing in t."""
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise ValueError("multiplier is defined for t >= 0")

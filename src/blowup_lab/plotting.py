@@ -1,12 +1,13 @@
-"""Dependency-free deterministic SVG plots.
+"""Dependency-free deterministic artifacts: SVG plots and CSV tables.
 
 Fixed canvas, no timestamps, repr-stable float formatting: identical input
-produces byte-identical files, so plots can be diffed like any other
-artifact.
+produces byte-identical files, so plots and tables can be diffed like any
+other artifact.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,17 @@ class PlotSeries:
     y: np.ndarray
     label: str = ""
     kind: str = "points"  # "points" | "line"
+
+
+def write_csv(path, header, rows) -> None:
+    """Every CSV artifact: the header row, then one line per row.  Floats
+    (numpy's included) are written as repr(float(x)), so they read back
+    exactly; a field that holds a comma is quoted."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([repr(float(x)) if isinstance(x, float) else x for x in row]
+                         for row in rows)
 
 
 def _fmt(v: float) -> str:

@@ -34,6 +34,7 @@ from blowup_lab.auxiliary import (
 )
 from blowup_lab.damping import DampingProfile
 from blowup_lab.exponents import SystemParams, lifespan_law
+from blowup_lab.plotting import write_csv
 
 
 @dataclass(frozen=True)
@@ -406,13 +407,16 @@ def cone_leakage(result: RunResult) -> float:
 @dataclass(frozen=True)
 class CriticalReport:
     """Sampled check of the kernel-weighted integral inequalities and of the
-    logarithmic lower bound for the weighted average of the first component."""
+    logarithmic lower bound for the weighted average of the first component.
+    log_ratio is weighted_u / log(2t/3) at each checked t (NaN for t <= 1.5);
+    log_ratio_min is its minimum on log_ratio_window."""
 
     t_checked: np.ndarray
     weighted_u: np.ndarray
     weighted_v: np.ndarray
     rhs_u: np.ndarray
     rhs_v: np.ndarray
+    log_ratio: np.ndarray
     log_ratio_min: float
     log_ratio_window: tuple[float, float]
 
@@ -511,18 +515,16 @@ def verify_critical_inequalities(
 
     lo, hi = log_window
     in_win = (t_checked >= max(lo, 1.5 + 1e-9)) & (t_checked <= hi)
-    if np.any(in_win):
-        ratios = lhs_u[in_win] / np.log(2.0 * t_checked[in_win] / 3.0)
-        log_ratio_min = float(np.min(ratios))
-    else:
-        log_ratio_min = math.nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.where(t_checked > 1.5, lhs_u / np.log(2.0 * t_checked / 3.0), math.nan)
     return CriticalReport(
         t_checked=t_checked,
         weighted_u=lhs_u,
         weighted_v=lhs_v,
         rhs_u=rhs_u,
         rhs_v=rhs_v,
-        log_ratio_min=log_ratio_min,
+        log_ratio=log_ratio,
+        log_ratio_min=float(np.min(log_ratio[in_win])) if np.any(in_win) else math.nan,
         log_ratio_window=(lo, hi),
     )
 
@@ -629,20 +631,12 @@ def lifespan_sweep(
 
 
 def write_trace_csv(trace: FunctionalTrace, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("t,U,V,Nu,Nv,supnorm\n")
-        for i in range(len(trace)):
-            row = (trace.t[i], trace.U[i], trace.V[i], trace.Nu[i], trace.Nv[i], trace.sup[i])
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+    write_csv(path, ("t", "U", "V", "Nu", "Nv", "supnorm"),
+              zip(trace.t, trace.U, trace.V, trace.Nu, trace.Nv, trace.sup))
 
 
 def write_records_csv(records: list[LifespanRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("eps,Tblow,detection,dr,cfl,horizon,threshold\n")
-        for rec in records:
-            m = rec.meta
-            fh.write(
-                f"{rec.eps!r},{rec.t_blow!r},{rec.detection.value},"
-                f"{m.get('dr', '')!r},{m.get('cfl', '')!r},"
-                f"{m.get('horizon', '')!r},{m.get('threshold', '')!r}\n"
-            )
+    meta_keys = ("dr", "cfl", "horizon", "threshold")
+    write_csv(path, ("eps", "Tblow", "detection") + meta_keys,
+              ((rec.eps, rec.t_blow, rec.detection.value,
+                *(rec.meta.get(k, "") for k in meta_keys)) for rec in records))

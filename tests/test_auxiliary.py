@@ -9,7 +9,6 @@ from blowup_lab.auxiliary import (
     ball_volume,
     bracket,
     critical_kernel_orders,
-    eta_eval,
     fit_kernel_bounds,
     fundamental_identity_v,
     phi_eval,
@@ -17,7 +16,6 @@ from blowup_lab.auxiliary import (
     solve_fundamental_pair,
     sphere_area,
     verify_fundamental_bounds,
-    xi_eval,
 )
 from blowup_lab.damping import DampingProfile
 
@@ -59,19 +57,20 @@ class TestKernels:
     def test_xi_closed_form_at_origin(self):
         cfg = KernelConfig(lambda0=1.0, R=1.0, order=0.0)
         expected = 2.0 * math.pi * (1.0 - math.exp(-1.0))
-        assert abs(xi_eval(cfg, 2, 0.0, 0.0) - expected) / expected < 1e-12
+        assert abs(KernelQuadrature(cfg, 2, [0.0]).xi(0.0)[0] - expected) / expected < 1e-12
 
     def test_eta_equals_xi_like_integral_at_s_equals_t(self):
         cfg = KernelConfig(lambda0=1.0, R=1.0, order=0.5, quad_nodes=48)
         lam, w = cfg.nodes()
+        quad = KernelQuadrature(cfg, 2, [0.7])
         for t in (0.0, 2.0, 7.0):
             direct = float(np.sum(w * np.exp(-lam * (t + 1.0)) * phi_eval(2, lam * 0.7)))
-            assert abs(eta_eval(cfg, 2, t, t, 0.7) - direct) < 1e-13 * max(1.0, direct)
+            assert abs(quad.eta(t, t)[0] - direct) < 1e-13 * max(1.0, direct)
 
     def test_eta_closed_form_origin(self):
         cfg = KernelConfig(lambda0=1.0, R=1.0, order=0.0)
         expected = 2.0 * math.pi * (1.0 - math.exp(-1.0))
-        assert abs(eta_eval(cfg, 2, 0.0, 0.0, 0.0) - expected) / expected < 1e-12
+        assert abs(KernelQuadrature(cfg, 2, [0.0]).eta(0.0, 0.0)[0] - expected) / expected < 1e-12
 
     def test_xi_transient_decays_like_inverse_t(self):
         # xi(t, 0) tends to a positive constant; the transient part is the
@@ -79,16 +78,18 @@ class TestKernels:
         cfg = KernelConfig(lambda0=1.0, R=1.0, order=0.0)
         lam, w = cfg.nodes()
         limit = float(np.sum(w * 0.5 * np.exp(-lam * cfg.R) * phi_eval(2, 0.0 * lam)))
+        quad = KernelQuadrature(cfg, 2, [0.0])
         for t in (20.0, 40.0, 80.0):
-            transient = xi_eval(cfg, 2, t, 0.0) - limit
+            transient = quad.xi(t)[0] - limit
             envelope = math.pi / (2.0 * t + cfg.R)
             assert 0.5 < transient / envelope < 2.0
 
     def test_positive_and_decreasing_in_t(self):
         cfg = KernelConfig(lambda0=1.0, R=1.0, order=0.5)
         ts = np.linspace(0.0, 30.0, 16)
-        xis = np.array([xi_eval(cfg, 3, t, 0.5) for t in ts])
-        etas = np.array([eta_eval(cfg, 3, t, 0.0, 0.5) for t in ts])
+        quad = KernelQuadrature(cfg, 3, [0.5])
+        xis = np.array([quad.xi(t)[0] for t in ts])
+        etas = np.array([quad.eta(t, 0.0)[0] for t in ts])
         assert np.all(xis > 0) and np.all(etas > 0)
         assert np.all(np.diff(xis) < 0)
         assert np.all(np.diff(etas) < 0)
@@ -101,14 +102,15 @@ class TestKernels:
     def test_eta_continuous_across_switch(self):
         cfg = KernelConfig(lambda0=1.0, R=1.0, order=0.0)
         t = 1.0
-        below = eta_eval(cfg, 2, t, t - 0.9e-4, 0.3)
-        above = eta_eval(cfg, 2, t, t - 1.1e-4, 0.3)
+        quad = KernelQuadrature(cfg, 2, [0.3])
+        below = quad.eta(t, t - 0.9e-4)[0]
+        above = quad.eta(t, t - 1.1e-4)[0]
         assert abs(below - above) / above < 1e-7
 
     def test_eta_requires_ordered_times(self):
         cfg = KernelConfig()
         with pytest.raises(ValueError):
-            eta_eval(cfg, 2, 1.0, 2.0, 0.0)
+            KernelQuadrature(cfg, 2, [0.0]).eta(1.0, 2.0)
 
     def test_quad_nodes_validation(self):
         with pytest.raises(ValueError):
@@ -121,7 +123,7 @@ class TestKernels:
         # 2 pi int_0^1 e^(-lam) lam^(-1/2) dlam = 2 pi sqrt(pi) erf(1)
         cfg = KernelConfig(lambda0=1.0, R=1.0, order=-0.5, quad_nodes=64)
         ref = 2.0 * math.pi * math.sqrt(math.pi) * math.erf(1.0)
-        val = xi_eval(cfg, 2, 0.0, 0.0)
+        val = KernelQuadrature(cfg, 2, [0.0]).xi(0.0)[0]
         assert abs(val - ref) / ref < 1e-9
 
 
@@ -129,7 +131,7 @@ class TestKernelBounds:
     def test_singleton_grid_reduces_to_point_value(self):
         cfg = KernelConfig(lambda0=1.0, R=1.0, order=0.5)
         fit = fit_kernel_bounds(cfg, 3, [0.0], x_points=1)
-        assert fit.a0 == xi_eval(cfg, 3, 0.0, 0.0)
+        assert fit.a0 == KernelQuadrature(cfg, 3, [0.0]).xi(0.0)[0]
 
     @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_all_constants_positive(self, n, q):
@@ -276,3 +278,10 @@ def test_geometry_helpers():
     assert abs(sphere_area(1) - 2 * math.pi) < 1e-14
     assert abs(sphere_area(2) - 4 * math.pi) < 1e-14
     assert abs(ball_volume(3) - 4 * math.pi / 3) < 1e-14
+
+
+def test_geometry_overflow_names_dimension():
+    with pytest.raises(ValueError, match=r"dimension too large: \|S\^399\|"):
+        sphere_area(399)
+    with pytest.raises(ValueError, match=r"dimension too large: \|B\^400\|"):
+        ball_volume(400)

@@ -1,12 +1,17 @@
+import csv
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from blowup_lab import auxiliary, simulator
 from blowup_lab.cli import main
 from blowup_lab.plotting import PlotSeries, emit_plot, loglog_fit_series
+
+EXPERIMENTS = sorted((Path(__file__).resolve().parents[1] / "experiments").glob("*.json"))
 
 
 def run_cli(tmp_path, command, cfg, name="cfg", extra_env=None):
@@ -22,6 +27,11 @@ def run_cli(tmp_path, command, cfg, name="cfg", extra_env=None):
         os.environ.clear()
         os.environ.update(old)
     return code, out
+
+
+def read_csv(path) -> list[list[str]]:
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
 
 
 class TestConfigValidation:
@@ -46,7 +56,9 @@ class TestConfigValidation:
         ({"snapshot_every": 0}, "snapshot_every must be >= 1"),
         ({"damping": "poly"}, "damping block must be a JSON object"),
         ({"eps": math.inf}, "data size must be finite and positive"),
-    ], ids=["infinite-horizon", "zero-snapshot-cadence", "damping-not-object", "infinite-eps"])
+        ({"n": 400}, "dimension too large: |S^399|"),
+    ], ids=["infinite-horizon", "zero-snapshot-cadence", "damping-not-object", "infinite-eps",
+            "huge-n"])
     def test_bad_simulation_value_is_one_line_config_error(self, tmp_path, capsys, extra, reason):
         cfg = {"n": 1, "p": 2, "q": 2, "horizon": 2.0, **extra}
         code, _ = run_cli(tmp_path, "simulate", cfg)
@@ -82,31 +94,54 @@ class TestConfigValidation:
         ("simulate", {"damping": {"kind": "poly", "mu": None}}, "mu"),
         ("simulate", {"data": {"u0": None}}, "u0"),
         ("sweep", {"eps_list": 1}, "eps_list"),
-    ], ids=["dr-null", "R-null", "fractional-n", "mu-null", "u0-null", "eps-list-not-list"])
+        ("iterate", {"j_max": None}, "j_max"),
+        ("iterate", {"constants": {"C0": None}}, "C0"),
+        ("classify", {"speeds": 5}, "speeds"),
+        ("verify", {"window": 3}, "window"),
+        ("verify", {"critical": True, "snapshot_every": 10, "lambda0": None}, "lambda0"),
+    ], ids=["dr-null", "R-null", "fractional-n", "mu-null", "u0-null", "eps-list-not-list",
+            "j-max-null", "constant-null", "speeds-not-list", "window-not-list",
+            "critical-lambda0-null"])
     def test_wrong_type_names_key(self, tmp_path, capsys, command, extra, key):
-        cfg = {"n": 1, "p": 2, "q": 2, "horizon": 2.0, **extra}
-        code, _ = run_cli(tmp_path, command, cfg)
+        # iterate and classify take no grid keys
+        grid = {"horizon": 2.0} if command in ("simulate", "sweep", "verify") else {}
+        cfg = {"n": 1, "p": 2, "q": 2, **grid, **extra}
+        code, out = run_cli(tmp_path, command, cfg)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1
+        assert not any(out.iterdir())  # rejected before any work
+
+    def test_huge_kernels_dimension_is_one_line_error(self, tmp_path, capsys):
+        code, _ = run_cli(tmp_path, "kernels", {"n": 400, "t_max": 4, "orders": [200]})
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: dimension too large") and err.count("\n") == 1
 
     def test_fraction_strings_accepted(self, tmp_path):
         code, out = run_cli(tmp_path, "classify", {"n": 2, "p": "3/2", "q": "3/2"})
         assert code == 0
-        body = (out / "classify.csv").read_text()
-        assert "G(n,p,q),4/3" in body
+        assert ["G(n,p,q)", "4/3"] in read_csv(out / "classify.csv")
 
 
 class TestClassify:
     def test_report_contents(self, tmp_path):
         code, out = run_cli(tmp_path, "classify", {"n": 3, "p": 2, "q": 2})
         assert code == 0
+        assert ["F(n,p,q)", "1/2"] in read_csv(out / "classify.csv")
         body = (out / "classify.csv").read_text()
-        assert "F(n,p,q),1/2" in body
         assert "region,SubcriticalBlowup" in body
         assert "law_exponent,-2" in body
         summary = (out / "summary.txt").read_text()
         assert "CHECK classification: PASS" in summary
+
+    def test_labels_and_notes_with_commas_stay_one_field(self, tmp_path):
+        cfg = {"n": 1, "p": "3/2", "q": "3/2", "speeds": [True, True]}
+        code, out = run_cli(tmp_path, "classify", cfg)
+        assert code == 0
+        rows = read_csv(out / "classify.csv")
+        assert all(len(row) == 2 for row in rows)
+        assert ["law_note", "improved, both speeds"] in rows
 
 
 class TestIterate:
@@ -220,7 +255,11 @@ class TestVerifyCommand:
         code, _ = run_cli(tmp_path, "verify", cfg)
         assert code == 2
 
-    def test_critical_verify_passes(self, tmp_path):
+    def test_critical_verify_passes(self, tmp_path, monkeypatch):
+        reports = []
+        verify = simulator.verify_critical_inequalities
+        monkeypatch.setattr(simulator, "verify_critical_inequalities",
+                            lambda *a, **k: reports.append(verify(*a, **k)) or reports[-1])
         p0 = 2.414213562373095
         cfg = {"n": 3, "p": p0, "q": p0, "dr": 0.05, "horizon": 8.0,
                "damping": {"kind": "poly", "mu": 1.0, "beta": 2.0},
@@ -231,6 +270,48 @@ class TestVerifyCommand:
         assert "CHECK critical-bounds: PASS" in summary
         assert "CHECK log-growth-positive: PASS" in summary
         assert code == 0
+
+        [rep] = reports
+        header, *rows = read_csv(out / "critical_functionals.csv")
+        assert header == ["t", "weighted_u", "lower_bound_u", "weighted_v", "lower_bound_v",
+                          "log_ratio"]
+        table = np.array(rows, dtype=float)
+        assert table.shape == (rep.t_checked.size, 6)
+        for col, field in enumerate((rep.t_checked, rep.weighted_u, rep.rhs_u,
+                                     rep.weighted_v, rep.rhs_v, rep.log_ratio)):
+            assert np.array_equal(table[:, col], field, equal_nan=True)
+        t, log_ratio = table[:, 0], table[:, 5]
+        late = t > 1.5
+        assert np.all(np.isnan(log_ratio[~late]))
+        assert np.all(log_ratio[late] == rep.weighted_u[late] / np.log(2.0 * t[late] / 3.0))
+        in_window = (t >= 5.0) & (t <= 8.0)
+        assert np.min(log_ratio[in_window]) == rep.log_ratio_min
+
+
+class Reached(Exception):
+    """Raised in place of a command's first heavy call."""
+
+
+class TestExperiments:
+    FIRST_HEAVY_CALL = {
+        "sweep": (simulator, "lifespan_sweep"),
+        "verify": (simulator, "run_until_blowup"),
+        "kernels": (auxiliary, "fit_kernel_bounds"),
+    }
+
+    def test_every_command_has_configs(self):
+        assert {path.stem.split("-")[0] for path in EXPERIMENTS} == set(self.FIRST_HEAVY_CALL)
+
+    @pytest.mark.parametrize("path", EXPERIMENTS, ids=lambda path: path.stem)
+    def test_config_accepted(self, tmp_path, monkeypatch, path):
+        command = path.stem.split("-")[0]
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(*self.FIRST_HEAVY_CALL[command], reached)
+        with pytest.raises(Reached):
+            main([command, "--config", str(path), "--out", str(tmp_path)])
 
 
 class TestPlotting:

@@ -92,6 +92,13 @@ def _pair(value) -> tuple[float, float]:
     return float(value[0]), float(value[1])
 
 
+def _bool(value) -> bool:
+    """A JSON true or false; a string such as "false" is rejected."""
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
+
+
 def _flags(value) -> tuple[bool, bool]:
     if not (isinstance(value, list) and len(value) == 2
             and all(isinstance(v, bool) for v in value)):
@@ -171,8 +178,8 @@ def _grid(cfg: dict) -> simulator.GridConfig:
                 _convert(cfg, "snapshot_every", int)
                 if cfg.get("snapshot_every") is not None else None
             ),
-            linear_mode=bool(cfg.get("linear_mode", False)),
-            enforce_cone=bool(cfg.get("enforce_cone", True)),
+            linear_mode=_convert(cfg, "linear_mode", _bool, False),
+            enforce_cone=_convert(cfg, "enforce_cone", _bool, True),
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
@@ -241,6 +248,7 @@ def cmd_iterate(cfg: dict, out: str) -> list[Check]:
                 "constants")
     constants = {key: _convert(consts_cfg, key, _positive) for key in consts_cfg}
     speed = _convert(cfg, "speed_integrals", _pair, [0.0, 0.0])
+    low_dim = _convert(cfg, "low_dim", _bool, False)
     trace_path = os.path.join(out, "iterate_trace.csv")
     checks: list[Check] = []
 
@@ -254,7 +262,6 @@ def cmd_iterate(cfg: dict, out: str) -> list[Check]:
             C0=constants.get("C0"),
             K0=constants.get("K0"),
         )
-        low_dim = bool(cfg.get("low_dim", False))
         states = iteration.iterate_subcritical(params, consts, j_max, low_dim, speed)
         plotting.write_csv(trace_path, ("j", "a", "b", "alpha", "beta", "logD", "logDelta"),
                            ((st.j, st.a, st.b, st.alpha, st.beta, st.logD, st.logDelta)
@@ -344,7 +351,8 @@ def cmd_kernels(cfg: dict, out: str) -> list[Check]:
 def _run_from_config(cfg: dict):
     params = _params(cfg)
     b1 = _damping(cfg.get("damping"))
-    b2 = _damping(cfg.get("damping2", cfg.get("damping")))
+    # one shared profile object lets the step evaluate b once for both components
+    b2 = _damping(cfg["damping2"]) if "damping2" in cfg else b1
     data = _data(cfg.get("data"))
     grid = _grid(cfg)
     return params, (b1, b2), data, grid
@@ -427,7 +435,7 @@ def cmd_verify(cfg: dict, out: str) -> list[Check]:
     _check_keys(cfg, _SIM_KEYS | {"window", "ode_tol", "critical", "log_window",
                                   "lambda0", "quad_nodes"}, "verify")
     params, profiles, data, grid = _run_from_config(cfg)
-    critical = bool(cfg.get("critical", False))
+    critical = _convert(cfg, "critical", _bool, False)
     if critical and grid.snapshot_every is None:
         raise ConfigError("critical verification needs snapshot_every")
     window = _convert(cfg, "window", _pair) if "window" in cfg else None

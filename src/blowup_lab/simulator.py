@@ -87,6 +87,11 @@ class GridConfig:
     def dt(self) -> float:
         return self.cfl * self.dr
 
+    @property
+    def n_steps(self) -> int:
+        """Leapfrog steps from t = 0 to the horizon."""
+        return int(round(self.horizon / self.dt))
+
 
 class Detection(Enum):
     THRESHOLD = "ThresholdCross"
@@ -157,9 +162,17 @@ class GridState:
         self.t = 0.0
         self.step_index = 0
         self.m = self._window(0.0)
+        self._p, self._q = float(params.p), float(params.q)
+        self._dr2 = dr ** 2
+        self._two_dr_r = 2.0 * dr * self.r
+        # (|u|, |v|) of the level at _abs_index, on its window
+        self._abs = (np.zeros_like(self.u), np.zeros_like(self.v))
+        self._abs_index = -1
         # (|v|^p, |u|^q) of the level at _src_index; zero past its window
         self._src = (np.zeros_like(self.u), np.zeros_like(self.v))
         self._src_index = -1
+        # work buffers of _laplacian and step, shared by the two components
+        self._lap, self._work = np.zeros_like(self.u), np.zeros_like(self.u)
 
     def _window(self, t: float) -> int:
         """Length of the grid prefix that can be nonzero at time t: the exact
@@ -168,25 +181,46 @@ class GridState:
             return self.r.size
         return min(self.r.size, int(math.floor((t + self.params.R) / self.dr + 2.0)) + 1)
 
+    def _abs_level(self):
+        """(|u|, |v|) of the current level on its window, computed once per
+        level and shared by the sup norm and the sources."""
+        m = self.m
+        abs_u, abs_v = self._abs
+        if self._abs_index != self.step_index:
+            np.abs(self.u[:m], out=abs_u[:m])
+            np.abs(self.v[:m], out=abs_v[:m])
+            self._abs_index = self.step_index
+        return abs_u[:m], abs_v[:m]
+
     def _sources(self):
         """(|v|^p, |u|^q) of the current level, computed once per level."""
         if self._src_index != self.step_index and not self.grid.linear_mode:
             m = self.m
+            abs_u, abs_v = self._abs_level()
             src_u, src_v = self._src
-            src_u[:m] = np.abs(self.v[:m]) ** float(self.params.p)
-            src_v[:m] = np.abs(self.u[:m]) ** float(self.params.q)
+            np.power(abs_v, self._p, out=src_u[:m])
+            np.power(abs_u, self._q, out=src_v[:m])
             self._src_index = self.step_index
         return self._src
 
     def _laplacian(self, u, k: int):
         """Radial Laplacian at the nodes [0, k), k < r.size: u_rr + (n-1) u_r / r,
-        and n u_rr at the origin via the symmetric ghost node."""
-        dr, n = self.dr, self.params.n
-        out = np.empty(k)
-        out[1:] = (u[2:k + 1] - 2.0 * u[1:k] + u[:k - 1]) / dr ** 2
+        and n u_rr at the origin via the symmetric ghost node.  Written into a
+        work buffer; each operation keeps the operands and the order of
+        (u[2:] - 2 u[1:] + u[:-2]) / dr^2 + (n-1) (u[2:] - u[:-2]) / (2 dr r)."""
+        n, dr2 = self.params.n, self._dr2
+        out = self._lap[:k]
+        inner, tmp = out[1:], self._work[1:k]
+        np.multiply(2.0, u[1:k], out=inner)
+        np.subtract(u[2:k + 1], inner, out=inner)
+        np.add(inner, u[:k - 1], out=inner)
+        np.divide(inner, dr2, out=inner)
         if n > 1:
-            out[1:] += (n - 1) * (u[2:k + 1] - u[:k - 1]) / (2.0 * dr * self.r[1:k])
-        out[0] = n * 2.0 * (u[1] - u[0]) / dr ** 2
+            np.subtract(u[2:k + 1], u[:k - 1], out=tmp)
+            np.multiply(n - 1, tmp, out=tmp)
+            np.divide(tmp, self._two_dr_r[1:k], out=tmp)
+            np.add(inner, tmp, out=inner)
+        out[0] = n * 2.0 * (u[1] - u[0]) / dr2
         return out
 
     def integral(self, f) -> float:
@@ -205,38 +239,48 @@ class GridState:
 
     def sup_norm(self) -> float:
         # np.maximum, unlike the builtin max, propagates a NaN from either side
-        m = self.m
+        abs_u, abs_v = self._abs_level()
         with np.errstate(invalid="ignore"):
-            return float(np.maximum(np.abs(self.u[:m]).max(), np.abs(self.v[:m]).max()))
+            return float(np.maximum(abs_u.max(), abs_v.max()))
 
 
-def _advance(state: GridState, k: int, w, w_prev, w_t0, src, prof: DampingProfile) -> None:
+def _advance(state: GridState, k: int, w, w_prev, w_t0, src, b: float) -> None:
     """Write one component's next level on [0, k) into w_prev; the old level
     there was zero past k, as windows never shrink and the last node stays 0."""
     dt = state.dt
     lap = state._laplacian(w, k)
-    b = prof.b(state.t)
     if state.step_index == 0:
         # second-order Taylor start from the PDE at t = 0
         w_prev[:k] = w[:k] + dt * w_t0[:k] + 0.5 * dt * dt * (lap - b * w_t0[:k] + src[:k])
-    else:
-        half = 0.5 * b * dt
-        w_prev[:k] = (
-            2.0 * w[:k] - w_prev[:k] + half * w_prev[:k] + dt * dt * (lap + src[:k])
-        ) / (1.0 + half)
+        return
+    # (2 w - w_prev + half w_prev + dt^2 (lap + src)) / (1 + half), one
+    # operation at a time in that order; w_prev is read before it is written
+    half = 0.5 * b * dt
+    new, acc = w_prev[:k], state._work[:k]
+    np.add(lap, src[:k], out=lap)
+    np.multiply(dt * dt, lap, out=lap)
+    np.multiply(2.0, w[:k], out=acc)
+    np.subtract(acc, new, out=acc)
+    np.multiply(half, new, out=new)
+    np.add(acc, new, out=acc)
+    np.add(acc, lap, out=acc)
+    np.divide(acc, 1.0 + half, out=new)
 
 
 def step(state: GridState) -> GridState:
     """Advance one leapfrog step (mutates and returns the state), on the cone
     window of the new level.  Non-finite values are not an error here;
-    blow-up detection is the caller's job."""
+    blow-up detection is the caller's job.  Components that share one
+    damping profile object share one evaluation of b."""
     t_new = state.t + state.dt
     m_new = state._window(t_new)
     k = min(m_new, state.r.size - 1)
     with np.errstate(over="ignore", invalid="ignore"):
+        b1 = state.b1.b(state.t)
+        b2 = b1 if state.b2 is state.b1 else state.b2.b(state.t)
         src_u, src_v = state._sources()
-        _advance(state, k, state.u, state.u_prev, state.ut_init, src_u, state.b1)
-        _advance(state, k, state.v, state.v_prev, state.vt_init, src_v, state.b2)
+        _advance(state, k, state.u, state.u_prev, state.ut_init, src_u, b1)
+        _advance(state, k, state.v, state.v_prev, state.vt_init, src_v, b2)
     state.u_prev, state.u = state.u, state.u_prev
     state.v_prev, state.v = state.v, state.v_prev
     state.t = t_new
@@ -276,7 +320,7 @@ def run_until_blowup(
 
     detection = Detection.SURVIVED
     t_blow = grid.horizon
-    n_steps = int(round(grid.horizon / state.dt))
+    n_steps = grid.n_steps
     while True:
         if state.step_index % grid.sample_every == 0:
             row = (state.t, *state.functionals())
@@ -461,7 +505,8 @@ def verify_critical_inequalities(
     cfg1 = KernelConfig(lambda0=lambda0, R=params.R, order=r1, quad_nodes=quad_nodes)
     cfg2 = KernelConfig(lambda0=lambda0, R=params.R, order=r2, quad_nodes=quad_nodes)
     quad1 = KernelQuadrature(cfg1, n, state.r)
-    quad2 = KernelQuadrature(cfg2, n, state.r)
+    # equal orders (p = q) give equal configs: build the quadrature once
+    quad2 = quad1 if cfg2 == cfg1 else KernelQuadrature(cfg2, n, state.r)
 
     s_times = np.array([s for s, _, _ in result.snapshots])
     W = state.weights
@@ -588,8 +633,11 @@ def lifespan_sweep(
     eps_list = list(eps_list)
     if len(eps_list) < 4:
         raise ValueError(f"sweep needs >= 4 eps points, got {len(eps_list)}")
+    # a sweep keeps only the records: sample at t = 0 alone, store no snapshots,
+    # and let every later step check just the sup norm
+    run_grid = replace(grid, sample_every=grid.n_steps + 1, snapshot_every=None)
     jobs = [
-        (replace(params_template, eps=float(e)), profiles, data, grid) for e in eps_list
+        (replace(params_template, eps=float(e)), profiles, data, run_grid) for e in eps_list
     ]
     nw = sweep_workers(len(jobs), workers)
     if nw > 1:

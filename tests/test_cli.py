@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from blowup_lab import auxiliary, simulator
-from blowup_lab.cli import main
+from blowup_lab.cli import _run_from_config, main
 from blowup_lab.plotting import PlotSeries, emit_plot, loglog_fit_series
 
 EXPERIMENTS = sorted((Path(__file__).resolve().parents[1] / "experiments").glob("*.json"))
@@ -99,9 +99,14 @@ class TestConfigValidation:
         ("classify", {"speeds": 5}, "speeds"),
         ("verify", {"window": 3}, "window"),
         ("verify", {"critical": True, "snapshot_every": 10, "lambda0": None}, "lambda0"),
+        ("simulate", {"linear_mode": "false"}, "linear_mode"),
+        ("simulate", {"enforce_cone": "false"}, "enforce_cone"),
+        ("verify", {"critical": "false"}, "critical"),
+        ("iterate", {"low_dim": "false"}, "low_dim"),
     ], ids=["dr-null", "R-null", "fractional-n", "mu-null", "u0-null", "eps-list-not-list",
             "j-max-null", "constant-null", "speeds-not-list", "window-not-list",
-            "critical-lambda0-null"])
+            "critical-lambda0-null", "linear-mode-string", "enforce-cone-string",
+            "critical-string", "low-dim-string"])
     def test_wrong_type_names_key(self, tmp_path, capsys, command, extra, key):
         # iterate and classify take no grid keys
         grid = {"horizon": 2.0} if command in ("simulate", "sweep", "verify") else {}
@@ -194,6 +199,13 @@ class TestSimulateAndSweep:
         assert (out / "trace.csv").exists()
         assert (out / "trace.svg").exists()
         assert (out / "run_record.csv").exists()
+
+    def test_one_damping_block_gives_one_shared_profile(self):
+        cfg = {"n": 1, "p": 2, "q": 2, "damping": {"kind": "poly"}}
+        _, (b1, b2), _, _ = _run_from_config(cfg)
+        assert b2 is b1  # lets the step evaluate b once for both components
+        _, (b1, b2), _, _ = _run_from_config({**cfg, "damping2": {"kind": "poly"}})
+        assert b2 is not b1 and b2 == b1
 
     def test_sweep_and_reproducibility(self, tmp_path):
         cfg = {"n": 1, "p": 2, "q": 2, "dr": 0.05, "horizon": 40.0,

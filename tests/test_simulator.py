@@ -156,6 +156,17 @@ POLY = DampingProfile.polynomial_tail(1.0, 2.0)
 ROOT2 = 1.0 + math.sqrt(2.0)
 
 
+class _CountingDamping:
+    """Stand-in damping profile that counts its calls to b."""
+
+    def __init__(self, profile):
+        self.profile, self.calls = profile, 0
+
+    def b(self, t):
+        self.calls += 1
+        return self.profile.b(t)
+
+
 class TestWindowedStep:
     """The cone-windowed step against the full-grid reference, bit for bit."""
 
@@ -199,6 +210,38 @@ class TestWindowedStep:
         grid = GridConfig(dr=0.04, horizon=4.0, linear_mode=True)
         self.assert_same_levels(SystemParams(3, F(2), F(3), R=1.0, eps=1.0), (POLY, ZERO), grid, 300)
 
+    @pytest.mark.parametrize("n,p,q,shared", [
+        (1, F(2), F(2), False), (1, F(2), F(3), True), (1, F(2), F(3), False),
+        (2, F(3, 2), F(3, 2), False), (2, F(3, 2), F(2), True), (2, F(3, 2), F(2), False),
+        (3, ROOT2, ROOT2, False), (3, ROOT2, F(2), True), (3, ROOT2, F(2), False),
+    ], ids=lambda v: ("shared" if v else "distinct") if isinstance(v, bool) else str(v))
+    @pytest.mark.parametrize("damping", [ZERO, POLY], ids=["zero", "poly"])
+    def test_profile_objects_and_orders(self, n, p, q, shared, damping):
+        # step evaluates a shared profile object once and distinct (equal)
+        # objects once each; p != q gives the two sources different powers
+        profiles = (damping, damping if shared else replace(damping))
+        params = SystemParams(n, p, q, R=1.0, eps=1.0)
+        data = InitialData(1.0, 0.3, 0.5, -0.2)
+        self.assert_same_levels(params, profiles, GridConfig(dr=0.04, horizon=8.0), 300, data)
+
+    def test_linear_mode_without_cone(self):
+        grid = GridConfig(dr=0.04, horizon=4.0, linear_mode=True, enforce_cone=False)
+        self.assert_same_levels(SystemParams(2, F(3, 2), F(2), R=1.0, eps=1.0), (POLY, POLY), grid,
+                                300)
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "distinct"])
+    def test_damping_evaluated_once_per_profile_and_step(self, shared):
+        first = _CountingDamping(POLY)
+        profiles = (first, first) if shared else (first, _CountingDamping(POLY))
+        state = init_state(params1d(), profiles, BUMPS, GridConfig(dr=0.1, horizon=2.0))
+        plain = init_state(params1d(), (POLY, POLY), BUMPS, GridConfig(dr=0.1, horizon=2.0))
+        for _ in range(10):
+            step(state)
+            step(plain)
+        calls = first.calls if shared else first.calls + profiles[1].calls
+        assert calls == (10 if shared else 20)
+        assert np.array_equal(state.u, plain.u) and np.array_equal(state.v, plain.v)
+
     def test_sweep_family_matches_full_grid(self):
         params = SystemParams(2, F(3, 2), F(3, 2), R=1.0, eps=1.0)
         grid = GridConfig(dr=0.04, horizon=40.0)
@@ -222,6 +265,22 @@ class TestWindowedStep:
         monkeypatch.setattr(np, "abs", counting_abs)
         step(state)
         assert calls == []  # the sampled level's sources were reused
+
+    def test_abs_computed_once_per_unsampled_level(self, monkeypatch):
+        calls = []
+        original = np.abs
+
+        def counting_abs(x, *args, **kwargs):
+            calls.append(x.size)
+            return original(x, *args, **kwargs)
+
+        state = init_state(params1d(), (ZERO, ZERO), BUMPS, GridConfig(dr=0.1, horizon=2.0))
+        step(state)
+        monkeypatch.setattr(np, "abs", counting_abs)
+        for _ in range(5):
+            state.sup_norm()  # what run_until_blowup checks on an unsampled level
+            step(state)
+        assert 0 < len(calls) <= 2 * 5  # |u| and |v| once per level
 
 
 class TestBlowupDetection:
@@ -416,6 +475,24 @@ class TestCriticalVerifier:
         assert rep_sw.bounds_hold()
         assert np.allclose(rep.weighted_u, rep_sw.weighted_u, rtol=1e-12)
 
+    @pytest.mark.parametrize("p,q,builds", [(ROOT2, ROOT2, 1), (F(7, 2), F(2), 2)],
+                             ids=["p=q", "p!=q"])
+    def test_quadrature_built_once_per_kernel_order(self, monkeypatch, p, q, builds):
+        built = []
+
+        class CountingQuadrature(simulator.KernelQuadrature):
+            def __init__(self, *args, **kwargs):
+                built.append(args[0])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "KernelQuadrature", CountingQuadrature)
+        params = SystemParams(3, p, q, R=1.0, eps=1.0)
+        res = run_until_blowup(params, (POLY, POLY), BUMPS,
+                               GridConfig(dr=0.1, horizon=4.0, snapshot_every=10))
+        rep = verify_critical_inequalities(res, params, quad_nodes=16, log_window=(2.0, 4.0))
+        assert len(built) == builds
+        assert rep.t_checked.size > 0
+
     def test_zero_data_bounds_trivially(self):
         params = SystemParams(2, F(2), F(2), R=1.0, eps=1.0)
         res = run_until_blowup(params, (ZERO, ZERO), InitialData.zero(),
@@ -444,6 +521,27 @@ class TestSweep:
         assert ts == sorted(ts)
         assert sweep.slope_matches(0.25)
         assert sweep.upper_bound_holds()
+
+    def test_sweep_samples_only_t0(self, tmp_path, monkeypatch):
+        # a sweep keeps only its records: the functionals are integrated at
+        # t = 0 alone, and the records match runs sampled at every step
+        grid = GridConfig(dr=0.05, horizon=30.0)
+        eps = [1.0, 0.7, 0.5, 0.35]
+        sampled = [run_until_blowup(params1d(eps=e), (ZERO, ZERO), BUMPS, grid).record
+                   for e in eps]
+        write_records_csv(sampled, tmp_path / "sampled.csv")
+        integrated_at = []
+        integral = simulator.GridState.integral
+
+        def counting_integral(state, f):
+            integrated_at.append(state.step_index)
+            return integral(state, f)
+
+        monkeypatch.setattr(simulator.GridState, "integral", counting_integral)
+        sweep = lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, grid, eps, workers=1)
+        write_records_csv(sweep.records, tmp_path / "records.csv")
+        assert integrated_at and set(integrated_at) == {0}
+        assert (tmp_path / "records.csv").read_bytes() == (tmp_path / "sampled.csv").read_bytes()
 
     def test_needs_enough_points(self):
         with pytest.raises(ValueError):

@@ -165,6 +165,15 @@ class KernelBoundFit:
         return all(math.isfinite(v) and v > 0 for v in vals)
 
 
+def check_kernel_config(cfg: KernelConfig, n: int) -> None:
+    """Raise ValueError for kernels that cannot be bounded in dimension n: a
+    sphere measure out of float range, or an order r <= (n-3)/2 (the B2 bound)."""
+    sphere_area(n - 1)
+    if not cfg.order > (n - 3) / 2.0:
+        raise ValueError(f"upper-bound fit needs order r > (n-3)/2 = {(n - 3) / 2.0}, "
+                         f"got {cfg.order}")
+
+
 def fit_kernel_bounds(
     cfg: KernelConfig,
     n: int,
@@ -179,9 +188,8 @@ def fit_kernel_bounds(
     B2 = max eta(t, t, x) <t>^((n-1)/2) <t-|x|>^(r-(n-3)/2) over |x| <= t + R.
     The B2 fit requires r > (n-3)/2.
     """
+    check_kernel_config(cfg, n)
     r = cfg.order
-    if r <= (n - 3) / 2.0:
-        raise ValueError(f"upper-bound fit needs order r > (n-3)/2 = {(n - 3) / 2.0}, got {r}")
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     s_grid = t_grid if s_grid is None else np.atleast_1d(np.asarray(s_grid, dtype=float))
 
@@ -370,7 +378,9 @@ def verify_fundamental_bounds(
     # identity (iv) at the final node, with a one-sided difference in s
     t_end = float(pair.t[-1])
     h = float(np.max(np.diff(pair.t)))
-    if s == 0.0:
+    if s == 0.0 and t_end <= 2.0 * delta:
+        id4 = math.nan  # too short for the one-sided difference in s
+    elif s == 0.0:
         y2_0 = pair.y2[-1]
         y2_d = _resolve_y2_at(profile, lam, delta, t_end, h)
         y2_2d = _resolve_y2_at(profile, lam, 2.0 * delta, t_end, h)

@@ -40,9 +40,9 @@ class DampingProfile:
         if self.kind == "zero":
             return
         if self.kind == "poly":
-            if self.mu < 0:
-                raise ValueError(f"mu must be >= 0, got {self.mu}")
-            if self.beta <= 1:
+            if not 0 <= self.mu < math.inf:
+                raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
+            if not self.beta > 1:
                 raise NonSummableError(f"polynomial tail needs beta > 1, got {self.beta}")
             return
         if self.kind == "tabulated":
@@ -51,8 +51,8 @@ class DampingProfile:
                 raise ValueError("tabulated profile needs matching 1-d arrays, >= 2 nodes")
             if not np.all(np.diff(ts) > 0):
                 raise ValueError("tabulated times must be strictly increasing")
-            if ts[0] < 0 or np.any(bs < 0):
-                raise ValueError("tabulated profile must have t >= 0 and b >= 0")
+            if not (ts[0] >= 0 and np.all(bs >= 0) and np.isfinite([ts, bs]).all()):
+                raise ValueError("tabulated profile must be finite, with t >= 0 and b >= 0")
             object.__setattr__(self, "ts", ts)
             object.__setattr__(self, "bs", bs)
             # cumulative trapezoid measured from the right end (tail of the table)
@@ -84,8 +84,8 @@ class DampingProfile:
                     continue
                 try:
                     t, b = float(row[0]), float(row[1])
-                except ValueError:
-                    continue  # header row
+                except (ValueError, IndexError):
+                    continue  # header row, or a row without two fields
                 ts.append(t)
                 bs.append(b)
         return cls.tabulated(ts, bs)

@@ -27,15 +27,6 @@ def _is_exact(*values: Scalar) -> bool:
     return all(isinstance(v, Rational) for v in values)
 
 
-def as_exact(value) -> Scalar:
-    """Coerce ints/strings like ``"3/2"`` to Fraction; leave floats alone."""
-    if isinstance(value, float):
-        return value
-    if isinstance(value, Rational):
-        return Fraction(value)
-    return Fraction(str(value))
-
-
 @dataclass(frozen=True)
 class SystemParams:
     """The tuple (n, p, q, R, eps) shared by every formula in the lab."""
@@ -49,10 +40,11 @@ class SystemParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"spatial dimension must be >= 1, got {self.n}")
-        if not (self.p > 1 and self.q > 1):
-            raise ValueError(f"exponents must satisfy p, q > 1, got p={self.p}, q={self.q}")
-        if not self.R > 0:
-            raise ValueError(f"support radius must be positive, got {self.R}")
+        strauss_exponent(self.n)  # n must keep the float formulas in range
+        if not (1 < self.p < math.inf and 1 < self.q < math.inf):
+            raise ValueError(f"exponents must be finite with p, q > 1, got p={self.p}, q={self.q}")
+        if not (self.R > 0 and math.isfinite(self.R)):
+            raise ValueError(f"support radius must be finite and positive, got {self.R}")
         if not (self.eps > 0 and math.isfinite(self.eps)):
             raise ValueError(f"data size must be finite and positive, got {self.eps}")
 
@@ -134,7 +126,11 @@ def strauss_exponent(n: int) -> float:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if n == 1:
         return math.inf
-    return ((n + 1) + math.sqrt((n + 1) ** 2 + 8 * (n - 1))) / (2 * (n - 1))
+    try:
+        return ((n + 1) + math.sqrt((n + 1) ** 2 + 8 * (n - 1))) / (2 * (n - 1))
+    except OverflowError:
+        raise ValueError(f"dimension too large: the Strauss exponent of n={n} is out of "
+                         "float range") from None
 
 
 def classify(params: SystemParams) -> RegionClass:

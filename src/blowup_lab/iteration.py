@@ -29,14 +29,12 @@ from blowup_lab.exponents import (
 )
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)  # exact binary value; callers wanting exactness pass Fraction
-    return Fraction(x)
+def _log(x: Fraction) -> float:
+    """log of a positive exact value, also one past the float range."""
+    try:
+        return math.log(x)
+    except OverflowError:
+        return math.log(x.numerator) - math.log(x.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +159,7 @@ def subcritical_base(
     from the speed integrals.
     """
     n = params.n
-    p, q = _frac(params.p), _frac(params.q)
+    p, q = Fraction(params.p), Fraction(params.q)
     log_eps = math.log(params.eps)
     if not low_dim:
         a1 = Fraction(n - 1) * p / 2
@@ -174,8 +172,8 @@ def subcritical_base(
     if not (n == 1 or (n == 2 and params.p < 2 and params.q < 2)):
         raise ValueError("low-dimension base case requires n = 1, or n = 2 with p, q < 2")
     iu1, iv1 = speed_integrals
-    if iu1 == 0.0 or iv1 == 0.0:
-        raise ValueError("low-dimension base case requires nonzero initial-speed integrals")
+    if not (iu1 > 0 and iv1 > 0):
+        raise ValueError("low-dimension base case requires positive initial-speed integrals")
     a1, b1 = p, Fraction(n - 1) * p
     alpha1, beta1 = q, Fraction(n - 1) * q
     logD = math.log(consts.Ktilde1) + float(p) * (math.log(iv1) + log_eps)
@@ -191,7 +189,7 @@ def subcritical_step(
     log D' = log C0 + p log Delta - log((beta p + 1)(beta p + 2)),
     with the mirrored (q, K0) updates for alpha, beta, log Delta."""
     n = params.n
-    p, q = _frac(params.p), _frac(params.q)
+    p, q = Fraction(params.p), Fraction(params.q)
     a = n * (p - 1) + state.alpha * p
     b = state.beta * p + 2
     alpha = n * (q - 1) + state.a * q
@@ -199,12 +197,12 @@ def subcritical_step(
     logD = (
         math.log(consts.C0)
         + float(p) * state.logDelta
-        - math.log(float((state.beta * p + 1) * (state.beta * p + 2)))
+        - _log((state.beta * p + 1) * (state.beta * p + 2))
     )
     logDelta = (
         math.log(consts.K0)
         + float(q) * state.logD
-        - math.log(float((state.b * q + 1) * (state.b * q + 2)))
+        - _log((state.b * q + 1) * (state.b * q + 2))
     )
     return SubcriticalState(state.j + 1, a, b, alpha, beta, logD, logDelta)
 
@@ -250,7 +248,7 @@ def subcritical_closed_form(
     if j < 1:
         raise ValueError(f"index must be >= 1, got {j}")
     n = params.n
-    p, q = _frac(params.p), _frac(params.q)
+    p, q = Fraction(params.p), Fraction(params.q)
     pq = p * q
     if base is None:
         a1 = Fraction(n - 1) * p / 2
@@ -290,7 +288,7 @@ def weighted_sum_identity(p: Scalar, q: Scalar, j: int) -> tuple[Fraction, Fract
     as exact rationals (they must agree identically)."""
     if j % 2 == 0 or j < 3:
         raise ValueError(f"identity is stated for odd j >= 3, got {j}")
-    pq = _frac(p) * _frac(q)
+    pq = Fraction(p) * Fraction(q)
     half = (j - 1) // 2
     lhs = sum((j + 1 - 2 * k) * pq ** (k - 1) for k in range(1, half + 1))
     rhs = (2 * pq * (pq ** half - 1) / (pq - 1) - j + 1) / (pq - 1)
@@ -325,7 +323,7 @@ def subcritical_logD_bound(
     states = iterate_subcritical(params, consts, j)
     state = states[-1]
     base = states[0]
-    gain = float(_frac(params.p) * _frac(params.q)) ** ((j - 1) / 2.0)
+    gain = float(Fraction(params.p) * Fraction(params.q)) ** ((j - 1) / 2.0)
     return LogBoundReport(
         j=j,
         j0=consts.j0,
@@ -339,9 +337,10 @@ def subcritical_logD_bound(
 
 def subcritical_envelope_ok(params: SystemParams, state: SubcriticalState) -> bool:
     """Check b_j < B0bar (pq)^ceil((j-1)/2) and the mirrored beta_j bound."""
-    gain = (_frac(params.p) * _frac(params.q)) ** ((state.j - 1 + 1) // 2)
-    b0 = Fraction(params.n + 1) + 2 * (_frac(params.p) + 1) / (_frac(params.p) * _frac(params.q) - 1) + 1
-    b0t = Fraction(params.n + 1) + 2 * (_frac(params.q) + 1) / (_frac(params.p) * _frac(params.q) - 1) + 1
+    p, q = Fraction(params.p), Fraction(params.q)
+    gain = (p * q) ** ((state.j - 1 + 1) // 2)
+    b0 = Fraction(params.n + 1) + 2 * (p + 1) / (p * q - 1) + 1
+    b0t = Fraction(params.n + 1) + 2 * (q + 1) / (p * q - 1) + 1
     return state.b < b0 * gain and state.beta < b0t * gain
 
 
@@ -429,7 +428,7 @@ def critical_step(
     if case is not state.case:
         raise ValueError(f"state case {state.case} does not match params (p={params.p}, q={params.q})")
     n = params.n
-    p, q = _frac(params.p), _frac(params.q)
+    p, q = Fraction(params.p), Fraction(params.q)
     pq = p * q
     j = state.j
     log2 = math.log(2.0)
@@ -438,13 +437,13 @@ def critical_step(
         a_next = state.a * pq + 1
         b_next = p * (q - 1) + state.b * pq
         logC = base - ((2 * float(p) + 1) * 2 * j + (3 * n + 8) * float(p) + 8) * log2
-        logC -= math.log(float(state.a * pq + 1))
+        logC -= _log(state.a * pq + 1)
     else:
         a_next = state.a * pq + p + 1
         b_next = (pq - 1) + state.b * pq
         logC = base - ((float(p) + 1) * 2 * j + 7 * float(p) + 8) * log2
-        logC -= float(p) * math.log(float(state.a * q + 1))
-        logC -= math.log(float(state.a * pq + p + 1))
+        logC -= float(p) * _log(state.a * q + 1)
+        logC -= _log(state.a * pq + p + 1)
     return CriticalState(j=j + 1, a=a_next, b=b_next, logC=logC, case=case)
 
 
@@ -466,7 +465,7 @@ def critical_closed_form(params: SystemParams, j: int) -> tuple[Fraction, Fracti
     if j < 0:
         raise ValueError(f"index must be >= 0, got {j}")
     case = _critical_case(params)
-    p, q = _frac(params.p), _frac(params.q)
+    p, q = Fraction(params.p), Fraction(params.q)
     pq = p * q
     if case is CriticalCase.P_GREATER_Q:
         A = pq / (pq - 1)
@@ -482,20 +481,18 @@ def geometric_weight_limit(p: Scalar, q: Scalar):
     """Limit S of the weight sums S_j = sum_{k<=j} k (pq)^(-k): pq/(pq-1)^2.
     Exact when p, q are rational."""
     if isinstance(p, (int, Fraction)) and isinstance(q, (int, Fraction)):
-        pq = _frac(p) * _frac(q)
-        if pq <= 1:
-            raise ValueError(f"need pq > 1, got {pq}")
-        return pq / (pq - 1) ** 2
-    pq = float(p) * float(q)
+        pq = Fraction(p) * Fraction(q)
+    else:
+        pq = float(p) * float(q)
     if pq <= 1:
         raise ValueError(f"need pq > 1, got {pq}")
-    return pq / (pq - 1.0) ** 2
+    return pq / (pq - 1) ** 2
 
 
 def geometric_weight_partial(p: Scalar, q: Scalar, j: int):
     """Partial sum S_j; exact when p, q are rational."""
     if isinstance(p, (int, Fraction)) and isinstance(q, (int, Fraction)):
-        pq = _frac(p) * _frac(q)
+        pq = Fraction(p) * Fraction(q)
         return sum(Fraction(k) / pq ** k for k in range(1, j + 1))
     pq = float(p) * float(q)
     return sum(k * pq ** (-k) for k in range(1, j + 1))
@@ -532,7 +529,11 @@ def critical_logC_lower_bound(
     log_theta, log_m = critical_theta_m(params, consts)
     s_inf = geometric_weight_limit(p, q)
     core = logC0 - s_inf * log_theta + log_m / (pq - 1.0)
-    return pq ** j * core - log_m / (pq - 1.0)
+    try:
+        gain = pq ** j
+    except OverflowError:
+        gain = math.inf
+    return gain * core - log_m / (pq - 1.0)
 
 
 def blowup_threshold_critical(params: SystemParams, E: float) -> float:

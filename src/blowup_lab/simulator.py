@@ -28,6 +28,7 @@ import numpy as np
 from blowup_lab.auxiliary import (
     KernelConfig,
     KernelQuadrature,
+    check_kernel_config,
     critical_kernel_orders,
     sinhc,
     sphere_area,
@@ -46,6 +47,10 @@ class InitialData:
     u1_amp: float = 0.0
     v0_amp: float = 1.0
     v1_amp: float = 0.0
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.u0_amp, self.u1_amp, self.v0_amp, self.v1_amp))):
+            raise ValueError(f"data amplitudes must be finite, got {self}")
 
     @classmethod
     def zero(cls) -> "InitialData":
@@ -122,12 +127,25 @@ class FunctionalTrace:
         return self.t.size
 
 
+def check_run(params: SystemParams, data: InitialData, grid: GridConfig) -> None:
+    """Raise ValueError, without building the grid, for a run that cannot start: a
+    sphere measure out of float range, an rmax inside the support cone, or a
+    threshold at or below the initial sup norm eps * max(|u0|, |v0|)."""
+    sphere_area(params.n - 1)
+    if grid.rmax is not None and grid.rmax < grid.horizon + params.R + 4 * grid.dr:
+        raise ValueError(f"rmax={grid.rmax:g} too small: the support cone reaches "
+                         f"{grid.horizon + params.R:g} by the horizon")
+    if max(abs(params.eps * data.u0_amp), abs(params.eps * data.v0_amp)) >= grid.threshold:
+        raise ValueError("threshold must exceed the initial sup norm")
+
+
 class GridState:
     """One radial solution snapshot (two time levels, t = 0 before the first
     `step`) plus grid metadata.  Both levels are zero at every node at or
     past the cone window m, so the kernels only touch the prefix [0, m)."""
 
     def __init__(self, params: SystemParams, profiles, data: InitialData, grid: GridConfig):
+        check_run(params, data, grid)
         self.params = params
         self.b1, self.b2 = profiles
         self.data = data
@@ -137,11 +155,6 @@ class GridState:
         rmax = grid.rmax
         if rmax is None:
             rmax = grid.horizon + R + max(0.5, 10 * dr)
-        if rmax < grid.horizon + R + 4 * dr:
-            raise ValueError(
-                f"rmax={rmax:g} too small: the support cone reaches "
-                f"{grid.horizon + R:g} by the horizon"
-            )
         self.dr, self.dt, self.rmax = dr, dt, rmax
         self.r = np.arange(int(round(rmax / dr)) + 1) * dr
         # trapezoid weights against the surface measure |S^(n-1)| r^(n-1) dr
@@ -331,8 +344,6 @@ def run_until_blowup(
             sup = state.sup_norm()
         if grid.snapshot_every is not None and state.step_index % grid.snapshot_every == 0:
             snapshots.append((state.t, state.u.copy(), state.v.copy()))
-        if state.step_index == 0 and sup >= grid.threshold:
-            raise ValueError("threshold must exceed the initial sup norm")
         if not math.isfinite(sup):
             detection, t_blow = Detection.NONFINITE, state.t
             break
@@ -413,7 +424,8 @@ def verify_identities(
         d2 = (F[2:] - 2.0 * F[1:-1] + F[:-2]) / h ** 2
         d1 = (F[2:] - F[:-2]) / (2.0 * h)
         res = d2 + prof.b(t[sl]) * d1 - source[sl]
-        return float(np.max(np.abs(res[keep])))
+        # a window holding no sample (or a run that blew up before it) has no residual
+        return float(np.max(np.abs(res[keep]))) if np.any(keep) else math.nan
 
     res_u = ode_residual(trace.U, trace.Nv, b1)
     res_v = ode_residual(trace.V, trace.Nu, b2)
@@ -470,6 +482,25 @@ class CriticalReport:
         return bool(ok_u and ok_v)
 
 
+def critical_kernel_configs(params: SystemParams, profiles, grid: GridConfig,
+                            lambda0: float = 1.0, quad_nodes: int = 64):
+    """Kernel configs of the two critical-case functionals ((p, q) taken with
+    p >= q), after checking the hypotheses of the critical-case machinery:
+    n >= 2, C^1 damping, snapshots and admissible kernel orders."""
+    if params.n < 2:
+        raise ValueError("critical-case machinery requires n >= 2")
+    if any(prof.kind == "tabulated" for prof in profiles):
+        raise ValueError("critical-case verifiers require C^1 damping (zero/poly kinds)")
+    if grid.snapshot_every is None:
+        raise ValueError("critical verification needs snapshots; set snapshot_every")
+    p, q = float(params.p), float(params.q)
+    orders = critical_kernel_orders(params.n, max(p, q), min(p, q))
+    cfgs = tuple(KernelConfig(lambda0, params.R, r, quad_nodes) for r in orders)
+    for cfg in cfgs:
+        check_kernel_config(cfg, params.n)
+    return cfgs
+
+
 def verify_critical_inequalities(
     result: RunResult,
     params: SystemParams,
@@ -486,24 +517,13 @@ def verify_critical_inequalities(
     """
     state = result.state
     n = params.n
-    if n < 2:
-        raise ValueError("critical-case machinery requires n >= 2")
-    for prof in (state.b1, state.b2):
-        if prof.kind == "tabulated":
-            raise ValueError("critical-case verifiers require C^1 damping (zero/poly kinds)")
-    if not result.snapshots:
-        raise ValueError("run was made without snapshots; set snapshot_every")
+    cfg1, cfg2 = critical_kernel_configs(params, (state.b1, state.b2), state.grid, lambda0,
+                                         quad_nodes)
 
     p, q = float(params.p), float(params.q)
     swap = p < q
     if swap:
         p, q = q, p
-    r1, r2 = critical_kernel_orders(n, p, q)
-    if min(r1, r2) <= (n - 3) / 2.0:
-        raise ValueError("kernel orders fall outside the admissible upper-bound range")
-
-    cfg1 = KernelConfig(lambda0=lambda0, R=params.R, order=r1, quad_nodes=quad_nodes)
-    cfg2 = KernelConfig(lambda0=lambda0, R=params.R, order=r2, quad_nodes=quad_nodes)
     quad1 = KernelQuadrature(cfg1, n, state.r)
     # equal orders (p = q) give equal configs: build the quadrature once
     quad2 = quad1 if cfg2 == cfg1 else KernelQuadrature(cfg2, n, state.r)
@@ -618,6 +638,17 @@ def sweep_workers(n_jobs: int, requested: int | None = None) -> int:
     return max(1, min(want, cap, n_jobs))
 
 
+def check_sweep(params_template: SystemParams, data: InitialData, grid: GridConfig,
+                eps_list) -> None:
+    """Raise ValueError for a sweep that cannot run: fewer than 4 eps points,
+    an eps no run can start from, or a region without a blow-up law."""
+    if len(eps_list) < 4:
+        raise ValueError(f"sweep needs >= 4 eps points, got {len(eps_list)}")
+    for e in eps_list:
+        check_run(replace(params_template, eps=float(e)), data, grid)
+    lifespan_law(params_template, data.speed_flags())
+
+
 def lifespan_sweep(
     params_template: SystemParams,
     profiles: tuple[DampingProfile, DampingProfile],
@@ -631,8 +662,7 @@ def lifespan_sweep(
     theoretical law.  Survived records are excluded from the fit and counted;
     with fewer than 2 blow-ups the fitted fields are NaN."""
     eps_list = list(eps_list)
-    if len(eps_list) < 4:
-        raise ValueError(f"sweep needs >= 4 eps points, got {len(eps_list)}")
+    check_sweep(params_template, data, grid, eps_list)
     # a sweep keeps only the records: sample at t = 0 alone, store no snapshots,
     # and let every later step check just the sup norm
     run_grid = replace(grid, sample_every=grid.n_steps + 1, snapshot_every=None)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from blowup_lab import auxiliary, simulator
-from blowup_lab.cli import _run_from_config, main
+from blowup_lab.cli import _prepare, main
 from blowup_lab.plotting import PlotSeries, emit_plot, loglog_fit_series
 
 EXPERIMENTS = sorted((Path(__file__).resolve().parents[1] / "experiments").glob("*.json"))
@@ -57,8 +57,11 @@ class TestConfigValidation:
         ({"damping": "poly"}, "damping block must be a JSON object"),
         ({"eps": math.inf}, "data size must be finite and positive"),
         ({"n": 400}, "dimension too large: |S^399|"),
+        ({"R": 1e400}, "support radius must be finite"),
+        ({"data": {"u1": math.nan}}, "data amplitudes must be finite"),
+        ({"threshold": 0.5}, "threshold must exceed the initial sup norm"),
     ], ids=["infinite-horizon", "zero-snapshot-cadence", "damping-not-object", "infinite-eps",
-            "huge-n"])
+            "huge-n", "infinite-R", "nan-data", "threshold-below-data"])
     def test_bad_simulation_value_is_one_line_config_error(self, tmp_path, capsys, extra, reason):
         cfg = {"n": 1, "p": 2, "q": 2, "horizon": 2.0, **extra}
         code, _ = run_cli(tmp_path, "simulate", cfg)
@@ -103,10 +106,19 @@ class TestConfigValidation:
         ("simulate", {"enforce_cone": "false"}, "enforce_cone"),
         ("verify", {"critical": "false"}, "critical"),
         ("iterate", {"low_dim": "false"}, "low_dim"),
+        ("simulate", {"damping": {"kind": "tabulated", "csv": None}}, "csv"),
+        ("simulate", {"damping": {"kind": "tabulated", "csv": 5}}, "csv"),
+        ("simulate", {"sample_every": 1.5}, "sample_every"),
+        ("simulate", {"sample_every": "3"}, "sample_every"),
+        ("simulate", {"sample_every": True}, "sample_every"),
+        ("verify", {"snapshot_every": 1.5}, "snapshot_every"),
+        ("simulate", {"dr": "0.05"}, "dr"),
     ], ids=["dr-null", "R-null", "fractional-n", "mu-null", "u0-null", "eps-list-not-list",
             "j-max-null", "constant-null", "speeds-not-list", "window-not-list",
             "critical-lambda0-null", "linear-mode-string", "enforce-cone-string",
-            "critical-string", "low-dim-string"])
+            "critical-string", "low-dim-string", "csv-null", "csv-not-string",
+            "fractional-sample-every", "string-sample-every", "bool-sample-every",
+            "fractional-snapshot-every", "string-dr"])
     def test_wrong_type_names_key(self, tmp_path, capsys, command, extra, key):
         # iterate and classify take no grid keys
         grid = {"horizon": 2.0} if command in ("simulate", "sweep", "verify") else {}
@@ -139,6 +151,12 @@ class TestClassify:
         assert "law_exponent,-2" in body
         summary = (out / "summary.txt").read_text()
         assert "CHECK classification: PASS" in summary
+
+    def test_dimension_past_float_formulas_is_config_error(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, "classify", {"n": 1e300, "p": 2, "q": 2})
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("config error: dimension too large")
+        assert not any(out.iterdir())
 
     def test_labels_and_notes_with_commas_stay_one_field(self, tmp_path):
         cfg = {"n": 1, "p": "3/2", "q": "3/2", "speeds": [True, True]}
@@ -173,6 +191,19 @@ class TestIterate:
         code, _ = run_cli(tmp_path, "iterate", {"n": 3, "p": 2, "q": 2, "scheme": "bogus"})
         assert code == 2
 
+    def test_amplitudes_past_float_range_still_run(self, tmp_path):
+        code, out = run_cli(tmp_path, "iterate", {"n": 3, "p": 3, "q": 2, "j_max": 700})
+        assert code == 0
+        assert "CHECK closed-form-equality: PASS" in (out / "summary.txt").read_text()
+
+    def test_exponents_past_digit_limit_are_config_error(self, tmp_path, capsys):
+        p0 = 2.414213562373095
+        cfg = {"n": 3, "p": p0, "q": p0, "j_max": 500, "scheme": "critical"}
+        code, out = run_cli(tmp_path, "iterate", cfg)
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("config error: j_max = 500")
+        assert not any(out.iterdir())
+
 
 class TestKernels:
     def test_bounds_and_pair(self, tmp_path):
@@ -189,6 +220,14 @@ class TestKernels:
         code, _ = run_cli(tmp_path, "kernels", cfg)
         assert code == 2
 
+    def test_horizon_too_short_for_identity_is_a_failed_check(self, tmp_path):
+        cfg = {"n": 3, "orders": [0.5], "t_max": 4, "t_points": 2, "x_points": 2,
+               "lambdas": [1.0], "horizon": 1e-9}
+        code, out = run_cli(tmp_path, "kernels", cfg)
+        assert code == 1
+        summary = (out / "summary.txt").read_text()
+        assert "CHECK fundamental-pair-bounds: FAIL (lam=1:violated)" in summary
+
 
 class TestSimulateAndSweep:
     def test_simulate_artifacts(self, tmp_path):
@@ -202,9 +241,9 @@ class TestSimulateAndSweep:
 
     def test_one_damping_block_gives_one_shared_profile(self):
         cfg = {"n": 1, "p": 2, "q": 2, "damping": {"kind": "poly"}}
-        _, (b1, b2), _, _ = _run_from_config(cfg)
+        b1, b2 = _prepare("simulate", cfg)["profiles"]
         assert b2 is b1  # lets the step evaluate b once for both components
-        _, (b1, b2), _, _ = _run_from_config({**cfg, "damping2": {"kind": "poly"}})
+        b1, b2 = _prepare("simulate", {**cfg, "damping2": {"kind": "poly"}})["profiles"]
         assert b2 is not b1 and b2 == b1
 
     def test_sweep_and_reproducibility(self, tmp_path):
@@ -260,6 +299,39 @@ class TestVerifyCommand:
         code, out = run_cli(tmp_path, "verify", cfg)
         assert code == 1
         assert "CHECK ode-residual: FAIL" in (out / "summary.txt").read_text()
+
+    def test_short_trace_is_a_failed_check(self, tmp_path):
+        code, out = run_cli(tmp_path, "verify", {"n": 1, "p": 2, "q": 2, "horizon": 0.01})
+        assert code == 1
+        assert "CHECK trace-samples: FAIL (trace too short" in (out / "summary.txt").read_text()
+
+    def test_window_without_samples_fails_ode_residual(self, tmp_path):
+        cfg = {"n": 2, "p": 2, "q": 2, "dr": 0.1, "horizon": 2.0, "window": [50.0, 60.0]}
+        code, out = run_cli(tmp_path, "verify", cfg)
+        assert code == 1
+        assert "CHECK ode-residual: FAIL (max=nan (reported))" in (out / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("extra,reason", [
+        ({"n": 1}, "critical-case machinery requires n >= 2"),
+        ({"damping": {"kind": "tabulated", "csv": "TABLE"}}, "require C^1 damping"),
+        ({"quad_nodes": 2}, "need at least 4 quadrature nodes"),
+    ], ids=["one-dimension", "tabulated-damping", "too-few-nodes"])
+    def test_critical_preconditions_run_nothing(self, tmp_path, capsys, monkeypatch, extra,
+                                                reason):
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(simulator, "run_until_blowup", reached)
+        table = tmp_path / "b.csv"
+        table.write_text("t,b\n0,1\n1,0.5\n2,0\n")
+        cfg = {"n": 2, "p": 2, "q": 2, "dr": 0.1, "horizon": 2.0, "critical": True,
+               "snapshot_every": 10, **extra}
+        code, out = run_cli(tmp_path, "verify",
+                            json.loads(json.dumps(cfg).replace("TABLE", str(table))))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and err.count("\n") == 1 and reason in err
+        assert not any(out.iterdir())
 
     def test_critical_needs_snapshots(self, tmp_path):
         cfg = {"n": 3, "p": 2.414213562373095, "q": 2.414213562373095,

@@ -47,22 +47,33 @@ def ball_volume(n: int) -> float:
         raise ValueError(f"dimension too large: |B^{n}| is out of float range") from None
 
 
-def phi_eval(n: int, rho):
-    """Positive radial eigenfunction of the Laplacian (Delta Phi = Phi).
+#: past this |rho| the first polar node's e^(rho cos theta_1) overflows, so the
+#: quadrature is inf at any node count; the node rule stops growing here
+_PHI_NODE_RHO_MAX = 750.0
 
-    n = 1: e^rho + e^(-rho).  n >= 2: integral of e^(omega . x) over the unit
-    sphere, reduced to a 1-d polar integral and evaluated by Gauss-Legendre
-    quadrature; node count grows with rho so the quadrature stays spectral
-    out to large arguments.
+
+def phi_eval(n: int, rho):
+    """Positive radial eigenfunction of the Laplacian (Delta Phi = Phi), the
+    integral of e^(omega . x) over the unit sphere,
+    (2 pi)^(n/2) rho^(1-n/2) I_(n/2-1)(rho).
+
+    Closed forms for n <= 3: e^rho + e^(-rho), 2 pi I_0(rho), 4 pi sinh(rho)/rho.
+    n >= 4: the 1-d polar integral by Gauss-Legendre quadrature; the node
+    count grows with |rho| (up to the overflow point) so the quadrature stays
+    spectral out to large arguments.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
     if n == 1:
         out = np.exp(rho_arr) + np.exp(-rho_arr)
+    elif n == 2:
+        out = 2.0 * math.pi * np.i0(rho_arr)
+    elif n == 3:
+        out = 4.0 * math.pi * sinhc(rho_arr)
     else:
         rmax = float(np.max(np.abs(rho_arr))) if rho_arr.size else 0.0
-        nnodes = max(64, int(0.8 * rmax) + 32)
+        nnodes = max(64, int(0.8 * min(rmax, _PHI_NODE_RHO_MAX)) + 32)
         theta, w = _gl_nodes(0.0, math.pi, nnodes)
         weight = w * np.sin(theta) ** (n - 2)
         out = sphere_area(n - 2) * (np.exp(np.outer(rho_arr, np.cos(theta))) @ weight)

@@ -344,9 +344,11 @@ def cmd_iterate(out: str, params, j_max, scheme, constants, low_dim,
             for st in states
             for cf in [iteration.subcritical_closed_form(params, st.j, states[0])]
         )
-        ws_ok = all(lhs == rhs for lhs, rhs in (
-            iteration.weighted_sum_identity(params.p, params.q, j) for j in range(3, j_max + 1, 2)))
-        more = [Check("weighted-sum-identity", ws_ok, f"odd j <= {j_max}")] if j_max >= 3 else []
+        more = []
+        if j_max >= 3:
+            ws_ok = all(lhs == rhs for _, lhs, rhs in
+                        iteration.weighted_sum_identities(params.p, params.q, j_max))
+            more = [Check("weighted-sum-identity", ws_ok, f"odd j <= {j_max}")]
     else:
         states = iteration.iterate_critical(params, constants, j_max)
         header = ("j", "a", "b", "logC")

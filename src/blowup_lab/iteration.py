@@ -14,6 +14,7 @@ log-amplitude lower bound.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -281,18 +282,29 @@ def subcritical_closed_form(
     )
 
 
-def weighted_sum_identity(p: Scalar, q: Scalar, j: int) -> tuple[Fraction, Fraction]:
-    """Both sides of the inductive summation formula
+def weighted_sum_identities(p: Scalar, q: Scalar,
+                            j_max: int) -> Iterator[tuple[int, Fraction, Fraction]]:
+    """Yield (j, lhs, rhs) for every odd 3 <= j <= j_max: both sides of the
+    inductive summation formula
     sum_{k=1}^{(j-1)/2} (j+1-2k)(pq)^(k-1)
       = (2 pq ((pq)^((j-1)/2) - 1)/(pq-1) - j + 1) / (pq - 1),
-    as exact rationals (they must agree identically)."""
-    if j % 2 == 0 or j < 3:
-        raise ValueError(f"identity is stated for odd j >= 3, got {j}")
+    as exact rationals (they must agree identically).
+
+    The left side is summed, the right side is the closed form.  From j-2 to j
+    every coefficient j+1-2k grows by 2 and the term k = (j-1)/2 joins with
+    coefficient 2, so the sum grows by twice sum_{k<=(j-1)/2} (pq)^(k-1);
+    carrying that geometric sum and the power costs O(1) operations per j."""
+    if j_max < 3:
+        raise ValueError(f"identity is stated for odd j >= 3, got j_max = {j_max}")
     pq = Fraction(p) * Fraction(q)
-    half = (j - 1) // 2
-    lhs = sum((j + 1 - 2 * k) * pq ** (k - 1) for k in range(1, half + 1))
-    rhs = (2 * pq * (pq ** half - 1) / (pq - 1) - j + 1) / (pq - 1)
-    return Fraction(lhs), Fraction(rhs)
+    power = Fraction(1)  # (pq)^((j-1)/2 - 1)
+    geometric = lhs = Fraction(0)
+    for j in range(3, j_max + 1, 2):
+        geometric += power
+        lhs += 2 * geometric
+        power *= pq
+        rhs = (2 * pq * (power - 1) / (pq - 1) - j + 1) / (pq - 1)
+        yield j, lhs, rhs
 
 
 @dataclass(frozen=True)

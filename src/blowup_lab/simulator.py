@@ -629,11 +629,18 @@ def _sweep_one(args) -> LifespanRecord:
     return run_until_blowup(params, profiles, data, grid).record
 
 
+def thread_cap() -> int | None:
+    """The worker cap BLOWUP_LAB_THREADS sets, or None when it is unset or empty."""
+    raw = os.environ.get("BLOWUP_LAB_THREADS")
+    if raw and not (raw.strip().isdecimal() and int(raw) >= 1):
+        raise ValueError(f"BLOWUP_LAB_THREADS must be a whole number >= 1, got {raw!r}")
+    return int(raw) if raw else None
+
+
 def sweep_workers(n_jobs: int, requested: int | None = None) -> int:
     """Worker count for a sweep: the requested value (default one per job up
     to the CPU count), always capped by BLOWUP_LAB_THREADS when set."""
-    cap_env = os.environ.get("BLOWUP_LAB_THREADS")
-    cap = int(cap_env) if cap_env else (os.cpu_count() or 1)
+    cap = thread_cap() or os.cpu_count() or 1
     want = requested if requested is not None else min(n_jobs, os.cpu_count() or 1)
     return max(1, min(want, cap, n_jobs))
 
@@ -641,9 +648,11 @@ def sweep_workers(n_jobs: int, requested: int | None = None) -> int:
 def check_sweep(params_template: SystemParams, data: InitialData, grid: GridConfig,
                 eps_list) -> None:
     """Raise ValueError for a sweep that cannot run: fewer than 4 eps points,
-    an eps no run can start from, or a region without a blow-up law."""
+    an eps no run can start from, a region without a blow-up law, or a
+    malformed BLOWUP_LAB_THREADS."""
     if len(eps_list) < 4:
         raise ValueError(f"sweep needs >= 4 eps points, got {len(eps_list)}")
+    thread_cap()
     for e in eps_list:
         check_run(replace(params_template, eps=float(e)), data, grid)
     lifespan_law(params_template, data.speed_flags())

@@ -41,7 +41,7 @@ from blowup_lab.iteration import (
     iterate_critical,
     iterate_subcritical,
     subcritical_closed_form,
-    weighted_sum_identity,
+    weighted_sum_identities,
 )
 from blowup_lab.simulator import (
     Detection,
@@ -112,8 +112,7 @@ def test_criterion_2_subcritical_recursion_exactness():
             ok &= state.b == cf.b and state.beta == cf.beta
             if state.j % 2 == 1:
                 ok &= state.a == cf.a and state.alpha == cf.alpha
-    for j in range(3, 22, 2):
-        lhs, rhs = weighted_sum_identity(F(7, 2), F(9, 5), j)
+    for _, lhs, rhs in weighted_sum_identities(F(7, 2), F(9, 5), 21):
         ok &= lhs == rhs
     report(2, "subcritical recursion vs closed form", ok,
            "exact rational equality, odd j<=21 / even j<=20, 50 samples",
@@ -144,7 +143,7 @@ def test_criterion_3_critical_recursion_exactness():
            time.time() - t0, 1.0)
 
 
-def test_criterion_4_eigenfunction_and_kernels():
+def test_criterion_4_eigenfunction_and_kernels(sphere_quadrature):
     t0 = time.time()
     ok = True
     h = 1e-3
@@ -157,8 +156,10 @@ def test_criterion_4_eigenfunction_and_kernels():
         lap[0] = n * 2.0 * (vals[1] - vals[0]) / h ** 2
         rel = np.abs(lap[:-1] - vals[:-1]) / vals[:-1]
         ok &= float(np.max(rel)) < 1e-4
-    exact = 4.0 * math.pi * np.sinh(rho[1:]) / rho[1:]
-    ok &= float(np.max(np.abs(phi_eval(3, rho[1:]) - exact) / exact)) < 1e-8
+    wide = np.linspace(0.0, 45.0, 4501)
+    for n in (2, 3):
+        rel = np.abs(phi_eval(n, wide) / sphere_quadrature(n, wide) - 1.0)
+        ok &= float(np.max(rel)) <= 1e-13
     fits = []
     for n in (2, 3):
         for q in (2, 3):
@@ -168,7 +169,7 @@ def test_criterion_4_eigenfunction_and_kernels():
             fits.append(fit.all_positive())
     ok &= all(fits)
     report(4, "eigenfunction and kernels", ok,
-           "Laplacian residual < 1e-4, closed form 1e-8, bound fits positive",
+           "Laplacian residual < 1e-4, sphere quadrature 1e-13, bound fits positive",
            time.time() - t0, 30.0)
 
 

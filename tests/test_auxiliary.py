@@ -25,11 +25,16 @@ class TestPhi:
         assert phi_eval(1, 0.0) == 2.0
         assert abs(phi_eval(2, 0.0) - 2.0 * math.pi) < 1e-12
 
-    def test_closed_form_n3(self):
-        rho = np.linspace(1e-3, 10.0, 200)
-        exact = 4.0 * math.pi * np.sinh(rho) / rho
-        rel = np.abs(phi_eval(3, rho) - exact) / exact
-        assert np.max(rel) < 1e-8
+    # 0 <= rho <= 45 covers the critical verifier's lambda * r grid
+    def test_closed_form_n2(self, sphere_quadrature):
+        rho = np.linspace(0.0, 45.0, 4501)
+        rel = np.abs(phi_eval(2, rho) / sphere_quadrature(2, rho) - 1.0)
+        assert np.max(rel) <= 1e-13
+
+    def test_closed_form_n3(self, sphere_quadrature):
+        rho = np.linspace(0.0, 45.0, 4501)
+        rel = np.abs(phi_eval(3, rho) / sphere_quadrature(3, rho) - 1.0)
+        assert np.max(rel) <= 1e-13
 
     def test_even_and_positive(self):
         rho = np.linspace(0.0, 8.0, 30)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blowup_lab import auxiliary, simulator
+from blowup_lab import auxiliary, iteration, simulator
 from blowup_lab.cli import _prepare, main
 from blowup_lab.plotting import PlotSeries, emit_plot, loglog_fit_series
 
@@ -187,6 +187,18 @@ class TestIterate:
         assert "CHECK closed-form-equality: PASS" in summary
         assert "CHECK logC-lower-bound: PASS" in summary
 
+    def test_perturbed_summand_fails_weighted_sum_identity(self, tmp_path, monkeypatch):
+        exact = iteration.weighted_sum_identities
+
+        def perturbed(p, q, j_max):
+            for j, lhs, rhs in exact(p, q, j_max):
+                yield j, lhs + (j == 7), rhs  # one summand of the j = 7 sum off by one
+
+        monkeypatch.setattr(iteration, "weighted_sum_identities", perturbed)
+        code, out = run_cli(tmp_path, "iterate", {"n": 3, "p": 3, "q": 2, "j_max": 9})
+        assert code == 1
+        assert "CHECK weighted-sum-identity: FAIL" in (out / "summary.txt").read_text()
+
     def test_unknown_scheme(self, tmp_path):
         code, _ = run_cli(tmp_path, "iterate", {"n": 3, "p": 2, "q": 2, "scheme": "bogus"})
         assert code == 2
@@ -228,6 +240,16 @@ class TestKernels:
         summary = (out / "summary.txt").read_text()
         assert "CHECK fundamental-pair-bounds: FAIL (lam=1:violated)" in summary
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_huge_support_radius_is_a_failed_check(self, tmp_path, capsys, n):
+        # lambda * r reaches 1e300: Phi overflows to inf, the fits are not finite
+        cfg = {"n": n, "orders": ["1", "2"], "R": 1e300, "t_max": 5, "t_points": 3,
+               "x_points": 3, "lambdas": [1.0], "horizon": 1.0}
+        code, out = run_cli(tmp_path, "kernels", cfg)
+        assert code == 1
+        assert "CHECK kernel-bounds-positive: FAIL" in (out / "summary.txt").read_text()
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestSimulateAndSweep:
     def test_simulate_artifacts(self, tmp_path):
@@ -268,6 +290,16 @@ class TestSimulateAndSweep:
                               extra_env={"BLOWUP_LAB_THREADS": "2"})
         assert code1 == 0 and code2 == 0
         assert (out1 / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
+
+    @pytest.mark.parametrize("value", ["abc", "0", "1.5"])
+    def test_bad_thread_cap_is_one_line_config_error(self, tmp_path, capsys, value):
+        cfg = {"n": 1, "p": 2, "q": 2, "dr": 0.05, "horizon": 30.0,
+               "eps_list": [1.0, 0.7, 0.5, 0.35]}
+        code, out = run_cli(tmp_path, "sweep", cfg, extra_env={"BLOWUP_LAB_THREADS": value})
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: BLOWUP_LAB_THREADS") and err.count("\n") == 1
+        assert not any(out.iterdir())
 
     def test_all_survived_sweep_is_a_failed_check(self, tmp_path):
         cfg = {"n": 1, "p": 2, "q": 2, "horizon": 2, "eps_list": [0.01, 0.02, 0.03, 0.04],

@@ -26,7 +26,7 @@ from blowup_lab.iteration import (
     subcritical_envelope_ok,
     subcritical_logD_bound,
     subcritical_step,
-    weighted_sum_identity,
+    weighted_sum_identities,
 )
 
 rationals = st.fractions(min_value=F(9, 8), max_value=F(6), max_denominator=8)
@@ -125,14 +125,20 @@ class TestSubcriticalRecursion:
             assert cur.b > prev.b and cur.beta > prev.beta
 
 
+def direct_weighted_sum(p, q, j):
+    """The identity's left side summed term by term, every power taken afresh."""
+    pq = F(p) * F(q)
+    return sum((j + 1 - 2 * k) * pq ** (k - 1) for k in range(1, (j - 1) // 2 + 1))
+
+
 class TestWeightedSum:
     def test_frozen_examples(self):
-        assert weighted_sum_identity(F(3), F(2), 5) == (F(16), F(16))
-        assert weighted_sum_identity(F(3), F(2), 3) == (F(2), F(2))
+        assert list(weighted_sum_identities(F(3), F(2), 6)) == [(3, F(2), F(2)),
+                                                                (5, F(16), F(16))]
 
-    def test_even_index_rejected(self):
+    def test_range_below_three_rejected(self):
         with pytest.raises(ValueError):
-            weighted_sum_identity(F(2), F(2), 4)
+            list(weighted_sum_identities(F(2), F(2), 2))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -140,8 +146,10 @@ class TestWeightedSum:
         j=st.integers(min_value=1, max_value=10).map(lambda k: 2 * k + 1),
     )
     def test_exact_identity(self, p, q, j):
-        lhs, rhs = weighted_sum_identity(p, q, j)
-        assert lhs == rhs
+        sides = list(weighted_sum_identities(p, q, j))
+        assert [row[0] for row in sides] == list(range(3, j + 1, 2))
+        for jj, lhs, rhs in sides:
+            assert lhs == rhs == direct_weighted_sum(p, q, jj)
 
 
 class TestLogAmplitudes:

@@ -67,10 +67,11 @@ def phi_eval(n: int, rho):
     rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
     if n == 1:
         out = np.exp(rho_arr) + np.exp(-rho_arr)
-    elif n == 2:
-        out = 2.0 * math.pi * np.i0(rho_arr)
-    elif n == 3:
-        out = 4.0 * math.pi * sinhc(rho_arr)
+    elif n <= 3:
+        # i0(inf) and sinh(inf)/inf are nan; Phi grows like e^|rho|
+        with np.errstate(invalid="ignore"):
+            out = 2.0 * math.pi * np.i0(rho_arr) if n == 2 else 4.0 * math.pi * sinhc(rho_arr)
+        out[np.isinf(rho_arr)] = np.inf
     else:
         rmax = float(np.max(np.abs(rho_arr))) if rho_arr.size else 0.0
         nnodes = max(64, int(0.8 * min(rmax, _PHI_NODE_RHO_MAX)) + 32)

@@ -12,7 +12,9 @@ solved pointwise, nonlinear sources at the current level, CFL <= 0.5.
 Finite propagation speed is enforced: only the cone prefix r <= t + R + 2 dr
 is stepped, sampled and searched for blow-up, and every node past it stays
 zero (the exact solution vanishes there; the scheme's own dispersive
-leakage would otherwise pollute the support cone).
+leakage would otherwise pollute the support cone).  A time level is one
+buffer of 2N slots, u_i at slot 2i and v_i at 2i+1: each step operation is
+one numpy pass over the window prefix for both components.
 """
 
 from __future__ import annotations
@@ -79,8 +81,8 @@ class GridConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dr <= 0:
             raise ValueError(f"dr must be positive, got {self.dr}")
-        if not 0 < self.cfl <= 0.5:
-            raise ValueError(f"CFL must lie in (0, 0.5], got {self.cfl}")
+        if not 0 < self.cfl <= 0.5 or self.dt == 0.0:
+            raise ValueError(f"CFL must lie in (0, 0.5] and dt = CFL * dr above 0, got {self.cfl}")
         if self.horizon <= 0 or self.threshold <= 0:
             raise ValueError("horizon and threshold must be positive")
         if self.sample_every < 1:
@@ -127,65 +129,73 @@ class FunctionalTrace:
         return self.t.size
 
 
+MAX_NODES, MAX_SNAPSHOT_BYTES = 2 ** 20, 2 ** 28  # a run's budget (README)
+
+
+def grid_extent(params: SystemParams, grid: GridConfig) -> float:
+    return grid.rmax if grid.rmax is not None else grid.horizon + params.R + max(0.5, 10 * grid.dr)
+
+
 def check_run(params: SystemParams, data: InitialData, grid: GridConfig) -> None:
     """Raise ValueError, without building the grid, for a run that cannot start: a
-    sphere measure out of float range, an rmax inside the support cone, or a
-    threshold at or below the initial sup norm eps * max(|u0|, |v0|)."""
+    sphere measure out of float range, an rmax inside the support cone, a
+    threshold at or below the initial sup norm eps * max(|u0|, |v0|), or a run
+    over budget."""
     sphere_area(params.n - 1)
     if grid.rmax is not None and grid.rmax < grid.horizon + params.R + 4 * grid.dr:
         raise ValueError(f"rmax={grid.rmax:g} too small: the support cone reaches "
                          f"{grid.horizon + params.R:g} by the horizon")
     if max(abs(params.eps * data.u0_amp), abs(params.eps * data.v0_amp)) >= grid.threshold:
         raise ValueError("threshold must exceed the initial sup norm")
+    nodes = grid_extent(params, grid) / grid.dr + 1.0  # a float, never an oversized int
+    if not nodes <= MAX_NODES:
+        raise ValueError(f"{nodes:.4g} grid nodes exceed the budget of {MAX_NODES}")
+    shots = 0 if grid.snapshot_every is None else grid.n_steps // grid.snapshot_every + 1
+    if shots * 2 * nodes * 8 > MAX_SNAPSHOT_BYTES:
+        raise ValueError(f"{shots} snapshots exceed the budget of {MAX_SNAPSHOT_BYTES} bytes")
 
 
 class GridState:
     """One radial solution snapshot (two time levels, t = 0 before the first
-    `step`) plus grid metadata.  Both levels are zero at every node at or
-    past the cone window m, so the kernels only touch the prefix [0, m)."""
+    `step`) plus grid metadata; u, v, u_prev and v_prev are strided views of
+    the interleaved levels.  Both are zero at every node past the window m."""
 
     def __init__(self, params: SystemParams, profiles, data: InitialData, grid: GridConfig):
         check_run(params, data, grid)
-        self.params = params
+        self.params, self.data, self.grid = params, data, grid
         self.b1, self.b2 = profiles
-        self.data = data
-        self.grid = grid
-        n, R = params.n, params.R
-        dr, dt = grid.dr, grid.dt
-        rmax = grid.rmax
-        if rmax is None:
-            rmax = grid.horizon + R + max(0.5, 10 * dr)
-        self.dr, self.dt, self.rmax = dr, dt, rmax
-        self.r = np.arange(int(round(rmax / dr)) + 1) * dr
+        n, R, dr = params.n, params.R, grid.dr
+        self.dr, self.dt, self.rmax = dr, grid.dt, grid_extent(params, grid)
+        self.r = np.arange(int(round(self.rmax / dr)) + 1) * dr
         # trapezoid weights against the surface measure |S^(n-1)| r^(n-1) dr
         w = np.full(self.r.size, dr)
         w[0] = w[-1] = 0.5 * dr
         self.weights = sphere_area(n - 1) * self.r ** (n - 1) * w
 
         bump = np.where(self.r < R, (1.0 - np.minimum(self.r / R, 1.0) ** 2) ** 4, 0.0)
-        eps = params.eps
-        self.u_init = eps * data.u0_amp * bump
-        self.ut_init = eps * data.u1_amp * bump
-        self.v_init = eps * data.v0_amp * bump
-        self.vt_init = eps * data.v1_amp * bump
+        self.u_init, self.ut_init, self.v_init, self.vt_init = (
+            params.eps * amp * bump for amp in (data.u0_amp, data.u1_amp, data.v0_amp, data.v1_amp))
 
-        self.u, self.v = self.u_init.copy(), self.v_init.copy()
-        # `step` writes the new level into the previous one's buffers
-        self.u_prev, self.v_prev = np.zeros_like(self.u), np.zeros_like(self.v)
-        self.t = 0.0
-        self.step_index = 0
+        # `step` writes the new level into _z_prev
+        self._z, self._z_prev = np.zeros(2 * self.r.size), np.zeros(2 * self.r.size)
+        self.u[:], self.v[:] = self.u_init, self.v_init
+        self.t, self.step_index = 0.0, 0
         self.m = self._window(0.0)
         self._p, self._q = float(params.p), float(params.q)
         self._dr2 = dr ** 2
-        self._two_dr_r = 2.0 * dr * self.r
-        # (|u|, |v|) of the level at _abs_index, on its window
-        self._abs = (np.zeros_like(self.u), np.zeros_like(self.v))
-        self._abs_index = -1
-        # (|v|^p, |u|^q) of the level at _src_index; zero past its window
-        self._src = (np.zeros_like(self.u), np.zeros_like(self.v))
-        self._src_index = -1
-        # work buffers of _laplacian and step, shared by the two components
-        self._lap, self._work = np.zeros_like(self.u), np.zeros_like(self.u)
+        self._two_dr_r = np.repeat(2.0 * dr * self.r, 2)
+        # work buffers of _laplacian, _advance and functionals
+        self._lap, self._work = np.zeros_like(self._z), np.zeros_like(self._z)
+        # |z| of the level at _abs_index, on its window; it shares the Laplacian's
+        # buffer, which a step writes only after the sources have read |z|
+        self._abs, self._abs_index = self._lap, -1
+        # |v|^p, |u|^q interleaved, of the level at _src_index; zero past its window
+        self._src, self._src_index = np.zeros_like(self._z), -1
+
+    u = property(lambda self: self._z[0::2])
+    v = property(lambda self: self._z[1::2])
+    u_prev = property(lambda self: self._z_prev[0::2])
+    v_prev = property(lambda self: self._z_prev[1::2])
 
     def _window(self, t: float) -> int:
         """Length of the grid prefix that can be nonzero at time t: the exact
@@ -195,45 +205,42 @@ class GridState:
         return min(self.r.size, int(math.floor((t + self.params.R) / self.dr + 2.0)) + 1)
 
     def _abs_level(self):
-        """(|u|, |v|) of the current level on its window, computed once per
-        level and shared by the sup norm and the sources."""
-        m = self.m
-        abs_u, abs_v = self._abs
+        """|z| of the current level on its window, computed once per level."""
+        k = 2 * self.m
         if self._abs_index != self.step_index:
-            np.abs(self.u[:m], out=abs_u[:m])
-            np.abs(self.v[:m], out=abs_v[:m])
+            np.abs(self._z[:k], out=self._abs[:k])
             self._abs_index = self.step_index
-        return abs_u[:m], abs_v[:m]
+        return self._abs[:k]
 
     def _sources(self):
-        """(|v|^p, |u|^q) of the current level, computed once per level."""
+        """|v|^p, |u|^q of the current level at the u, v slots, computed once per level."""
         if self._src_index != self.step_index and not self.grid.linear_mode:
-            m = self.m
-            abs_u, abs_v = self._abs_level()
-            src_u, src_v = self._src
-            np.power(abs_v, self._p, out=src_u[:m])
-            np.power(abs_u, self._q, out=src_v[:m])
+            k = 2 * self.m
+            z_abs = self._abs_level()
+            np.power(z_abs[1::2], self._p, out=self._src[0:k:2])
+            np.power(z_abs[0::2], self._q, out=self._src[1:k:2])
             self._src_index = self.step_index
         return self._src
 
-    def _laplacian(self, u, k: int):
-        """Radial Laplacian at the nodes [0, k), k < r.size: u_rr + (n-1) u_r / r,
-        and n u_rr at the origin via the symmetric ghost node.  Written into a
-        work buffer; each operation keeps the operands and the order of
-        (u[2:] - 2 u[1:] + u[:-2]) / dr^2 + (n-1) (u[2:] - u[:-2]) / (2 dr r)."""
-        n, dr2 = self.params.n, self._dr2
-        out = self._lap[:k]
-        inner, tmp = out[1:], self._work[1:k]
-        np.multiply(2.0, u[1:k], out=inner)
-        np.subtract(u[2:k + 1], inner, out=inner)
-        np.add(inner, u[:k - 1], out=inner)
+    def _laplacian(self, k: int):
+        """Radial Laplacian of u and v at the nodes [0, k), k < r.size: u_rr +
+        (n-1) u_r / r, and n u_rr at the origin via the symmetric ghost node.
+        Written into a work buffer; each operation keeps the operands and the
+        order of (u[2:] - 2 u[1:] + u[:-2]) / dr^2 + (n-1) (u[2:] - u[:-2]) / (2 dr r)."""
+        n, dr2, z, j = self.params.n, self._dr2, self._z, 2 * k
+        out = self._lap[:j]
+        inner, tmp = out[2:], self._work[2:j]
+        np.multiply(2.0, z[2:j], out=inner)
+        np.subtract(z[4:j + 2], inner, out=inner)
+        np.add(inner, z[:j - 2], out=inner)
         np.divide(inner, dr2, out=inner)
         if n > 1:
-            np.subtract(u[2:k + 1], u[:k - 1], out=tmp)
+            np.subtract(z[4:j + 2], z[:j - 2], out=tmp)
             np.multiply(n - 1, tmp, out=tmp)
-            np.divide(tmp, self._two_dr_r[1:k], out=tmp)
+            np.divide(tmp, self._two_dr_r[2:j], out=tmp)
             np.add(inner, tmp, out=inner)
-        out[0] = n * 2.0 * (u[1] - u[0]) / dr2
+        out[0] = n * 2.0 * (z[2] - z[0]) / dr2
+        out[1] = n * 2.0 * (z[3] - z[1]) / dr2
         return out
 
     def integral(self, f) -> float:
@@ -241,43 +248,48 @@ class GridState:
         return float(self.weights[: f.size] @ f)
 
     def functionals(self) -> tuple[float, float, float, float, float]:
-        # _sources returns (|v|^p, |u|^q): the u-equation source integrates
-        # to Nv and the v-equation source to Nu
-        m = self.m
+        # |v|^p integrates to Nv, |u|^q to Nu; a contiguous copy keeps the dot's sum order
+        k, buf, sums = 2 * self.m, self._work[: self.m], []
         with np.errstate(over="ignore", invalid="ignore"):
-            src_u, src_v = self._sources()
-            U, V = self.integral(self.u[:m]), self.integral(self.v[:m])
-            Nv, Nu = self.integral(src_u[:m]), self.integral(src_v[:m])
+            src = self._sources()
+            for f in (self._z[0:k:2], self._z[1:k:2], src[0:k:2], src[1:k:2]):
+                np.copyto(buf, f)
+                sums.append(self.integral(buf))
+        U, V, Nv, Nu = sums
         return U, V, Nu, Nv, self.sup_norm()
 
     def sup_norm(self) -> float:
-        # np.maximum, unlike the builtin max, propagates a NaN from either side
-        abs_u, abs_v = self._abs_level()
-        with np.errstate(invalid="ignore"):
-            return float(np.maximum(abs_u.max(), abs_v.max()))
+        # a NaN anywhere propagates through the max
+        return float(self._abs_level().max())
 
 
-def _advance(state: GridState, k: int, w, w_prev, w_t0, src, b: float) -> None:
-    """Write one component's next level on [0, k) into w_prev; the old level
+def _advance(state: GridState, k: int, b1: float, b2: float) -> None:
+    """Write the next level on the nodes [0, k) into _z_prev; the old level
     there was zero past k, as windows never shrink and the last node stays 0."""
-    dt = state.dt
-    lap = state._laplacian(w, k)
+    dt, z, j = state.dt, state._z, 2 * k
+    new, lap, src = state._z_prev[:j], state._laplacian(k), state._src[:j]
+    u_slots, v_slots = slice(0, j, 2), slice(1, j, 2)
     if state.step_index == 0:
         # second-order Taylor start from the PDE at t = 0
-        w_prev[:k] = w[:k] + dt * w_t0[:k] + 0.5 * dt * dt * (lap - b * w_t0[:k] + src[:k])
+        for b, sl, w_t0 in ((b1, u_slots, state.ut_init[:k]), (b2, v_slots, state.vt_init[:k])):
+            new[sl] = z[sl] + dt * w_t0 + 0.5 * dt * dt * (lap[sl] - b * w_t0 + src[sl])
         return
+    # a shared profile's b scales all 2k slots at once
+    halves = ([(0.5 * b1 * dt, slice(0, j))] if b2 is b1 else
+              [(0.5 * b1 * dt, u_slots), (0.5 * b2 * dt, v_slots)])
     # (2 w - w_prev + half w_prev + dt^2 (lap + src)) / (1 + half), one
     # operation at a time in that order; w_prev is read before it is written
-    half = 0.5 * b * dt
-    new, acc = w_prev[:k], state._work[:k]
-    np.add(lap, src[:k], out=lap)
+    acc = state._work[:j]
+    np.add(lap, src, out=lap)
     np.multiply(dt * dt, lap, out=lap)
-    np.multiply(2.0, w[:k], out=acc)
+    np.multiply(2.0, z[:j], out=acc)
     np.subtract(acc, new, out=acc)
-    np.multiply(half, new, out=new)
+    for half, sl in halves:
+        np.multiply(half, new[sl], out=new[sl])
     np.add(acc, new, out=acc)
     np.add(acc, lap, out=acc)
-    np.divide(acc, 1.0 + half, out=new)
+    for half, sl in halves:
+        np.divide(acc[sl], 1.0 + half, out=new[sl])
 
 
 def step(state: GridState) -> GridState:
@@ -287,18 +299,14 @@ def step(state: GridState) -> GridState:
     damping profile object share one evaluation of b."""
     t_new = state.t + state.dt
     m_new = state._window(t_new)
-    k = min(m_new, state.r.size - 1)
     with np.errstate(over="ignore", invalid="ignore"):
         b1 = state.b1.b(state.t)
         b2 = b1 if state.b2 is state.b1 else state.b2.b(state.t)
-        src_u, src_v = state._sources()
-        _advance(state, k, state.u, state.u_prev, state.ut_init, src_u, b1)
-        _advance(state, k, state.v, state.v_prev, state.vt_init, src_v, b2)
-    state.u_prev, state.u = state.u, state.u_prev
-    state.v_prev, state.v = state.v, state.v_prev
-    state.t = t_new
+        state._sources()
+        _advance(state, min(m_new, state.r.size - 1), b1, b2)
+    state._z_prev, state._z = state._z, state._z_prev
+    state.t, state.m = t_new, m_new
     state.step_index += 1
-    state.m = m_new
     return state
 
 
@@ -452,12 +460,7 @@ def cone_leakage(result: RunResult) -> float:
     """Sup of |u|, |v| outside r <= t + R + 2 dr at the final state."""
     state = result.state
     outside = state.r > state.t + state.params.R + 2.0 * state.dr
-    if not np.any(outside):
-        return 0.0
-    return max(
-        float(np.max(np.abs(state.u[outside]))),
-        float(np.max(np.abs(state.v[outside]))),
-    )
+    return float(np.max(np.abs(state._z.reshape(-1, 2)[outside]), initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,16 @@ class TestPhi:
             minus = np.atleast_1d(phi_eval(n, -rho))
             assert np.allclose(plus, minus, rtol=1e-13)
             assert np.all(plus > 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_infinite_argument(self, n):
+        # Phi grows like e^|rho| in every dimension: its value at +-inf is inf,
+        # without a warning, and a finite neighbour in the same call stays finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert phi_eval(n, math.inf) == math.inf and phi_eval(n, -math.inf) == math.inf
+            vals = phi_eval(n, np.array([1.0, math.inf, -math.inf]))
+        assert np.isfinite(vals[0]) and np.all(vals[1:] == math.inf)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_is_laplace_eigenfunction(self, n):

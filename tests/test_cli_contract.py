@@ -154,6 +154,12 @@ PROBES = [
     ("verify", {"window": [50.0, 60.0]}),
     ("kernels", {"horizon": 1e-9}),
 ]
+# runs past the resource budget (grid nodes, snapshot bytes): rejected before any allocation
+OVER_BUDGET = [
+    ("simulate", {"dr": 1e-9}),
+    ("simulate", {"R": 1e300}),
+    ("verify", {"horizon": 1000.0, "snapshot_every": 1}),
+]
 
 
 def with_base(probes):
@@ -167,7 +173,7 @@ def with_base(probes):
 
 @settings(max_examples=100, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
-@with_base(PROBES)
+@with_base(PROBES + OVER_BUDGET)
 @given(case=configs())
 def test_every_config_ends_in_one_of_three_ways(case, monkeypatch):
     monkeypatch.setenv("BLOWUP_LAB_THREADS", "1")
@@ -181,3 +187,11 @@ def test_every_config_ends_in_one_of_three_ways(case, monkeypatch):
         assert left == []
     else:
         assert code == 0, (code, stderr)
+
+
+def test_runs_over_the_resource_budget_are_config_errors():
+    for command, extra in OVER_BUDGET:
+        code, _, stderr, left = run(command, {**BASE[command], **extra})
+        assert code == 2 and left == [], (command, extra, code)
+        assert stderr.startswith("config error: ") and "budget" in stderr, stderr
+        assert stderr.count("\n") == 1

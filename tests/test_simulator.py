@@ -283,6 +283,78 @@ class TestWindowedStep:
         assert 0 < len(calls) <= 2 * 5  # |u| and |v| once per level
 
 
+class TestInterleavedLayout:
+    """Both components live in one buffer per time level; readers see views."""
+
+    def test_components_share_one_buffer(self):
+        state = init_state(params1d(), (ZERO, POLY), BUMPS, GridConfig(dr=0.1, horizon=2.0))
+        # u and v take alternate slots, so no element is shared (np.shares_memory
+        # is False) but their memory bounds overlap in one base buffer
+        for _ in range(3):
+            for u, v in ((state.u, state.v), (state.u_prev, state.v_prev)):
+                assert np.may_share_memory(u, v) and u.base is v.base
+                assert u.strides == v.strides == (2 * u.itemsize,)
+            assert not np.may_share_memory(state.u, state.u_prev)
+            step(state)
+
+    def test_one_abs_call_per_unsampled_level(self, monkeypatch):
+        calls = []
+        original = np.abs
+
+        def counting_abs(x, *args, **kwargs):
+            calls.append(x.size)
+            return original(x, *args, **kwargs)
+
+        state = init_state(params1d(), (ZERO, ZERO), BUMPS, GridConfig(dr=0.1, horizon=2.0))
+        step(state)
+        monkeypatch.setattr(np, "abs", counting_abs)
+        windows = []
+        for _ in range(5):
+            windows.append(2 * state.m)
+            state.sup_norm()  # what run_until_blowup checks on an unsampled level
+            step(state)
+        assert calls == windows  # one call over the (u, v) slots of each window
+
+    def test_snapshots_are_contiguous_copies(self):
+        grid = GridConfig(dr=0.1, horizon=2.0, snapshot_every=4)
+        res = run_until_blowup(params1d(eps=0.3), (ZERO, ZERO), BUMPS, grid)
+        assert len(res.snapshots) == 11
+        for _, u, v in res.snapshots:
+            for snap in (u, v):
+                assert snap.flags.c_contiguous and snap.flags.owndata
+                assert snap.size == res.state.r.size
+                assert not np.shares_memory(snap, res.state.u)
+                assert not np.shares_memory(snap, res.state.u_prev)
+        _, u0, v0 = res.snapshots[0]
+        assert np.array_equal(u0, res.state.u_init) and np.array_equal(v0, res.state.v_init)
+        _, u_end, v_end = res.snapshots[-1]
+        assert np.array_equal(u_end, res.state.u) and np.array_equal(v_end, res.state.v)
+
+    @pytest.mark.parametrize("profiles,linear", [((ZERO, POLY), False), ((POLY, POLY), False),
+                                                 ((POLY, ZERO), True)],
+                             ids=["distinct", "shared", "linear"])
+    def test_sampled_functionals_sum_contiguous_components(self, profiles, linear):
+        # U, V, Nu and Nv are the trapezoid sums of contiguous arrays, bit for bit
+        params = SystemParams(2, F(3), F(2), R=1.0, eps=0.8)
+        data = InitialData(1.0, 0.3, 0.5, -0.2)
+        grid = GridConfig(dr=0.05, horizon=4.0, linear_mode=linear)
+        state = init_state(params, profiles, data, grid)
+        p, q = float(params.p), float(params.q)
+        for _ in range(50):
+            m = state.m
+            w = state.weights[:m]
+            u, v = np.ascontiguousarray(state.u[:m]), np.ascontiguousarray(state.v[:m])
+            if linear:
+                nu = nv = 0.0
+            else:
+                nu = w @ np.ascontiguousarray(np.power(np.abs(u), q))
+                nv = w @ np.ascontiguousarray(np.power(np.abs(v), p))
+            sup = max(np.max(np.abs(u)), np.max(np.abs(v)))
+            assert state.functionals() == (w @ u, w @ v, nu, nv, sup)
+            step(state)
+        assert state.functionals()[2] != state.functionals()[3] or linear
+
+
 class TestBlowupDetection:
     def test_zero_data_survives(self):
         res = run_until_blowup(params1d(), (ZERO, ZERO), InitialData.zero(), GridConfig(horizon=1.5))

@@ -73,7 +73,8 @@ def phi_eval(n: int, rho):
             out = 2.0 * math.pi * np.i0(rho_arr) if n == 2 else 4.0 * math.pi * sinhc(rho_arr)
         out[np.isinf(rho_arr)] = np.inf
     else:
-        rmax = float(np.max(np.abs(rho_arr))) if rho_arr.size else 0.0
+        # the node rule is taken over the non-NaN arguments; a NaN gives nan
+        rmax = float(np.max(np.abs(rho_arr), initial=0.0, where=~np.isnan(rho_arr)))
         nnodes = max(64, int(0.8 * min(rmax, _PHI_NODE_RHO_MAX)) + 32)
         theta, w = _gl_nodes(0.0, math.pi, nnodes)
         weight = w * np.sin(theta) ** (n - 2)
@@ -287,17 +288,9 @@ def solve_fundamental_pair(
 ) -> FundamentalPair:
     """Integrate both initial-value problems with classic fourth-order
     Runge-Kutta along t_grid (starting at s, strictly increasing)."""
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    t_grid = np.ascontiguousarray(t_grid, dtype=float)
-    if t_grid.size < 2 or not np.all(np.diff(t_grid) > 0):
-        raise ValueError("t_grid must be strictly increasing with >= 2 nodes")
+    t_grid = _check_grid(lam, t_grid)
     if abs(t_grid[0] - s) > 1e-14:
         raise ValueError("t_grid must start at s")
-    hmax = float(np.max(np.diff(t_grid)))
-    if abs(lam) * hmax > 0.1:
-        raise ValueError(f"step too large for accuracy: |lambda| h = {abs(lam) * hmax:g} > 0.1")
-
     # memoryviews of contiguous float64 arrays hand the loop Python floats
     # without copies
     t = memoryview(t_grid)
@@ -307,6 +300,20 @@ def solve_fundamental_pair(
     _rk4_column(1.0, 0.0, lam * lam, t, *b, y1, dy1)
     _rk4_column(0.0, 1.0, lam * lam, t, *b, y2, dy2)
     return FundamentalPair(t=t_grid, y1=out[0], dy1=out[1], y2=out[2], dy2=out[3], lam=lam, s=s)
+
+
+def _check_grid(lam, t_grid):
+    """t_grid as a contiguous float array, once lambda > 0, the grid is
+    strictly increasing with >= 2 nodes and every step has |lambda| h <= 0.1."""
+    if lam <= 0:
+        raise ValueError(f"lambda must be positive, got {lam}")
+    t_grid = np.ascontiguousarray(t_grid, dtype=float)
+    if t_grid.size < 2 or not np.all(np.diff(t_grid) > 0):
+        raise ValueError("t_grid must be strictly increasing with >= 2 nodes")
+    hmax = float(np.max(np.diff(t_grid)))
+    if abs(lam) * hmax > 0.1:
+        raise ValueError(f"step too large for accuracy: |lambda| h = {abs(lam) * hmax:g} > 0.1")
+    return t_grid
 
 
 def _stage_damping(profile, t_grid):
@@ -353,9 +360,13 @@ class FundamentalReport:
 
 
 def _resolve_y2_at(profile, lam, s_start, t_end, h):
-    grid = np.linspace(s_start, t_end, max(2, int(round((t_end - s_start) / h)) + 1))
-    pair = solve_fundamental_pair(profile, lam, s_start, grid)
-    return pair.y2[-1]
+    """y2(t_end) of the pair started at s_start: the y2 column alone."""
+    nodes = max(2, int(round((t_end - s_start) / h)) + 1)
+    grid = _check_grid(lam, np.linspace(s_start, t_end, nodes))
+    out = np.empty((2, grid.size))
+    _rk4_column(0.0, 1.0, lam * lam, memoryview(grid), *_stage_damping(profile, grid),
+                *(memoryview(row) for row in out))
+    return out[0, -1]
 
 
 def fundamental_identity_v(

@@ -91,7 +91,11 @@ class DampingProfile:
         return cls.tabulated(ts, bs)
 
     def b(self, t):
-        """Coefficient value b(t), vectorized over t >= 0."""
+        """Coefficient value b(t), vectorized over t >= 0.  A Python float t
+        takes Python float arithmetic for the zero and poly kinds, bit-equal
+        to numpy's 0-d evaluation and without its array detour."""
+        if type(t) is float and self.kind != "tabulated":
+            return 0.0 if self.kind == "zero" else self.mu * (1.0 + t) ** (-self.beta)
         t = np.asarray(t, dtype=float)
         if self.kind == "zero":
             out = np.zeros_like(t)

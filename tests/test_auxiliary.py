@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from blowup_lab import auxiliary
 from blowup_lab.auxiliary import (
     KernelConfig,
     KernelQuadrature,
@@ -54,6 +55,18 @@ class TestPhi:
             assert phi_eval(n, math.inf) == math.inf and phi_eval(n, -math.inf) == math.inf
             vals = phi_eval(n, np.array([1.0, math.inf, -math.inf]))
         assert np.isfinite(vals[0]) and np.all(vals[1:] == math.inf)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_nan_argument(self, n):
+        # a NaN gives nan where it stands, without a warning; the other values
+        # are those of the same call with the NaN replaced by an argument that
+        # leaves the n >= 4 node rule as it is
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = phi_eval(n, np.array([0.0, math.inf, 3.0, math.nan]))
+            assert math.isnan(phi_eval(n, math.nan))
+        same = phi_eval(n, np.array([0.0, math.inf, 3.0, 0.0]))
+        assert math.isnan(vals[3]) and vals[:3].tobytes() == same[:3].tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_is_laplace_eigenfunction(self, n):
@@ -274,6 +287,28 @@ class TestFundamentalPair:
         for got, want in ((pair.y1, ref[:, 0, 0]), (pair.dy1, ref[:, 1, 0]),
                           (pair.y2, ref[:, 0, 1]), (pair.dy2, ref[:, 1, 1])):
             np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+
+    @pytest.mark.parametrize("name", ["zero", "poly", "tabulated"])
+    def test_resolve_integrates_y2_alone(self, name, monkeypatch):
+        # a re-solve of y2(t, s) runs the y2 column from (0, 1) alone, on the
+        # grid solve_fundamental_pair would get, with the same grid checks
+        prof = {"zero": DampingProfile.zero(),
+                "poly": DampingProfile.polynomial_tail(0.7, 1.3),
+                "tabulated": DampingProfile.tabulated([0.0, 1.0, 4.0], [1.5, 0.2, 0.6])}[name]
+        want = solve_fundamental_pair(prof, 1.3, 0.5, np.linspace(0.5, 3.0, 2501)).y2[-1]
+        columns = []
+        original = auxiliary._rk4_column
+
+        def counting_column(y, dy, *args):
+            columns.append((y, dy))
+            return original(y, dy, *args)
+
+        monkeypatch.setattr(auxiliary, "_rk4_column", counting_column)
+        got = auxiliary._resolve_y2_at(prof, 1.3, 0.5, 3.0, 1e-3)
+        assert columns == [(0.0, 1.0)] and got.tobytes() == want.tobytes()
+        for lam, h in ((0.0, 1e-3), (-1.0, 1e-3), (200.0, 1e-3)):
+            with pytest.raises(ValueError):
+                auxiliary._resolve_y2_at(prof, lam, 0.5, 3.0, h)
 
     def test_damping_evaluated_per_solve_not_per_step(self):
         prof = _CountingDamping(DampingProfile.polynomial_tail(1.0, 2.0))

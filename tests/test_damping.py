@@ -104,3 +104,18 @@ def test_doubling_mu_squares_m0(mu, beta):
     b = DampingProfile.polynomial_tail(2.0 * mu, beta)
     assert b.tail(0.0) == 2.0 * a.tail(0.0)
     assert abs(multiplier_eval(b, 0.0) - multiplier_eval(a, 0.0) ** 2) < 1e-14
+
+
+@pytest.mark.parametrize("prof", [DampingProfile.zero(), DampingProfile.polynomial_tail(1.0, 2.0),
+                                  DampingProfile.polynomial_tail(0.7, 1.3),
+                                  DampingProfile.polynomial_tail(2, 3)],
+                         ids=["zero", "poly", "poly-0.7-1.3", "poly-int"])
+@pytest.mark.parametrize("dt", [0.01, 0.00625])
+def test_scalar_b_matches_array_b_on_step_times(prof, dt):
+    # a step evaluates b on a Python float t, accumulated as t += dt: the
+    # scalar path returns a float, bit for bit the 0-d array evaluation
+    t = 0.0
+    for _ in range(20_000):
+        got = prof.b(t)
+        assert type(got) is float and got == prof.b(np.asarray(t))
+        t += dt

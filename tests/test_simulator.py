@@ -355,6 +355,83 @@ class TestInterleavedLayout:
         assert state.functionals()[2] != state.functionals()[3] or linear
 
 
+class TestStepCalls:
+    """The numpy calls of an unsampled step: one contiguous source power when
+    p = q, np.square for an exponent of 2, and a fixed budget of array calls."""
+
+    WRAPPED = ("abs", "power", "square", "multiply", "subtract", "add", "divide", "copyto")
+
+    @classmethod
+    def calls_per_level(cls, monkeypatch, state, levels=5):
+        """[(2m, [(name, size of the first argument, contiguous)])] of each
+        unsampled level past the Taylor start: its sup norm, then its step."""
+        out = []
+
+        def wrap(name):
+            original = getattr(np, name)
+
+            def counting(x, *args, **kwargs):
+                x_arr = np.asarray(x)
+                out[-1][1].append((name, x_arr.size, x_arr.flags.c_contiguous))
+                return original(x, *args, **kwargs)
+            return counting
+
+        step(state)
+        for name in cls.WRAPPED:
+            monkeypatch.setattr(np, name, wrap(name))
+        for _ in range(levels):
+            out.append((2 * state.m, []))
+            state.sup_norm()  # what run_until_blowup checks on an unsampled level
+            step(state)
+        monkeypatch.undo()
+        return out
+
+    @pytest.mark.parametrize("n,p,q,expect", [
+        (1, F(2), F(2), [("square", True)]),
+        (2, F(3, 2), F(3, 2), [("power", True)]),
+        (3, ROOT2, ROOT2, [("power", True)]),
+        (1, F(2), F(3), [("power", False), ("square", False)]),
+        (3, ROOT2, F(2), [("square", False), ("power", False)]),
+    ])
+    def test_source_powers_per_level(self, monkeypatch, n, p, q, expect):
+        # p = q: one power over the 2m slots; p != q: |u|^q then |v|^p, each
+        # over the m strided slots of its component; np.square for exponent 2
+        params = SystemParams(n, p, q, R=1.0, eps=1.0)
+        state = init_state(params, (ZERO, ZERO), BUMPS, GridConfig(dr=0.1, horizon=2.0))
+        for slots, calls in self.calls_per_level(monkeypatch, state):
+            size = slots if len(expect) == 1 else slots // 2
+            powers = [call for call in calls if call[0] in ("power", "square")]
+            assert powers == [(name, size, contiguous) for name, contiguous in expect]
+
+    def test_each_source_slot_holds_its_own_power(self):
+        # |u|^q at the u slots, |v|^p at the v slots, and each component's
+        # update adds its partner's: u starts at zero and moves only by |v|^p
+        params = SystemParams(2, F(3), F(2), R=1.0, eps=0.8)
+        data, grid = InitialData(0.0, 0.0, 1.0, 0.0), GridConfig(dr=0.1, horizon=2.0)
+        state = init_state(params, (ZERO, ZERO), data, grid)
+        ref = reference_levels(init_state(params, (ZERO, ZERO), data, grid))
+        for _ in range(6):
+            m, (_, u, v) = state.m, next(ref)
+            assert state.u.tobytes() == u.tobytes() and state.v.tobytes() == v.tobytes()
+            state.functionals()
+            assert state._src[0:2 * m:2].tobytes() == (np.abs(u[:m]) ** 2.0).tobytes()
+            assert state._src[1:2 * m:2].tobytes() == (np.abs(v[:m]) ** 3.0).tobytes()
+            step(state)
+        assert np.any(state.u != 0.0)
+
+    @pytest.mark.parametrize("n,p,budget", [(1, F(2), (12, 15)), (2, F(3, 2), (15, 18)),
+                                            (3, ROOT2, (16, 19))])
+    @pytest.mark.parametrize("damping", [ZERO, POLY], ids=["zero", "poly"])
+    def test_call_budget_per_unsampled_step(self, monkeypatch, n, p, budget, damping):
+        # array calls of a step and its sup norm, for a shared profile and p = q;
+        # the sup norm's max() is a method no wrapper sees, so it counts as 1
+        params = SystemParams(n, p, p, R=1.0, eps=1.0)
+        state = init_state(params, (damping, damping), BUMPS, GridConfig(dr=0.1, horizon=2.0))
+        want = budget[damping is POLY]
+        for _, calls in self.calls_per_level(monkeypatch, state):
+            assert len(calls) + 1 == want, calls
+
+
 class TestBlowupDetection:
     def test_zero_data_survives(self):
         res = run_until_blowup(params1d(), (ZERO, ZERO), InitialData.zero(), GridConfig(horizon=1.5))

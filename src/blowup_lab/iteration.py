@@ -20,14 +20,7 @@ from enum import Enum
 from fractions import Fraction
 
 from blowup_lab.auxiliary import ball_volume
-from blowup_lab.exponents import (
-    RegionTag,
-    RegionError,
-    Scalar,
-    SystemParams,
-    classify,
-    compute_F,
-)
+from blowup_lab.exponents import Scalar, SystemParams
 
 
 def _log(x: Fraction) -> float:
@@ -76,10 +69,6 @@ class IterationConstants:
     Spq: float
     Spq_tilde: float
     j0: int
-    log_Chat: float | None
-    log_Khat: float | None
-    Ctilde1: float = 1.0
-    Ktilde1: float = 1.0
 
 
 def derive_constants(
@@ -90,8 +79,6 @@ def derive_constants(
     K1: float = 1.0,
     C0: float | None = None,
     K0: float | None = None,
-    Ctilde1: float = 1.0,
-    Ktilde1: float = 1.0,
 ) -> IterationConstants:
     """Assemble the constant pack from the frame definitions.
 
@@ -121,28 +108,11 @@ def derive_constants(
         + 1.0
     )
 
-    f_qp = float(compute_F(n, params.q, params.p))
-    f_pq = float(compute_F(n, params.p, params.q))
-    log_Chat = None
-    if f_qp > 0:
-        log_Chat = (
-            math.log(n * (n + 1)) - math.log(m1_0 * K1)
-            + (n + (n - 1) * p / 2.0) * math.log(2.0) + Spq
-        ) / (p * f_qp)
-    log_Khat = None
-    if f_pq > 0:
-        log_Khat = (
-            math.log(n * (n + 1)) - math.log(m2_0 * C1)
-            + (n + (n - 1) * q / 2.0) * math.log(2.0) + Spq_tilde
-        ) / (q * f_pq)
-
     return IterationConstants(
         C0=C0, K0=K0, C1=C1, K1=K1, m1_0=m1_0, m2_0=m2_0,
         B0bar=B0bar, B0tilde=B0tilde,
         log_Ctilde=log_Ctilde, log_Ktilde=log_Ktilde,
         Spq=Spq, Spq_tilde=Spq_tilde, j0=j0,
-        log_Chat=log_Chat, log_Khat=log_Khat,
-        Ctilde1=Ctilde1, Ktilde1=Ktilde1,
     )
 
 
@@ -177,8 +147,8 @@ def subcritical_base(
         raise ValueError("low-dimension base case requires positive initial-speed integrals")
     a1, b1 = p, Fraction(n - 1) * p
     alpha1, beta1 = q, Fraction(n - 1) * q
-    logD = math.log(consts.Ktilde1) + float(p) * (math.log(iv1) + log_eps)
-    logDelta = math.log(consts.Ctilde1) + float(q) * (math.log(iu1) + log_eps)
+    logD = float(p) * (math.log(iv1) + log_eps)
+    logDelta = float(q) * (math.log(iu1) + log_eps)
     return SubcriticalState(1, a1, b1, alpha1, beta1, logD, logDelta)
 
 
@@ -307,82 +277,23 @@ def weighted_sum_identities(p: Scalar, q: Scalar,
         yield j, lhs, rhs
 
 
-@dataclass(frozen=True)
-class LogBoundReport:
-    j: int
-    j0: int
-    in_claimed_range: bool
-    logD_recursive: float
-    logD_bound: float
-    logDelta_recursive: float
-    logDelta_bound: float
-
-    def holds(self) -> bool:
-        return (
-            self.logD_recursive >= self.logD_bound
-            and self.logDelta_recursive >= self.logDelta_bound
-        )
-
-
-def subcritical_logD_bound(
-    params: SystemParams, consts: IterationConstants, j: int
-) -> LogBoundReport:
-    """Compare the recursively computed log-amplitudes at odd j against the
-    geometric lower bounds (pq)^((j-1)/2) (log D1 - S) (and the mirrored
-    Delta bound).  The bound is only claimed past j0; smaller j is flagged."""
+def subcritical_logD_lower_bound(
+    params: SystemParams, consts: IterationConstants, base: SubcriticalState, j: int
+) -> tuple[float, float]:
+    """(pq)^((j-1)/2) (log D1 - S) and (pq)^((j-1)/2) (log Delta1 - S~), the
+    closed lower bounds on log D_j and log Delta_j at odd j > j0."""
     if j % 2 == 0:
         raise ValueError("the log lower bound is stated for odd j")
-    states = iterate_subcritical(params, consts, j)
-    state = states[-1]
-    base = states[0]
-    gain = float(Fraction(params.p) * Fraction(params.q)) ** ((j - 1) / 2.0)
-    return LogBoundReport(
-        j=j,
-        j0=consts.j0,
-        in_claimed_range=j > consts.j0,
-        logD_recursive=state.logD,
-        logD_bound=gain * (base.logD - consts.Spq),
-        logDelta_recursive=state.logDelta,
-        logDelta_bound=gain * (base.logDelta - consts.Spq_tilde),
-    )
-
-
-def subcritical_envelope_ok(params: SystemParams, state: SubcriticalState) -> bool:
-    """Check b_j < B0bar (pq)^ceil((j-1)/2) and the mirrored beta_j bound."""
-    p, q = Fraction(params.p), Fraction(params.q)
-    gain = (p * q) ** ((state.j - 1 + 1) // 2)
-    b0 = Fraction(params.n + 1) + 2 * (p + 1) / (p * q - 1) + 1
-    b0t = Fraction(params.n + 1) + 2 * (q + 1) / (p * q - 1) + 1
-    return state.b < b0 * gain and state.beta < b0t * gain
-
-
-def blowup_threshold_subcritical(params: SystemParams, consts: IterationConstants) -> float:
-    """Upper bound for the blow-up time: the smaller of the two branch
-    thresholds Chat eps^(-1/F(n,q,p)) and Khat eps^(-1/F(n,p,q)), skipping
-    branches whose F is nonpositive."""
-    f_qp = float(compute_F(params.n, params.q, params.p))
-    f_pq = float(compute_F(params.n, params.p, params.q))
-    log_eps = math.log(params.eps)
-    branches = []
-    if f_qp > 0 and consts.log_Chat is not None:
-        branches.append(consts.log_Chat - log_eps / f_qp)
-    if f_pq > 0 and consts.log_Khat is not None:
-        branches.append(consts.log_Khat - log_eps / f_pq)
-    if not branches:
-        raise RegionError("no subcritical branch applies: max{F, F-swapped} <= 0")
-    return math.exp(min(branches))
+    try:
+        gain = (float(params.p) * float(params.q)) ** ((j - 1) / 2.0)
+    except OverflowError:
+        gain = math.inf
+    return gain * (base.logD - consts.Spq), gain * (base.logDelta - consts.Spq_tilde)
 
 
 # ---------------------------------------------------------------------------
 # critical scheme (slicing method)
 # ---------------------------------------------------------------------------
-
-
-def slicing_level(j: int) -> Fraction:
-    """Slicing time l_j = 2 - 2^(-(j+1)), increasing to 2."""
-    if j < 0:
-        raise ValueError(f"slicing index must be >= 0, got {j}")
-    return Fraction(2) - Fraction(1, 2 ** (j + 1))
 
 
 class CriticalCase(Enum):
@@ -546,27 +457,3 @@ def critical_logC_lower_bound(
     except OverflowError:
         gain = math.inf
     return gain * core - log_m / (pq - 1.0)
-
-
-def blowup_threshold_critical(params: SystemParams, E: float) -> float:
-    """Critical lifespan threshold exp(E^(-(pq-1)/p) eps^(-q(pq-1))) for
-    p > q and exp(E^(-(p-1)) eps^(-p(p-1))) at p = q, with (p, q) swapped
-    first when p < q.  E is an empirically fitted positive constant."""
-    if E <= 0:
-        raise ValueError(f"threshold constant must be positive, got {E}")
-    region = classify(params)
-    if region.tag is not RegionTag.CRITICAL_BLOWUP:
-        raise RegionError("critical threshold is only claimed on the critical curve")
-    p, q = float(params.p), float(params.q)
-    if p < q:
-        p, q = q, p
-    pq = p * q
-    eps = params.eps
-    if p == q:
-        exponent = E ** (-(p - 1.0)) * eps ** (-p * (p - 1.0))
-    else:
-        exponent = E ** (-(pq - 1.0) / p) * eps ** (-q * (pq - 1.0))
-    try:
-        return math.exp(exponent)
-    except OverflowError:
-        return math.inf

@@ -155,12 +155,10 @@ def emit_plot(
     return dropped
 
 
-def loglog_fit_series(x, y) -> tuple[PlotSeries, float]:
-    """Fitted log-log line through (x, y) as a drawable series plus its slope
-    (refitted here; must agree with the sweep's own fit to 1e-12)."""
+def loglog_fit_series(x, slope: float, intercept: float) -> PlotSeries:
+    """The fitted line log y = slope log x + intercept across the range of x,
+    as a drawable series."""
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    slope, intercept = np.polyfit(np.log(x), np.log(y), 1)
     xs = np.array([np.min(x), np.max(x)])
     ys = np.exp(intercept) * xs ** slope
-    return PlotSeries(xs, ys, label=f"fit slope {slope:.6g}", kind="line"), float(slope)
+    return PlotSeries(xs, ys, label=f"fit slope {slope:.6g}", kind="line")

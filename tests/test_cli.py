@@ -2,13 +2,14 @@ import csv
 import json
 import math
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from blowup_lab import auxiliary, iteration, simulator
-from blowup_lab.cli import _prepare, main
+from blowup_lab.cli import ConfigError, _prepare, main
 from blowup_lab.plotting import PlotSeries, emit_plot, loglog_fit_series
 
 EXPERIMENTS = sorted((Path(__file__).resolve().parents[1] / "experiments").glob("*.json"))
@@ -150,7 +151,7 @@ class TestClassify:
         assert "region,SubcriticalBlowup" in body
         assert "law_exponent,-2" in body
         summary = (out / "summary.txt").read_text()
-        assert "CHECK classification: PASS" in summary
+        assert summary == "NOTE classification: region=SubcriticalBlowup\n"  # claims no PASS
 
     def test_dimension_past_float_formulas_is_config_error(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, "classify", {"n": 1e300, "p": 2, "q": 2})
@@ -174,6 +175,7 @@ class TestIterate:
         assert code == 0
         summary = (out / "summary.txt").read_text()
         assert "CHECK closed-form-equality: PASS" in summary
+        assert "CHECK logD-lower-bound: PASS (odd j in (j0, j_max] = (-4, 9])" in summary
         rows = (out / "iterate_trace.csv").read_text().splitlines()
         assert rows[0] == "j,a,b,alpha,beta,logD,logDelta"
         assert rows[1].startswith("1,3,4,2,4")
@@ -199,14 +201,46 @@ class TestIterate:
         assert code == 1
         assert "CHECK weighted-sum-identity: FAIL" in (out / "summary.txt").read_text()
 
+    def test_perturbed_frame_fails_logD_lower_bound(self, tmp_path, monkeypatch):
+        exact = iteration.subcritical_step
+
+        def perturbed(state, params, consts):
+            frame = exact(state, params, consts)
+            return replace(frame, logD=frame.logD - 1e6) if frame.j == 5 else frame
+
+        monkeypatch.setattr(iteration, "subcritical_step", perturbed)
+        code, out = run_cli(tmp_path, "iterate", {"n": 3, "p": 3, "q": 2, "j_max": 9})
+        assert code == 1
+        summary = (out / "summary.txt").read_text()
+        assert "CHECK closed-form-equality: PASS" in summary
+        assert "CHECK logD-lower-bound: FAIL" in summary
+
+    def test_logD_lower_bound_checked_only_past_j0(self, tmp_path):
+        # C0 = K0 = 1e9 puts j0 at 11; the bound fails at j = 1 and 3 but is not claimed there
+        cfg = {"n": 3, "p": 2, "q": 2, "constants": {"C0": 1e9, "K0": 1e9}}
+        code, out = run_cli(tmp_path, "iterate", {**cfg, "j_max": 15}, name="past")
+        assert code == 0
+        summary = (out / "summary.txt").read_text()
+        assert "CHECK logD-lower-bound: PASS (odd j in (j0, j_max] = (11, 15])" in summary
+        code, out = run_cli(tmp_path, "iterate", {**cfg, "j_max": 11}, name="empty")
+        assert code == 0
+        summary = (out / "summary.txt").read_text()
+        assert "NOTE logD-lower-bound: no odd j in (j0, j_max] = (11, 11]" in summary
+        assert "CHECK logD-lower-bound" not in summary
+
     def test_unknown_scheme(self, tmp_path):
         code, _ = run_cli(tmp_path, "iterate", {"n": 3, "p": 2, "q": 2, "scheme": "bogus"})
         assert code == 2
 
-    def test_amplitudes_past_float_range_still_run(self, tmp_path):
-        code, out = run_cli(tmp_path, "iterate", {"n": 3, "p": 3, "q": 2, "j_max": 700})
-        assert code == 0
-        assert "CHECK closed-form-equality: PASS" in (out / "summary.txt").read_text()
+    def test_amplitudes_past_float_range_still_run(self, tmp_path, capsys):
+        for j_max in (700, 1000):  # the bound's gain (pq)^((j-1)/2) overflows at j = 801
+            code, out = run_cli(tmp_path, "iterate", {"n": 3, "p": 3, "q": 2, "j_max": j_max},
+                                name=f"j{j_max}")
+            assert code == 0
+            summary = (out / "summary.txt").read_text()
+            assert "CHECK closed-form-equality: PASS" in summary
+            assert "CHECK logD-lower-bound: PASS" in summary
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_exponents_past_digit_limit_are_config_error(self, tmp_path, capsys):
         p0 = 2.414213562373095
@@ -240,6 +274,27 @@ class TestKernels:
         summary = (out / "summary.txt").read_text()
         assert "CHECK fundamental-pair-bounds: FAIL (lam=1:violated)" in summary
 
+    def test_modal_grid_budget_boundary(self):
+        # lambda = 1e10 is an OVER_BUDGET case of the contract tests; this pins the edge:
+        # the step is 1e-3 up to lambda = 50, so a horizon of 1048 fits 2^20 nodes, 1049 does not
+        cfg = {"n": 3, "orders": ["1/2"], "t_points": 2, "x_points": 2, "lambdas": [50.0]}
+        assert _prepare("kernels", {**cfg, "horizon": 1048.0})
+        with pytest.raises(ConfigError, match="budget"):
+            _prepare("kernels", {**cfg, "horizon": 1049.0})
+        with pytest.raises(ConfigError, match="budget"):  # the step ratio overflows to inf
+            _prepare("kernels", {**cfg, "lambdas": [1e300], "horizon": 1e300})
+
+    def test_numpy_false_check_sets_exit_code(self, tmp_path, monkeypatch):
+        # the bounds hold, the identity misses: lam_ok is np.False_, not False
+        monkeypatch.setattr(auxiliary, "fundamental_identity_v",
+                            lambda *args: np.float64(0.0))
+        cfg = {"n": 3, "orders": [0.5], "t_max": 4, "t_points": 2, "x_points": 2,
+               "lambdas": [1.0], "horizon": 1.0}
+        code, out = run_cli(tmp_path, "kernels", cfg)
+        assert code == 1
+        summary = (out / "summary.txt").read_text()
+        assert "CHECK fundamental-pair-bounds: FAIL (lam=1:violated)" in summary
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_huge_support_radius_is_a_failed_check(self, tmp_path, capsys, n):
         # lambda * r reaches 1e300: Phi overflows to inf, the fits are not finite
@@ -260,6 +315,7 @@ class TestSimulateAndSweep:
         assert (out / "trace.csv").exists()
         assert (out / "trace.svg").exists()
         assert (out / "run_record.csv").exists()
+        assert (out / "summary.txt").read_text().startswith("NOTE run-completed: detection=")
 
     def test_one_damping_block_gives_one_shared_profile(self):
         cfg = {"n": 1, "p": 2, "q": 2, "damping": {"kind": "poly"}}
@@ -278,7 +334,6 @@ class TestSimulateAndSweep:
             assert (out1 / fname).read_bytes() == (out2 / fname).read_bytes()
         summary = (out1 / "summary.txt").read_text()
         assert "CHECK slope-window: PASS" in summary
-        assert "CHECK plot-refit-consistency: PASS" in summary
         assert "CHECK lifespans-monotone: PASS" in summary
 
     def test_thread_cap_does_not_change_results(self, tmp_path):
@@ -413,6 +468,7 @@ class TestExperiments:
         "sweep": (simulator, "lifespan_sweep"),
         "verify": (simulator, "run_until_blowup"),
         "kernels": (auxiliary, "fit_kernel_bounds"),
+        "iterate": (iteration, "iterate_subcritical"),
     }
 
     def test_every_command_has_configs(self):
@@ -460,8 +516,11 @@ class TestPlotting:
         assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
 
     def test_refit_matches_polyfit(self):
+        # the plot draws the sweep's own fit: no second polyfit
         eps = np.array([1.0, 0.5, 0.25, 0.125])
         ts = 3.0 * eps ** -1.5
-        fit_series, slope = loglog_fit_series(eps, ts)
-        assert abs(slope + 1.5) < 1e-12
-        assert fit_series.kind == "line"
+        slope, intercept = simulator.fit_power_law(eps, ts)
+        fit_series = loglog_fit_series(eps, slope, intercept)
+        assert fit_series.kind == "line" and fit_series.label == "fit slope -1.5"
+        assert list(fit_series.x) == [0.125, 1.0]
+        assert np.allclose(fit_series.y, [3.0 * 0.125 ** -1.5, 3.0], rtol=1e-12)

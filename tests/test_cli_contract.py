@@ -159,6 +159,7 @@ OVER_BUDGET = [
     ("simulate", {"dr": 1e-9}),
     ("simulate", {"R": 1e300}),
     ("verify", {"horizon": 1000.0, "snapshot_every": 1}),
+    ("kernels", {"orders": ["1/2"], "lambdas": [1e10], "horizon": 10.0}),
 ]
 
 

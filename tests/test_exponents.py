@@ -123,6 +123,9 @@ class TestLifespanLaw:
         law = lifespan_law(SystemParams(3, p0, p0))
         assert law.form is LawForm.EXPONENTIAL
         assert abs(law.exponent + p0 * (p0 - 1)) < 1e-12
+        # F(3, 7/2, 2) = 0 with p > q: the eps-power is -q(pq - 1) = -12
+        law = lifespan_law(SystemParams(3, F(7, 2), F(2)))
+        assert law.form is LawForm.EXPONENTIAL and law.exponent == F(-12)
 
     def test_improved_law_with_speeds(self):
         law = lifespan_law(SystemParams(2, F(3, 2), F(3, 2)), (True, True))

@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blowup_lab.exponents import RegionError, SystemParams, strauss_exponent
+from blowup_lab.exponents import SystemParams
 from blowup_lab.iteration import (
     CriticalCase,
     CriticalConstants,
-    blowup_threshold_critical,
-    blowup_threshold_subcritical,
     critical_base,
     critical_closed_form,
     critical_logC_lower_bound,
@@ -20,11 +18,9 @@ from blowup_lab.iteration import (
     geometric_weight_partial,
     iterate_critical,
     iterate_subcritical,
-    slicing_level,
     subcritical_base,
     subcritical_closed_form,
-    subcritical_envelope_ok,
-    subcritical_logD_bound,
+    subcritical_logD_lower_bound,
     subcritical_step,
     weighted_sum_identities,
 )
@@ -111,13 +107,6 @@ class TestSubcriticalRecursion:
                 assert state.a == cf.a and state.alpha == cf.alpha
             assert state.a >= 0 and state.b >= 0 and state.alpha >= 0 and state.beta >= 0
 
-    @settings(max_examples=40, deadline=None)
-    @given(n=dims, p=rationals, q=rationals)
-    def test_envelope(self, n, p, q):
-        params = make(n, p, q)
-        for state in iterate_subcritical(params, derive_constants(params), 12):
-            assert subcritical_envelope_ok(params, state)
-
     def test_b_beta_strictly_increasing(self):
         params = make(2, F(5, 4), F(9, 4))
         states = iterate_subcritical(params, derive_constants(params), 10)
@@ -157,19 +146,32 @@ class TestLogAmplitudes:
     def test_recursive_dominates_bound(self, n, p, q):
         params = make(n, p, q)
         consts = derive_constants(params)
-        for j in (consts.j0 + 1, consts.j0 + 3, consts.j0 + 5):
-            j = max(j, 1)
-            if j % 2 == 0:
-                j += 1
-            rep = subcritical_logD_bound(params, consts, j)
-            assert rep.holds(), rep
+        states = iterate_subcritical(params, consts, max(consts.j0, 0) + 6)
+        claimed = [s for s in states if s.j % 2 == 1 and s.j > consts.j0]
+        assert len(claimed) >= 3
+        for state in claimed:
+            lo_d, lo_delta = subcritical_logD_lower_bound(params, consts, states[0], state.j)
+            assert state.logD >= lo_d and state.logDelta >= lo_delta, state
 
     def test_flagged_below_j0(self):
         params = make(3, F(2), F(2))
         consts = derive_constants(params, C0=1e9, K0=1e9)  # inflate Ctilde so j0 > 1
         assert consts.j0 > 1
-        rep = subcritical_logD_bound(params, consts, 1)
-        assert not rep.in_claimed_range
+        states = iterate_subcritical(params, consts, consts.j0 + 4)
+        lo_d, _ = subcritical_logD_lower_bound(params, consts, states[0], 1)
+        assert states[0].logD < lo_d  # not claimed at j = 1 <= j0, and it fails there
+        for state in [s for s in states if s.j % 2 == 1 and s.j > consts.j0]:
+            lo_d, lo_delta = subcritical_logD_lower_bound(params, consts, states[0], state.j)
+            assert state.logD >= lo_d and state.logDelta >= lo_delta
+
+    def test_gain_past_float_range_is_infinite(self):
+        params = make(3, F(3), F(2))
+        consts = derive_constants(params)
+        base = subcritical_base(params, consts)
+        lo_d, lo_delta = subcritical_logD_lower_bound(params, consts, base, 801)
+        assert lo_d == lo_delta == -math.inf  # log D1 < S here
+        with pytest.raises(ValueError):
+            subcritical_logD_lower_bound(params, consts, base, 2)
 
     def test_spq_with_unit_ctilde(self):
         # choosing C0 = B0bar^2 and K0 = B0tilde^2 makes Ctilde = 1, so S
@@ -194,46 +196,6 @@ class TestLogAmplitudes:
         normalized = [s.logD / pq ** ((s.j - 1) / 2.0) for s in states if s.j % 2 == 1]
         floor = base.logD - consts.Spq
         assert all(v >= floor - 1e-9 for v in normalized)
-
-
-class TestSubcriticalThreshold:
-    def test_symmetric_branches(self):
-        params = make(3, F(2), F(2), eps=0.5)
-        consts = derive_constants(params)
-        assert consts.log_Chat is not None and consts.log_Khat is not None
-        assert abs(consts.log_Chat - consts.log_Khat) < 1e-12
-
-    def test_power_scaling_in_eps(self):
-        p1 = make(3, F(2), F(2), eps=1.0)
-        p2 = make(3, F(2), F(2), eps=0.5)
-        consts = derive_constants(p1)
-        t1 = blowup_threshold_subcritical(p1, consts)
-        t2 = blowup_threshold_subcritical(p2, consts)
-        # 1/F(3,2,2) = 2, so halving eps multiplies the bound by 4
-        assert abs(t2 / t1 - 4.0) < 1e-9
-
-    def test_unit_constants_give_pure_power(self):
-        from dataclasses import replace
-
-        params = make(3, F(2), F(2), eps=0.25)
-        consts = replace(derive_constants(params), log_Chat=0.0, log_Khat=0.0)
-        assert abs(blowup_threshold_subcritical(params, consts) - 0.25 ** -2.0) < 1e-9
-
-    def test_no_branch_raises(self):
-        params = make(3, F(4), F(4))
-        consts = derive_constants(params)
-        with pytest.raises(RegionError):
-            blowup_threshold_subcritical(params, consts)
-
-
-class TestSlicing:
-    def test_values(self):
-        assert slicing_level(0) == F(3, 2)
-        assert slicing_level(1) == F(7, 4)
-
-    @given(j=st.integers(min_value=0, max_value=40))
-    def test_monotone_to_two(self, j):
-        assert slicing_level(j) < slicing_level(j + 1) < 2
 
 
 class TestCritical:
@@ -310,29 +272,3 @@ class TestGeometricWeights:
 
     def test_convergence_at_60(self):
         assert abs(geometric_weight_partial(2, 2, 60) - geometric_weight_limit(2, 2)) < 1e-12
-
-
-class TestCriticalThreshold:
-    def test_equal_exponents_law(self):
-        p0 = strauss_exponent(3)
-        params = SystemParams(3, p0, p0, eps=0.9)
-        t1 = blowup_threshold_critical(params, 1.0)
-        expected = math.exp(0.9 ** (-p0 * (p0 - 1.0)))
-        assert abs(t1 - expected) / expected < 1e-12
-
-    def test_eps_scaling_p_greater_q(self):
-        # exact critical point with p > q: F(3, 7/2, 2) = (7/2+2+1/2)/6 - 1 = 0
-        # shrinking eps by factor c scales log T by c^(-q(pq-1)) = c^(-12)
-        p, q = F(7, 2), F(2)
-        t1 = math.log(blowup_threshold_critical(SystemParams(3, p, q, eps=1.0), 2.0))
-        t2 = math.log(blowup_threshold_critical(SystemParams(3, p, q, eps=0.9), 2.0))
-        assert abs(t2 / t1 - 0.9 ** -12.0) < 1e-9
-
-    def test_subcritical_rejected(self):
-        with pytest.raises(RegionError):
-            blowup_threshold_critical(make(3, F(2), F(2)), 1.0)
-
-    def test_bad_constant_rejected(self):
-        p0 = strauss_exponent(3)
-        with pytest.raises(ValueError):
-            blowup_threshold_critical(SystemParams(3, p0, p0), 0.0)

@@ -14,6 +14,9 @@ import numpy as np
 
 from blowup_lab.damping import DampingProfile
 
+#: the node budget of one grid, a simulator run's or a modal RK4 solve's (README)
+MAX_NODES = 2 ** 20
+
 #: bracket weight <y> = 3 + |y| used in all kernel bound statements
 def bracket(y):
     return 3.0 + np.abs(y)
@@ -359,18 +362,35 @@ class FundamentalReport:
         )
 
 
+def _y2_grid(lam, s_start, t_end, h):
+    """The checked grid from s_start to t_end, step about h, of _resolve_y2_at."""
+    nodes = max(2, int(round((t_end - s_start) / h)) + 1)
+    return _check_grid(lam, np.linspace(s_start, t_end, nodes))
+
+
 def _resolve_y2_at(profile, lam, s_start, t_end, h):
     """y2(t_end) of the pair started at s_start: the y2 column alone."""
-    nodes = max(2, int(round((t_end - s_start) / h)) + 1)
-    grid = _check_grid(lam, np.linspace(s_start, t_end, nodes))
+    grid = _y2_grid(lam, s_start, t_end, h)
     out = np.empty((2, grid.size))
     _rk4_column(0.0, 1.0, lam * lam, memoryview(grid), *_stage_damping(profile, grid),
                 *(memoryview(row) for row in out))
     return out[0, -1]
 
 
+#: fundamental_identity_v's difference step in s and its RK4 step
+IDENTITY_DELTA, IDENTITY_STEP = 5e-4, 1e-4
+
+
+def check_identity_lambda(lam: float, t: float) -> None:
+    """Raise ValueError where fundamental_identity_v(profile, lam, s, t) would
+    on its default steps: at a lambda whose RK4 step breaks _check_grid's rule."""
+    for s_start in (t - IDENTITY_DELTA, t - 2.0 * IDENTITY_DELTA):
+        _y2_grid(lam, s_start, t, IDENTITY_STEP)
+
+
 def fundamental_identity_v(
-    profile: DampingProfile, lam: float, s: float, t: float, delta: float = 5e-4, h: float = 1e-4
+    profile: DampingProfile, lam: float, s: float, t: float, delta: float = IDENTITY_DELTA,
+    h: float = IDENTITY_STEP,
 ) -> float:
     """d/ds y2(t, s) at s = t, estimated by a one-sided second-order
     difference; the exact value is -1."""
@@ -380,7 +400,8 @@ def fundamental_identity_v(
 
 
 def verify_fundamental_bounds(
-    pair: FundamentalPair, profile: DampingProfile, lam: float, s: float, delta: float = 5e-4
+    pair: FundamentalPair, profile: DampingProfile, lam: float, s: float,
+    delta: float = IDENTITY_DELTA,
 ) -> FundamentalReport:
     """Node-wise check of the exponential lower bounds
     y1 >= e^(-l1) cosh(lambda (t-s)) and y2 >= e^(-2 l1) sinh(lambda (t-s))/lambda,

@@ -19,12 +19,14 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
 
-from blowup_lab import auxiliary, exponents, iteration, plotting, simulator
+# What kernels runs; the commands that step or iterate import simulator or
+# iteration themselves, so no other command loads the solver or the sweep pool.
+from blowup_lab import auxiliary, exponents, plotting
 from blowup_lab.damping import DampingProfile
 
 
@@ -121,6 +123,22 @@ def _list_of(convert, size=None):
 _pair, _flags = _list_of(_real, 2), _list_of(_bool, 2)
 
 
+#: the default of a row that sets a dataclass field: the field's own, read when
+#: the object is built, so the dataclass need not be imported before then
+_FIELD = object()
+
+
+def _build(cls, values):
+    """cls from values in its field order; one left at _FIELD takes the field's default."""
+    return cls(**{f.name: v for f, v in zip(fields(cls), values) if v is not _FIELD})
+
+
+def _block(table: dict, context: str):
+    """The row of a nested block: its values parsed against table, which
+    reads an absent block as {}."""
+    return lambda block: _parse(block, table, context), _parse(None, table, context)
+
+
 def _exponent(value):
     """A number, or a fraction string such as "3/2"; integers and fractions stay exact."""
     if isinstance(value, str):
@@ -150,10 +168,10 @@ def _damping(block) -> DampingProfile:
 
 
 _DATA = {  # rows in InitialData field order
-    "u0": (_real, simulator.InitialData.u0_amp),
-    "u1": (_real, simulator.InitialData.u1_amp),
-    "v0": (_real, simulator.InitialData.v0_amp),
-    "v1": (_real, simulator.InitialData.v1_amp),
+    "u0": (_real, _FIELD),
+    "u1": (_real, _FIELD),
+    "v0": (_real, _FIELD),
+    "v1": (_real, _FIELD),
 }
 
 
@@ -166,15 +184,17 @@ _SUBCRITICAL_CONSTANTS = {  # rows in derive_constants' parameter order
     "K0": (_positive, None),
 }
 _CRITICAL_CONSTANTS = {  # rows in CriticalConstants field order
-    "C": (_positive, iteration.CriticalConstants.C),
-    "K": (_positive, iteration.CriticalConstants.K),
-    "Ctilde": (_positive, iteration.CriticalConstants.Ctilde),
+    "C": (_positive, _FIELD),
+    "K": (_positive, _FIELD),
+    "Ctilde": (_positive, _FIELD),
 }
 _CONSTANTS = {**_SUBCRITICAL_CONSTANTS, **_CRITICAL_CONSTANTS}
 
 
 # Each of these row groups builds one object: its rows follow the parameter
 # order of the constructor, which receives the parsed values under the name.
+# The dataclasses of simulator are imported by their builders, when a command
+# that runs the solver is prepared.
 _PARAMS = {
     "n": (_whole, ...),
     "p": (_exponent, ...),
@@ -183,24 +203,37 @@ _PARAMS = {
     "eps": (_real, exponents.SystemParams.eps),
 }
 _GRID = {
-    "dr": (_real, simulator.GridConfig.dr),
-    "CFL": (_real, simulator.GridConfig.cfl),
-    "horizon": (_real, simulator.GridConfig.horizon),
-    "threshold": (_real, simulator.GridConfig.threshold),
-    "rmax": (_real, simulator.GridConfig.rmax),
-    "sample_every": (_int, simulator.GridConfig.sample_every),
-    "snapshot_every": (lambda v: None if v is None else _int(v),
-                       simulator.GridConfig.snapshot_every),
-    "linear_mode": (_bool, simulator.GridConfig.linear_mode),
-    "enforce_cone": (_bool, simulator.GridConfig.enforce_cone),
+    "dr": (_real, _FIELD),
+    "CFL": (_real, _FIELD),
+    "horizon": (_real, _FIELD),
+    "threshold": (_real, _FIELD),
+    "rmax": (_real, _FIELD),
+    "sample_every": (_int, _FIELD),
+    "snapshot_every": (lambda v: None if v is None else _int(v), _FIELD),
+    "linear_mode": (_bool, _FIELD),
+    "enforce_cone": (_bool, _FIELD),
 }
 _PROFILES = {
     "damping": (_damping, DampingProfile.zero()),
     "damping2": (_damping, None),
 }
+_RUN_DATA = {"data": _block(_DATA, "data")}
+
+
+def _grid(*values):
+    from blowup_lab.simulator import GridConfig
+    return _build(GridConfig, values)
+
+
+def _data(values: dict):
+    from blowup_lab.simulator import InitialData
+    return _build(InitialData, values.values())
+
+
 _GROUPS = (
     ("params", exponents.SystemParams, _PARAMS),
-    ("grid", simulator.GridConfig, _GRID),
+    ("grid", _grid, _GRID),
+    ("data", _data, _RUN_DATA),
     # one shared profile object lets the step evaluate b once for both components
     ("profiles", lambda b1, b2: (b1, b1 if b2 is None else b2), _PROFILES),
 )
@@ -209,11 +242,7 @@ _QUADRATURE = {  # the kernels' lambda quadrature, in kernels and the critical v
     "lambda0": (_positive, auxiliary.KernelConfig.lambda0),
     "quad_nodes": (_whole, auxiliary.KernelConfig.quad_nodes),
 }
-_SIMULATION = {
-    **_PARAMS, **_GRID, **_PROFILES,
-    "data": (lambda block: simulator.InitialData(*_parse(block, _DATA, "data").values()),
-             simulator.InitialData()),
-}
+_SIMULATION = {**_PARAMS, **_GRID, **_PROFILES, **_RUN_DATA}
 
 SCHEMAS = {
     "classify": {**_PARAMS, "speeds": (_flags, (False, False))},
@@ -221,8 +250,7 @@ SCHEMAS = {
         **_PARAMS,
         "j_max": (_whole, 9),
         "scheme": (_choice("subcritical", "critical"), "subcritical"),
-        "constants": (lambda block: _parse(block, _CONSTANTS, "constants"),
-                      _parse(None, _CONSTANTS, "constants")),
+        "constants": _block(_CONSTANTS, "constants"),
         "low_dim": (_bool, False),
         "speed_integrals": (_pair, (0.0, 0.0)),
     },
@@ -258,10 +286,11 @@ SCHEMAS = {
 # Preconditions: what else a config decides, checked before any work.  Each
 # returns None, or values that replace parsed ones (iterate: the built constants).
 def _require_iterate(params, j_max, scheme, constants, low_dim, speed_integrals, **_):
+    from blowup_lab import iteration
     # The trace prints every exact exponent, the last frame's the longest.  Past
     # 10**6 frames none fits Python's int-to-str digit limit, so that frame stands in.
     if scheme == "critical":
-        consts = iteration.CriticalConstants(*(constants[k] for k in _CRITICAL_CONSTANTS))
+        consts = _build(iteration.CriticalConstants, (constants[k] for k in _CRITICAL_CONSTANTS))
         last = iteration.critical_closed_form(params, min(j_max, 10**6))  # p >= q
     else:
         consts = iteration.derive_constants(params, *(constants[k] for k in _SUBCRITICAL_CONSTANTS))
@@ -281,20 +310,35 @@ def _modal_nodes(lam: float, horizon: float) -> int:
     gives an int, and one past the budget.
     """
     steps = horizon / min(1e-3, 0.05 / lam)
-    return max(1, round(min(steps, simulator.MAX_NODES))) + 1
+    return max(1, round(min(steps, auxiliary.MAX_NODES))) + 1
+
+
+def _identity_time(horizon: float) -> float:
+    """The time t at which kernels checks d/ds y2(t, s) = -1 at s = t."""
+    return min(2.0, horizon)
 
 
 def _require_kernels(n, lambda0, R, quad_nodes, orders, lambdas, horizon, **_):
     for r in orders:
         auxiliary.check_kernel_config(auxiliary.KernelConfig(lambda0, R, r, quad_nodes), n)
     for lam in lambdas:
-        if _modal_nodes(lam, horizon) > simulator.MAX_NODES:
+        if _modal_nodes(lam, horizon) > auxiliary.MAX_NODES:
             raise ValueError(f"lambda = {lam:g}, horizon = {horizon:g}: the modal grid "
-                             f"exceeds the budget of {simulator.MAX_NODES} nodes")
+                             f"exceeds the budget of {auxiliary.MAX_NODES} nodes")
+        try:
+            auxiliary.check_identity_lambda(lam, _identity_time(horizon))
+        except ValueError as exc:
+            raise ValueError(f"lambda = {lam:g}: the identity check's RK4 {exc}") from None
 
 
-def _require_verify(params, profiles, data, grid, critical, lambda0, quad_nodes, **_):
-    simulator.check_run(params, data, grid)
+def _require_run(params, profiles, data, grid, eps_list=None, critical=False, lambda0=None,
+                 quad_nodes=None, **_):
+    """simulate, sweep and verify: every run can start, and a critical verify's kernels."""
+    from blowup_lab import simulator
+    if eps_list is None:
+        simulator.check_run(params, data, grid)
+    else:
+        simulator.check_sweep(params, data, grid, eps_list)
     if critical:
         simulator.critical_kernel_configs(params, profiles, grid, lambda0, quad_nodes)
 
@@ -302,10 +346,7 @@ def _require_verify(params, profiles, data, grid, critical, lambda0, quad_nodes,
 _REQUIRE = {
     "iterate": _require_iterate,
     "kernels": _require_kernels,
-    "simulate": lambda params, data, grid, **_: simulator.check_run(params, data, grid),
-    "sweep": lambda params, data, grid, eps_list, **_: simulator.check_sweep(
-        params, data, grid, eps_list),
-    "verify": _require_verify,
+    **dict.fromkeys(("simulate", "sweep", "verify"), _require_run),
 }
 
 
@@ -351,6 +392,7 @@ def cmd_classify(out: str, params, speeds) -> list[Check]:
 
 def cmd_iterate(out: str, params, j_max, scheme, constants, low_dim,
                 speed_integrals) -> list[Check]:
+    from blowup_lab import iteration
     if scheme == "subcritical":
         states = iteration.iterate_subcritical(params, constants, j_max, low_dim,
                                                speed_integrals)
@@ -413,7 +455,7 @@ def cmd_kernels(out: str, n, lambda0, R, quad_nodes, orders, t_max, t_points, x_
         grid = np.linspace(0.0, horizon, _modal_nodes(lam, horizon))
         pair = auxiliary.solve_fundamental_pair(damping, lam, 0.0, grid)
         rep = auxiliary.verify_fundamental_bounds(pair, damping, lam, 0.0)
-        idv = auxiliary.fundamental_identity_v(damping, lam, 0.0, min(2.0, horizon))
+        idv = auxiliary.fundamental_identity_v(damping, lam, 0.0, _identity_time(horizon))
         lam_ok = rep.ok() and abs(idv + 1.0) <= 1e-6
         ok = ok and lam_ok
         details.append(f"lam={lam:g}:{'ok' if lam_ok else 'violated'}")
@@ -422,6 +464,7 @@ def cmd_kernels(out: str, n, lambda0, R, quad_nodes, orders, t_max, t_points, x_
 
 
 def cmd_simulate(out: str, params, profiles, data, grid) -> list[Check]:
+    from blowup_lab import simulator
     result = simulator.run_until_blowup(params, profiles, data, grid)
     simulator.write_trace_csv(result.trace, os.path.join(out, "trace.csv"))
     simulator.write_records_csv([result.record], os.path.join(out, "run_record.csv"))
@@ -438,6 +481,7 @@ def cmd_simulate(out: str, params, profiles, data, grid) -> list[Check]:
 
 def cmd_sweep(out: str, params, profiles, data, grid, eps_list, slope_rtol,
               workers) -> list[Check]:
+    from blowup_lab import simulator
     sweep = simulator.lifespan_sweep(params, profiles, data, grid, eps_list, workers)
     simulator.write_records_csv(sweep.records, os.path.join(out, "records.csv"))
 
@@ -470,6 +514,7 @@ def cmd_sweep(out: str, params, profiles, data, grid, eps_list, slope_rtol,
 
 def cmd_verify(out: str, params, profiles, data, grid, window, ode_tol, critical,
                log_window, lambda0, quad_nodes) -> list[Check]:
+    from blowup_lab import simulator
     result = simulator.run_until_blowup(params, profiles, data, grid)
     simulator.write_trace_csv(result.trace, os.path.join(out, "trace.csv"))
     try:

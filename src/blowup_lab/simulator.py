@@ -32,6 +32,7 @@ from enum import Enum
 import numpy as np
 
 from blowup_lab.auxiliary import (
+    MAX_NODES,
     KernelConfig,
     KernelQuadrature,
     check_kernel_config,
@@ -133,7 +134,7 @@ class FunctionalTrace:
         return self.t.size
 
 
-MAX_NODES, MAX_SNAPSHOT_BYTES = 2 ** 20, 2 ** 28  # a run's budget (README)
+MAX_NODE_STEPS, MAX_SNAPSHOT_BYTES = 2 ** 30, 2 ** 28  # a run's budget with MAX_NODES (README)
 
 
 def grid_extent(params: SystemParams, grid: GridConfig) -> float:
@@ -144,7 +145,8 @@ def check_run(params: SystemParams, data: InitialData, grid: GridConfig) -> None
     """Raise ValueError, without building the grid, for a run that cannot start: a
     sphere measure out of float range, an rmax inside the support cone, a
     threshold at or below the initial sup norm eps * max(|u0|, |v0|), or a run
-    over budget."""
+    over budget: its grid nodes, its node-steps (horizon / dt) * nodes, or its
+    snapshot bytes."""
     sphere_area(params.n - 1)
     if grid.rmax is not None and grid.rmax < grid.horizon + params.R + 4 * grid.dr:
         raise ValueError(f"rmax={grid.rmax:g} too small: the support cone reaches "
@@ -154,6 +156,9 @@ def check_run(params: SystemParams, data: InitialData, grid: GridConfig) -> None
     nodes = grid_extent(params, grid) / grid.dr + 1.0  # a float, never an oversized int
     if not nodes <= MAX_NODES:
         raise ValueError(f"{nodes:.4g} grid nodes exceed the budget of {MAX_NODES}")
+    node_steps = grid.horizon / grid.dt * nodes
+    if not node_steps <= MAX_NODE_STEPS:
+        raise ValueError(f"{node_steps:.4g} node-steps exceed the budget of {MAX_NODE_STEPS}")
     shots = 0 if grid.snapshot_every is None else grid.n_steps // grid.snapshot_every + 1
     if shots * 2 * nodes * 8 > MAX_SNAPSHOT_BYTES:
         raise ValueError(f"{shots} snapshots exceed the budget of {MAX_SNAPSHOT_BYTES} bytes")

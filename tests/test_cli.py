@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -284,6 +286,23 @@ class TestKernels:
         with pytest.raises(ConfigError, match="budget"):  # the step ratio overflows to inf
             _prepare("kernels", {**cfg, "lambdas": [1e300], "horizon": 1e300})
 
+    def test_identity_step_boundary(self, tmp_path, capsys):
+        # fundamental_identity_v integrates y2 at the step 1e-4 and needs lambda * step <= 0.1.
+        # The edge is that of its own grids: at lambda = 1000 a horizon of 2 gives steps of
+        # 1e-4 to rounding, while at 0.01 (t = 0.01) one step rounds just past 1e-4
+        cfg = {"n": 3, "orders": [0.5], "t_points": 2, "x_points": 2}
+        code, _ = run_cli(tmp_path, "kernels", {**cfg, "lambdas": [1000.0], "horizon": 2.0},
+                          name="edge")
+        assert code in (0, 1) and "Traceback" not in capsys.readouterr().err
+        assert _prepare("kernels", {**cfg, "lambdas": [999.0], "horizon": 0.01})
+        for lam in (1000.0, 1001.0, 2000.0):
+            code, out = run_cli(tmp_path, "kernels", {**cfg, "lambdas": [lam], "horizon": 0.01},
+                                name=f"lam{lam:g}")
+            err = capsys.readouterr().err
+            assert code == 2 and not any(out.iterdir())
+            assert err.startswith(f"config error: lambda = {lam:g}: the identity check's RK4 "
+                                   "step too large") and err.count("\n") == 1
+
     def test_numpy_false_check_sets_exit_code(self, tmp_path, monkeypatch):
         # the bounds hold, the identity misses: lam_ok is np.False_, not False
         monkeypatch.setattr(auxiliary, "fundamental_identity_v",
@@ -316,6 +335,17 @@ class TestSimulateAndSweep:
         assert (out / "trace.svg").exists()
         assert (out / "run_record.csv").exists()
         assert (out / "summary.txt").read_text().startswith("NOTE run-completed: detection=")
+
+    def test_node_step_budget_boundary(self):
+        # (CFL 1e-9, horizon 1) is an OVER_BUDGET case of the contract tests; this pins the
+        # edge: dt = 0.01, so horizon H takes 100 H steps over 50 H + 76 nodes, and 2^30
+        # node-steps fall between H = 462 and 463
+        cfg = {"n": 1, "p": 2, "q": 2, "dr": 0.02}
+        assert _prepare("simulate", {**cfg, "horizon": 462.0})
+        with pytest.raises(ConfigError, match="node-steps exceed the budget"):
+            _prepare("simulate", {**cfg, "horizon": 463.0})
+        with pytest.raises(ConfigError, match="node-steps exceed the budget"):
+            _prepare("sweep", {**cfg, "horizon": 463.0, "eps_list": [1.0, 0.5, 0.25, 0.125]})
 
     def test_one_damping_block_gives_one_shared_profile(self):
         cfg = {"n": 1, "p": 2, "q": 2, "damping": {"kind": "poly"}}
@@ -484,6 +514,44 @@ class TestExperiments:
         monkeypatch.setattr(*self.FIRST_HEAVY_CALL[command], reached)
         with pytest.raises(Reached):
             main([command, "--config", str(path), "--out", str(tmp_path)])
+
+
+class TestImports:
+    """A command loads the lab modules it runs and no others: kernels and classify
+    neither the solver with its sweep pool nor the iteration frames."""
+
+    SOLVER = {"blowup_lab.simulator", "concurrent.futures.process"}
+    CASES = {  # command: (config, modules it must not load, modules it must load)
+        "classify": ({"n": 2, "p": 2, "q": 2}, SOLVER | {"blowup_lab.iteration"}, set()),
+        "kernels": ({"n": 3, "orders": [0.5], "t_max": 2.0, "t_points": 2, "x_points": 2,
+                     "quad_nodes": 8, "lambdas": [1.0], "horizon": 0.5},
+                    SOLVER | {"blowup_lab.iteration"}, {"blowup_lab.auxiliary"}),
+        "iterate": ({"n": 3, "p": 3, "q": 2, "j_max": 5}, SOLVER, {"blowup_lab.iteration"}),
+        "simulate": ({"n": 1, "p": 2, "q": 2, "dr": 0.1, "horizon": 1.0},
+                     {"blowup_lab.iteration"}, SOLVER),
+        "sweep": ({"n": 1, "p": 2, "q": 2, "dr": 0.1, "horizon": 20.0, "workers": 1,
+                   "eps_list": [1.0, 0.8, 0.6, 0.4]}, {"blowup_lab.iteration"}, SOLVER),
+        "verify": ({"n": 2, "p": 2, "q": 2, "dr": 0.1, "horizon": 2.0},
+                   {"blowup_lab.iteration"}, SOLVER),
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_command_loads_only_what_it_runs(self, tmp_path, command):
+        cfg, absent, present = self.CASES[command]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        src = Path(__file__).resolve().parents[1] / "src"
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        script = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
+                  "from blowup_lab import cli\n"
+                  f"code = cli.main({argv!r})\n"
+                  "print(code, *sorted(sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120, check=True)
+        code, *loaded = proc.stdout.splitlines()[-1].split()
+        assert code == "0", proc.stdout + proc.stderr
+        assert absent.isdisjoint(loaded), sorted(absent.intersection(loaded))
+        assert present | {"blowup_lab.cli"} <= set(loaded)
 
 
 class TestPlotting:

@@ -72,7 +72,8 @@ BY_KEY = {
     "t_max": st.floats(0.0, 4.0),
     "t_points": st.integers(0, 3),
     "x_points": st.integers(0, 3),
-    "lambdas": st.lists(st.floats(0.0, 3.0), max_size=2),
+    # up to past the edge of the identity check's RK4 step, lambda * 1e-4 <= 0.1
+    "lambdas": st.lists(st.floats(0.0, 3.0) | st.floats(900.0, 1100.0), max_size=2),
 }
 BY_CONVERTER = {
     cli._real: numbers,
@@ -153,11 +154,16 @@ PROBES = [
     ("simulate", {"p": 10**400}),
     ("verify", {"window": [50.0, 60.0]}),
     ("kernels", {"horizon": 1e-9}),
+    ("kernels", {"orders": [0.5], "t_points": 2, "x_points": 2, "lambdas": [2000],
+                 "horizon": 0.01}),
+    ("kernels", {"lambdas": [1000.0], "horizon": 0.01}),
 ]
-# runs past the resource budget (grid nodes, snapshot bytes): rejected before any allocation
+# runs past the resource budget (grid nodes, node-steps, snapshot bytes): rejected before
+# any allocation
 OVER_BUDGET = [
     ("simulate", {"dr": 1e-9}),
     ("simulate", {"R": 1e300}),
+    ("simulate", {"CFL": 1e-9, "horizon": 1.0}),
     ("verify", {"horizon": 1000.0, "snapshot_every": 1}),
     ("kernels", {"orders": ["1/2"], "lambdas": [1e10], "horizon": 10.0}),
 ]

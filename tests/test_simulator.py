@@ -354,6 +354,26 @@ class TestInterleavedLayout:
             step(state)
         assert state.functionals()[2] != state.functionals()[3] or linear
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("p,q", [(F(3), F(2)), (F(5, 2), F(3, 2))], ids=["3-2", "2.5-1.5"])
+    @pytest.mark.parametrize("profiles", [(ZERO, ZERO), (POLY, POLY), (ZERO, POLY)],
+                             ids=["zero", "poly", "mixed"])
+    def test_swapping_u_and_v_swaps_every_output(self, n, p, q, profiles):
+        # p <-> q, the u-data <-> the v-data and b1 <-> b2 exchange the components
+        # bit for bit: each strided slot reads its own exponent and its partner's source
+        data = InitialData(1.0, 0.3, 0.5, -0.2)
+        swapped = InitialData(data.v0_amp, data.v1_amp, data.u0_amp, data.u1_amp)
+        grid = GridConfig(dr=0.05, horizon=6.0, snapshot_every=40)
+        a = run_until_blowup(SystemParams(n, p, q, eps=2.0), profiles, data, grid)
+        b = run_until_blowup(SystemParams(n, q, p, eps=2.0), profiles[::-1], swapped, grid)
+        assert (a.record.t_blow, a.record.detection) == (b.record.t_blow, b.record.detection)
+        for x, y in ((a.trace.U, b.trace.V), (a.trace.V, b.trace.U), (a.trace.Nu, b.trace.Nv),
+                     (a.trace.Nv, b.trace.Nu), (a.trace.sup, b.trace.sup), (a.trace.t, b.trace.t)):
+            assert np.array_equal(x, y)
+        assert not np.array_equal(a.trace.U, a.trace.V)  # the two components differ
+        for (ta, ua, va), (tb, ub, vb) in zip(a.snapshots, b.snapshots, strict=True):
+            assert ta == tb and np.array_equal(ua, vb) and np.array_equal(va, ub)
+
 
 class TestStepCalls:
     """The numpy calls of an unsampled step: one contiguous source power when

@@ -352,7 +352,6 @@ class FundamentalReport:
     slack1_min: float
     slack2_min: float
     identity4_residual: float
-    first_violation: int | None
 
     def ok(self, slack_tol: float = -1e-6, id_tol: float = 1e-6) -> bool:
         return (
@@ -382,14 +381,14 @@ IDENTITY_DELTA, IDENTITY_STEP = 5e-4, 1e-4
 
 
 def check_identity_lambda(lam: float, t: float) -> None:
-    """Raise ValueError where fundamental_identity_v(profile, lam, s, t) would
+    """Raise ValueError where fundamental_identity_v(profile, lam, t) would
     on its default steps: at a lambda whose RK4 step breaks _check_grid's rule."""
     for s_start in (t - IDENTITY_DELTA, t - 2.0 * IDENTITY_DELTA):
         _y2_grid(lam, s_start, t, IDENTITY_STEP)
 
 
 def fundamental_identity_v(
-    profile: DampingProfile, lam: float, s: float, t: float, delta: float = IDENTITY_DELTA,
+    profile: DampingProfile, lam: float, t: float, delta: float = IDENTITY_DELTA,
     h: float = IDENTITY_STEP,
 ) -> float:
     """d/ds y2(t, s) at s = t, estimated by a one-sided second-order
@@ -416,8 +415,6 @@ def verify_fundamental_bounds(
     slack2 = (pair.y2 - env2) / scale2
     slack_min1 = float(np.min(slack1))
     slack_min2 = float(np.min(slack2))
-    bad = np.where((slack1 < -1e-6) | (slack2 < -1e-6))[0]
-    first_violation = int(bad[0]) if bad.size else None
 
     # identity (iv) at the final node, with a one-sided difference in s
     t_end = float(pair.t[-1])
@@ -438,5 +435,4 @@ def verify_fundamental_bounds(
         slack1_min=slack_min1,
         slack2_min=slack_min2,
         identity4_residual=float(id4),
-        first_violation=first_violation,
     )

@@ -207,7 +207,6 @@ _GRID = {
     "CFL": (_real, _FIELD),
     "horizon": (_real, _FIELD),
     "threshold": (_real, _FIELD),
-    "rmax": (_real, _FIELD),
     "sample_every": (_int, _FIELD),
     "snapshot_every": (lambda v: None if v is None else _int(v), _FIELD),
     "linear_mode": (_bool, _FIELD),
@@ -455,7 +454,7 @@ def cmd_kernels(out: str, n, lambda0, R, quad_nodes, orders, t_max, t_points, x_
         grid = np.linspace(0.0, horizon, _modal_nodes(lam, horizon))
         pair = auxiliary.solve_fundamental_pair(damping, lam, 0.0, grid)
         rep = auxiliary.verify_fundamental_bounds(pair, damping, lam, 0.0)
-        idv = auxiliary.fundamental_identity_v(damping, lam, 0.0, _identity_time(horizon))
+        idv = auxiliary.fundamental_identity_v(damping, lam, _identity_time(horizon))
         lam_ok = rep.ok() and abs(idv + 1.0) <= 1e-6
         ok = ok and lam_ok
         details.append(f"lam={lam:g}:{'ok' if lam_ok else 'violated'}")
@@ -467,7 +466,7 @@ def cmd_simulate(out: str, params, profiles, data, grid) -> list[Check]:
     from blowup_lab import simulator
     result = simulator.run_until_blowup(params, profiles, data, grid)
     simulator.write_trace_csv(result.trace, os.path.join(out, "trace.csv"))
-    simulator.write_records_csv([result.record], os.path.join(out, "run_record.csv"))
+    simulator.write_records_csv([result.record], grid, os.path.join(out, "run_record.csv"))
     tr = result.trace
     if not (np.isfinite(tr.U).any() or np.isfinite(tr.V).any()):  # e.g. weights past float range
         return [Check("trace-finite", False, "no sample of U or V is finite: nothing to plot")]
@@ -483,7 +482,7 @@ def cmd_sweep(out: str, params, profiles, data, grid, eps_list, slope_rtol,
               workers) -> list[Check]:
     from blowup_lab import simulator
     sweep = simulator.lifespan_sweep(params, profiles, data, grid, eps_list, workers)
-    simulator.write_records_csv(sweep.records, os.path.join(out, "records.csv"))
+    simulator.write_records_csv(sweep.records, grid, os.path.join(out, "records.csv"))
 
     usable = [r for r in sweep.records if r.detection is not simulator.Detection.SURVIVED]
     if len(usable) < 2:

@@ -73,7 +73,6 @@ class GridConfig:
     cfl: float = 0.5
     horizon: float = 10.0
     threshold: float = 1e10
-    rmax: float | None = None
     sample_every: int = 1
     snapshot_every: int | None = None
     linear_mode: bool = False
@@ -81,8 +80,8 @@ class GridConfig:
 
     def __post_init__(self):
         # the cone window takes floor((t + R) / dr): no grid value may be non-finite
-        for name in ("dr", "horizon", "threshold", "rmax"):
-            if not math.isfinite(getattr(self, name) or 0.0):
+        for name in ("dr", "horizon", "threshold"):
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dr <= 0:
             raise ValueError(f"dr must be positive, got {self.dr}")
@@ -116,7 +115,6 @@ class LifespanRecord:
     eps: float
     t_blow: float
     detection: Detection
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -138,19 +136,15 @@ MAX_NODE_STEPS, MAX_SNAPSHOT_BYTES = 2 ** 30, 2 ** 28  # a run's budget with MAX
 
 
 def grid_extent(params: SystemParams, grid: GridConfig) -> float:
-    return grid.rmax if grid.rmax is not None else grid.horizon + params.R + max(0.5, 10 * grid.dr)
+    return grid.horizon + params.R + max(0.5, 10 * grid.dr)
 
 
 def check_run(params: SystemParams, data: InitialData, grid: GridConfig) -> None:
     """Raise ValueError, without building the grid, for a run that cannot start: a
-    sphere measure out of float range, an rmax inside the support cone, a
-    threshold at or below the initial sup norm eps * max(|u0|, |v0|), or a run
-    over budget: its grid nodes, its node-steps (horizon / dt) * nodes, or its
-    snapshot bytes."""
+    sphere measure out of float range, a threshold at or below the initial sup
+    norm eps * max(|u0|, |v0|), or a run over budget: its grid nodes, its
+    node-steps (horizon / dt) * nodes, or its snapshot bytes."""
     sphere_area(params.n - 1)
-    if grid.rmax is not None and grid.rmax < grid.horizon + params.R + 4 * grid.dr:
-        raise ValueError(f"rmax={grid.rmax:g} too small: the support cone reaches "
-                         f"{grid.horizon + params.R:g} by the horizon")
     if max(abs(params.eps * data.u0_amp), abs(params.eps * data.v0_amp)) >= grid.threshold:
         raise ValueError("threshold must exceed the initial sup norm")
     nodes = grid_extent(params, grid) / grid.dr + 1.0  # a float, never an oversized int
@@ -174,8 +168,8 @@ class GridState:
         self.params, self.data, self.grid = params, data, grid
         self.b1, self.b2 = profiles
         n, R, dr = params.n, params.R, grid.dr
-        self.dr, self.dt, self.rmax = dr, grid.dt, grid_extent(params, grid)
-        self.r = np.arange(int(round(self.rmax / dr)) + 1) * dr
+        self.dr, self.dt = dr, grid.dt
+        self.r = np.arange(int(round(grid_extent(params, grid) / dr)) + 1) * dr
         # trapezoid weights against the surface measure |S^(n-1)| r^(n-1) dr
         w = np.full(self.r.size, dr)
         w[0] = w[-1] = 0.5 * dr
@@ -356,11 +350,6 @@ def run_until_blowup(
     state = init_state(params, profiles, data, grid)
     samples = {k: [] for k in ("t", "U", "V", "Nu", "Nv", "sup")}
     snapshots: list[tuple[float, np.ndarray, np.ndarray]] = []
-    meta = {
-        "n": params.n, "p": float(params.p), "q": float(params.q), "R": params.R,
-        "dr": grid.dr, "cfl": grid.cfl, "horizon": grid.horizon,
-        "threshold": grid.threshold,
-    }
 
     detection = Detection.SURVIVED
     t_blow = grid.horizon
@@ -386,7 +375,7 @@ def run_until_blowup(
         step(state)
 
     trace = FunctionalTrace(**{k: np.asarray(v) for k, v in samples.items()})
-    return RunResult(LifespanRecord(params.eps, t_blow, detection, meta), trace, state, snapshots)
+    return RunResult(LifespanRecord(params.eps, t_blow, detection), trace, state, snapshots)
 
 
 # -- identity and inequality verification --
@@ -484,7 +473,7 @@ class CriticalReport:
     """Sampled check of the kernel-weighted integral inequalities and of the
     logarithmic lower bound for the weighted average of the first component.
     log_ratio is weighted_u / log(2t/3) at each checked t (NaN for t <= 1.5);
-    log_ratio_min is its minimum on log_ratio_window."""
+    log_ratio_min is its minimum on the caller's log_window."""
 
     t_checked: np.ndarray
     weighted_u: np.ndarray
@@ -493,7 +482,6 @@ class CriticalReport:
     rhs_v: np.ndarray
     log_ratio: np.ndarray
     log_ratio_min: float
-    log_ratio_window: tuple[float, float]
 
     def bounds_hold(self, rtol: float = 1e-9) -> bool:
         ok_u = np.all(self.weighted_u >= self.rhs_u * (1.0 - rtol) - 1e-12)
@@ -602,7 +590,7 @@ def verify_critical_inequalities(
     with np.errstate(divide="ignore", invalid="ignore"):
         log_ratio = np.where(t_checked > 1.5, lhs_u / np.log(2.0 * t_checked / 3.0), math.nan)
     log_min = float(np.min(log_ratio[in_win])) if np.any(in_win) else math.nan
-    return CriticalReport(t_checked, lhs_u, lhs_v, rhs_u, rhs_v, log_ratio, log_min, (lo, hi))
+    return CriticalReport(t_checked, lhs_u, lhs_v, rhs_u, rhs_v, log_ratio, log_min)
 
 
 # -- lifespan sweeps --
@@ -721,8 +709,8 @@ def write_trace_csv(trace: FunctionalTrace, path) -> None:
               zip(trace.t, trace.U, trace.V, trace.Nu, trace.Nv, trace.sup))
 
 
-def write_records_csv(records: list[LifespanRecord], path) -> None:
-    meta_keys = ("dr", "cfl", "horizon", "threshold")
-    write_csv(path, ("eps", "Tblow", "detection") + meta_keys,
+def write_records_csv(records: list[LifespanRecord], grid: GridConfig, path) -> None:
+    """One row per record, with the grid settings the runs share."""
+    write_csv(path, ("eps", "Tblow", "detection", "dr", "cfl", "horizon", "threshold"),
               ((rec.eps, rec.t_blow, rec.detection.value,
-                *(rec.meta.get(k, "") for k in meta_keys)) for rec in records))
+                grid.dr, grid.cfl, grid.horizon, grid.threshold) for rec in records))

@@ -187,7 +187,7 @@ def test_criterion_5_fundamental_pair():
         tg = np.linspace(0.0, 10.0, int(round(10.0 / h)) + 1)
         p = solve_fundamental_pair(POLY, lam, 0.0, tg)
         rep = verify_fundamental_bounds(p, POLY, lam, 0.0)
-        idv = fundamental_identity_v(POLY, lam, 0.0, 2.0)
+        idv = fundamental_identity_v(POLY, lam, 2.0)
         lam_ok = (rep.slack1_min >= -1e-6 and rep.slack2_min >= -1e-6
                   and rep.identity4_residual <= 1e-6 and abs(idv + 1.0) <= 1e-6)
         details.append(f"lam={lam:g} ok={lam_ok}")

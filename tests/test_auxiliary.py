@@ -247,7 +247,7 @@ class TestFundamentalPair:
             solve_fundamental_pair(DampingProfile.zero(), 5.0, 0.0, np.linspace(0, 1, 11))
 
     def test_identity_v(self):
-        val = fundamental_identity_v(DampingProfile.polynomial_tail(1.0, 2.0), 1.0, 0.0, 2.0)
+        val = fundamental_identity_v(DampingProfile.polynomial_tail(1.0, 2.0), 1.0, 2.0)
         assert abs(val + 1.0) < 1e-6
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])

@@ -50,6 +50,30 @@ class TestConfigValidation:
         code, _ = run_cli(tmp_path, "classify", {"n": 3, "p": 2, "q": 2, "zzz": 1})
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "verify"])
+    def test_rmax_is_an_unknown_key(self, tmp_path, capsys, command):
+        # the grid always reaches past the support cone; there is no rmax to set
+        cfg = {"n": 1, "p": 2, "q": 2, "horizon": 2.0, "rmax": 5.0}
+        if command == "sweep":
+            cfg["eps_list"] = [1.0, 0.8, 0.6, 0.4]
+        code, out = run_cli(tmp_path, command, cfg)
+        err = capsys.readouterr().err
+        assert code == 2 and list(out.iterdir()) == []
+        assert err == f"config error: unknown {command} keys: ['rmax']\n"
+
+    @pytest.mark.parametrize("bad", ["1,x", "1;2", "1", "1,2,3"])
+    def test_damping_table_row_that_is_not_two_numbers(self, tmp_path, capsys, bad):
+        # only the first row may be a header; no other row is skipped
+        table = tmp_path / "b.csv"
+        table.write_text(f"t,b\n0,1\n{bad}\n2,0\n")
+        cfg = {"n": 1, "p": 2, "q": 2, "dr": 0.1, "horizon": 2.0,
+               "damping": {"kind": "tabulated", "csv": str(table)}}
+        code, out = run_cli(tmp_path, "verify", cfg)
+        err = capsys.readouterr().err
+        assert code == 2 and list(out.iterdir()) == []
+        assert err.startswith("config error: damping: ") and err.count("\n") == 1
+        assert "row 3" in err
+
     def test_invalid_exponent_rejected(self, tmp_path):
         code, _ = run_cli(tmp_path, "classify", {"n": 3, "p": 0.5, "q": 2})
         assert code == 2

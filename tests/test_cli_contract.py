@@ -54,7 +54,6 @@ BY_KEY = {
     "CFL": st.sampled_from([0.25, 0.5, 0.6]),
     "horizon": st.floats(0.0, 1.5),
     "threshold": st.sampled_from([0.5, 1.0, 10.0, 1e10]),
-    "rmax": st.floats(0.5, 4.0),
     "sample_every": st.integers(0, 4),
     "snapshot_every": st.none() | st.integers(0, 4),
     "data": st.none() | st.dictionaries(st.sampled_from(["u0", "u1", "v0", "v1"]), in_block,
@@ -98,7 +97,7 @@ def configs(draw):
         cfg[key] = draw({"valid": valid(key, schema[key][0]), "wrong": WRONG_TYPES,
                          "non-finite": NON_FINITE}[kind])
     if draw(st.integers(0, 5)) == 3:  # one example in six has an unknown key
-        cfg[draw(st.sampled_from(["zzz", "Dr", "eps2", "kind"]))] = 1
+        cfg[draw(st.sampled_from(["zzz", "Dr", "eps2", "kind", "rmax"]))] = 1
     return command, cfg
 
 

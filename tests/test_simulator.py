@@ -51,17 +51,13 @@ class TestInit:
         s2 = init_state(params1d(eps=2.0), (ZERO, ZERO), BUMPS, GridConfig(horizon=2.0))
         assert s2.integral(s2.u_init) == 2.0 * s1.integral(s1.u_init)
 
-    def test_rmax_guard(self):
-        with pytest.raises(ValueError):
-            init_state(params1d(), (ZERO, ZERO), BUMPS, GridConfig(horizon=10.0, rmax=3.0))
-
     def test_cfl_guard(self):
         with pytest.raises(ValueError):
             GridConfig(cfl=0.9)
 
     @pytest.mark.parametrize("bad", [
         {"dr": math.nan}, {"horizon": math.inf}, {"threshold": math.inf},
-        {"rmax": math.inf}, {"snapshot_every": 0},
+        {"dr": math.inf}, {"snapshot_every": 0},
     ])
     def test_nonfinite_lengths_and_zero_cadence_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -194,17 +190,19 @@ class TestWindowedStep:
         assert state.m < state.r.size
 
     def test_cone_reaching_rmax(self):
-        # rmax = horizon + R + 4 dr: the window covers the whole grid after
-        # t = horizon + 2 dr, and the boundary node must stay zero
-        grid = GridConfig(dr=0.04, horizon=2.0, rmax=3.16)
+        # the grid ends at rmax = horizon + R + 0.5 = 3.52 (88 dr): the window
+        # covers the whole grid after t = 2.44, and the boundary node must stay zero
+        grid = GridConfig(dr=0.04, horizon=2.0)
         state = self.assert_same_levels(params1d(eps=0.3), (POLY, POLY), grid, 300)
-        assert state.m == state.r.size and state.u[-1] == 0.0
+        assert state.m == state.r.size and state.u[-1] == 0.0 and state.v[-1] == 0.0
 
     def test_cone_not_enforced(self):
         grid = GridConfig(dr=0.04, horizon=8.0, enforce_cone=False)
         params = SystemParams(2, F(3, 2), F(3, 2), R=1.0, eps=0.5)
         state = self.assert_same_levels(params, (ZERO, POLY), grid, 300)
         assert np.any(state.u[state.r > state.t + 1.0 + 0.08] != 0.0)
+        # the window is the whole grid, and the boundary node must stay zero
+        assert state.m == state.r.size and state.u[-1] == 0.0 and state.v[-1] == 0.0
 
     def test_linear_mode(self):
         grid = GridConfig(dr=0.04, horizon=4.0, linear_mode=True)
@@ -698,7 +696,7 @@ class TestSweep:
         eps = [1.0, 0.7, 0.5, 0.35]
         sampled = [run_until_blowup(params1d(eps=e), (ZERO, ZERO), BUMPS, grid).record
                    for e in eps]
-        write_records_csv(sampled, tmp_path / "sampled.csv")
+        write_records_csv(sampled, grid, tmp_path / "sampled.csv")
         integrated_at = []
         integral = simulator.GridState.integral
 
@@ -708,7 +706,7 @@ class TestSweep:
 
         monkeypatch.setattr(simulator.GridState, "integral", counting_integral)
         sweep = lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, grid, eps, workers=1)
-        write_records_csv(sweep.records, tmp_path / "records.csv")
+        write_records_csv(sweep.records, grid, tmp_path / "records.csv")
         assert integrated_at and set(integrated_at) == {0}
         assert (tmp_path / "records.csv").read_bytes() == (tmp_path / "sampled.csv").read_bytes()
 
@@ -730,7 +728,7 @@ class TestSweep:
         for workers in (1, 2):
             sweep = lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, grid, eps, workers=workers)
             assert [r.eps for r in sweep.records] == eps
-            write_records_csv(sweep.records, tmp_path / f"records{workers}.csv")
+            write_records_csv(sweep.records, grid, tmp_path / f"records{workers}.csv")
         assert (tmp_path / "records1.csv").read_bytes() == (tmp_path / "records2.csv").read_bytes()
 
     def test_pool_starts_smallest_eps_first(self, monkeypatch):
@@ -776,10 +774,10 @@ class TestPersistence:
         assert np.array_equal(loaded, res.trace.U)
 
     def test_records_csv(self, tmp_path):
-        rec = LifespanRecord(0.5, 12.25, Detection.THRESHOLD,
-                             {"dr": 0.02, "cfl": 0.5, "horizon": 40.0, "threshold": 1e10})
+        rec = LifespanRecord(0.5, 12.25, Detection.THRESHOLD)
         path = tmp_path / "records.csv"
-        write_records_csv([rec], path)
+        write_records_csv([rec], GridConfig(dr=0.02, cfl=0.5, horizon=40.0), path)
         lines = path.read_text().splitlines()
-        assert lines[0].startswith("eps,Tblow,detection")
+        assert lines[0] == "eps,Tblow,detection,dr,cfl,horizon,threshold"
         assert lines[1].split(",")[2] == "ThresholdCross"
+        assert [float(x) for x in lines[1].split(",")[3:]] == [0.02, 0.5, 40.0, 1e10]

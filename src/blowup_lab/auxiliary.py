@@ -286,65 +286,72 @@ class FundamentalPair:
     s: float
 
 
+#: steps per block of the prefix product, which bounds its passes and
+#: temporaries (chosen by measurement, README)
+_SCAN_BLOCK = 2048
+
+
 def solve_fundamental_pair(
     profile: DampingProfile, lam: float, s: float, t_grid
 ) -> FundamentalPair:
     """Integrate both initial-value problems with classic fourth-order
-    Runge-Kutta along t_grid (starting at s, strictly increasing)."""
-    t_grid = _check_grid(lam, t_grid)
-    if abs(t_grid[0] - s) > 1e-14:
-        raise ValueError("t_grid must start at s")
-    # memoryviews of contiguous float64 arrays hand the loop Python floats
-    # without copies
-    t = memoryview(t_grid)
-    b = _stage_damping(profile, t_grid)
-    out = np.empty((4, t_grid.size))  # rows: y1, dy1, y2, dy2
-    y1, dy1, y2, dy2 = (memoryview(row) for row in out)
-    _rk4_column(1.0, 0.0, lam * lam, t, *b, y1, dy1)
-    _rk4_column(0.0, 1.0, lam * lam, t, *b, y2, dy2)
-    return FundamentalPair(t=t_grid, y1=out[0], dy1=out[1], y2=out[2], dy2=out[3], lam=lam, s=s)
+    Runge-Kutta along t_grid (from s, strictly increasing, lambda h <= 0.1).
 
-
-def _check_grid(lam, t_grid):
-    """t_grid as a contiguous float array, once lambda > 0, the grid is
-    strictly increasing with >= 2 nodes and every step has |lambda| h <= 0.1."""
+    A step is linear in (y, y'): the matrix I + Q_i whose columns are its
+    increments of (1, 0) and (0, 1). The pair at node i is the product of the
+    steps before it, taken as increments, (I + A)(I + B) = I + (A + B + AB),
+    which keeps the low bits of 1 + O(lambda^2 h^2) that a plain product
+    rounds away: doubling passes within blocks of _SCAN_BLOCK steps, each
+    block then taking the product before it."""
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     t_grid = np.ascontiguousarray(t_grid, dtype=float)
-    if t_grid.size < 2 or not np.all(np.diff(t_grid) > 0):
+    h = np.diff(t_grid)
+    if t_grid.size < 2 or not np.all(h > 0):
         raise ValueError("t_grid must be strictly increasing with >= 2 nodes")
-    hmax = float(np.max(np.diff(t_grid)))
-    if abs(lam) * hmax > 0.1:
-        raise ValueError(f"step too large for accuracy: |lambda| h = {abs(lam) * hmax:g} > 0.1")
-    return t_grid
+    if lam * h.max() > 0.1:
+        raise ValueError(f"step too large for accuracy: |lambda| h = {lam * h.max():g} > 0.1")
+    if abs(t_grid[0] - s) > 1e-14:
+        raise ValueError("t_grid must start at s")
+    t0 = t_grid[:-1]
+    steps = [h] + [profile.b(tt) for tt in (t0, t0 + 0.5 * h, t0 + h)]  # b at each stage time
+    e = np.zeros((2, 2, t_grid.size))  # I + e[..., i] = [[y1, y2], [y1', y2']] at node i
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the bounds check
+        for lo in range(1, t_grid.size, _SCAN_BLOCK):
+            blk = e[..., lo:lo + _SCAN_BLOCK]
+            _step_increments(blk, lam * lam, *(a[lo - 1:lo - 1 + _SCAN_BLOCK] for a in steps))
+            d = 1
+            while d < blk.shape[-1]:
+                _compose(blk[..., d:], blk[..., :-d])
+                d *= 2
+            if lo > 1:
+                _compose(blk, e[..., lo - 1:lo])
+    e[0, 0] += 1.0
+    e[1, 1] += 1.0
+    return FundamentalPair(t=t_grid, y1=e[0, 0], dy1=e[1, 0], y2=e[0, 1], dy2=e[1, 1], lam=lam, s=s)
 
 
-def _stage_damping(profile, t_grid):
-    """b at the start, midpoint and end of every step, one call each (in its
-    own function, so the step array is freed before the RK4 loop runs)."""
-    t0, h = t_grid[:-1], np.diff(t_grid)
-    return [memoryview(np.ascontiguousarray(profile.b(tt), dtype=float))
-            for tt in (t0, t0 + 0.5 * h, t0 + h)]
+def _compose(later, earlier):
+    """later <- the increment of (I + later)(I + earlier), 2x2 over axes 0, 1."""
+    prod = np.einsum("ijn,jkn->ikn", later, earlier)
+    prod += earlier
+    later += prod
 
 
-def _rk4_column(y, dy, lam2, t, b_start, b_mid, b_end, y_out, dy_out):
-    """Classic RK4 for (y, y') along the nodes t, given b at each step's
-    start, midpoint and end; writes the trajectory into y_out, dy_out."""
-    y_out[0], dy_out[0] = y, dy
-    for i, (ta, tb, ba, bm, bb) in enumerate(zip(t[:-1], t[1:], b_start, b_mid, b_end), 1):
-        h = tb - ta
-        half = 0.5 * h
-        k1y, k1d = dy, lam2 * y - ba * dy
+def _step_increments(q, lam2, h, b_start, b_mid, b_end):
+    """Write into q[:, j] each step's classic RK4 increment of (y, y') from
+    (1, 0) for j = 0 and from (0, 1) for j = 1."""
+    half, sixth = 0.5 * h, h / 6.0
+    for j, (y, dy) in enumerate(((1.0, 0.0), (0.0, 1.0))):
+        k1y, k1d = dy, lam2 * y - b_start * dy
         y2, d2 = y + half * k1y, dy + half * k1d
-        k2y, k2d = d2, lam2 * y2 - bm * d2
+        k2y, k2d = d2, lam2 * y2 - b_mid * d2
         y3, d3 = y + half * k2y, dy + half * k2d
-        k3y, k3d = d3, lam2 * y3 - bm * d3
+        k3y, k3d = d3, lam2 * y3 - b_mid * d3
         y4, d4 = y + h * k3y, dy + h * k3d
-        k4y, k4d = d4, lam2 * y4 - bb * d4
-        sixth = h / 6.0
-        y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        dy = dy + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-        y_out[i], dy_out[i] = y, dy
+        k4y, k4d = d4, lam2 * y4 - b_end * d4
+        q[0, j] = sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        q[1, j] = sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
 
 
 @dataclass(frozen=True)
@@ -361,64 +368,51 @@ class FundamentalReport:
         )
 
 
-def _y2_grid(lam, s_start, t_end, h):
-    """The checked grid from s_start to t_end, step about h, of _resolve_y2_at."""
-    nodes = max(2, int(round((t_end - s_start) / h)) + 1)
-    return _check_grid(lam, np.linspace(s_start, t_end, nodes))
-
-
-def _resolve_y2_at(profile, lam, s_start, t_end, h):
-    """y2(t_end) of the pair started at s_start: the y2 column alone."""
-    grid = _y2_grid(lam, s_start, t_end, h)
-    out = np.empty((2, grid.size))
-    _rk4_column(0.0, 1.0, lam * lam, memoryview(grid), *_stage_damping(profile, grid),
-                *(memoryview(row) for row in out))
-    return out[0, -1]
-
-
-#: fundamental_identity_v's difference step in s and its RK4 step
+#: the identity checks' difference step in s (scaled by min(1, 1/lambda), so
+#: its O((lambda delta)^2) error stays put) and their re-solves' RK4 step
 IDENTITY_DELTA, IDENTITY_STEP = 5e-4, 1e-4
 
 
-def check_identity_lambda(lam: float, t: float) -> None:
-    """Raise ValueError where fundamental_identity_v(profile, lam, t) would
-    on its default steps: at a lambda whose RK4 step breaks _check_grid's rule."""
-    for s_start in (t - IDENTITY_DELTA, t - 2.0 * IDENTITY_DELTA):
-        _y2_grid(lam, s_start, t, IDENTITY_STEP)
+def _identity_delta(lam):
+    return IDENTITY_DELTA * min(1.0, 1.0 / lam)
 
 
-def fundamental_identity_v(
-    profile: DampingProfile, lam: float, t: float, delta: float = IDENTITY_DELTA,
-    h: float = IDENTITY_STEP,
-) -> float:
+def _resolve_y2_at(profile, lam, s_start, t_end, h):
+    """y2(t_end) of the pair started at s_start, on nodes about h apart."""
+    nodes = max(2, int(round((t_end - s_start) / h)) + 1)
+    return solve_fundamental_pair(profile, lam, s_start, np.linspace(s_start, t_end, nodes)).y2[-1]
+
+
+def fundamental_identity_v(profile: DampingProfile, lam: float, t: float) -> float:
     """d/ds y2(t, s) at s = t, estimated by a one-sided second-order
     difference; the exact value is -1."""
-    f1 = _resolve_y2_at(profile, lam, t - delta, t, h)
-    f2 = _resolve_y2_at(profile, lam, t - 2.0 * delta, t, h)
+    delta = _identity_delta(lam)
+    f1 = _resolve_y2_at(profile, lam, t - delta, t, IDENTITY_STEP)
+    f2 = _resolve_y2_at(profile, lam, t - 2.0 * delta, t, IDENTITY_STEP)
     return (-4.0 * f1 + f2) / (2.0 * delta)
 
 
+def _slack_min(y, env):
+    return float(np.min((y - env) / np.maximum(np.abs(env), 1.0)))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow reads as a violation
 def verify_fundamental_bounds(
     pair: FundamentalPair, profile: DampingProfile, lam: float, s: float,
-    delta: float = IDENTITY_DELTA,
 ) -> FundamentalReport:
     """Node-wise check of the exponential lower bounds
     y1 >= e^(-l1) cosh(lambda (t-s)) and y2 >= e^(-2 l1) sinh(lambda (t-s))/lambda,
     plus the boundary identity y1(t,0) = b(0) y2(t,0) - d/ds y2(t,0)."""
     tau = pair.t - s
     l1 = profile.l1
-    env1 = math.exp(-l1) * np.cosh(lam * tau)
-    env2 = math.exp(-2.0 * l1) * tau * sinhc(lam * tau)
-    scale1 = np.maximum(np.abs(env1), 1.0)
-    scale2 = np.maximum(np.abs(env2), 1.0)
-    slack1 = (pair.y1 - env1) / scale1
-    slack2 = (pair.y2 - env2) / scale2
-    slack_min1 = float(np.min(slack1))
-    slack_min2 = float(np.min(slack2))
+    slack_min1 = _slack_min(pair.y1, math.exp(-l1) * np.cosh(lam * tau))
+    slack_min2 = _slack_min(pair.y2, math.exp(-2.0 * l1) * tau * sinhc(lam * tau))
+    del tau  # the re-solves below need the memory
 
     # identity (iv) at the final node, with a one-sided difference in s
     t_end = float(pair.t[-1])
     h = float(np.max(np.diff(pair.t)))
+    delta = _identity_delta(lam)
     if s == 0.0 and t_end <= 2.0 * delta:
         id4 = math.nan  # too short for the one-sided difference in s
     elif s == 0.0:

@@ -324,10 +324,6 @@ def _require_kernels(n, lambda0, R, quad_nodes, orders, lambdas, horizon, **_):
         if _modal_nodes(lam, horizon) > auxiliary.MAX_NODES:
             raise ValueError(f"lambda = {lam:g}, horizon = {horizon:g}: the modal grid "
                              f"exceeds the budget of {auxiliary.MAX_NODES} nodes")
-        try:
-            auxiliary.check_identity_lambda(lam, _identity_time(horizon))
-        except ValueError as exc:
-            raise ValueError(f"lambda = {lam:g}: the identity check's RK4 {exc}") from None
 
 
 def _require_run(params, profiles, data, grid, eps_list=None, critical=False, lambda0=None,

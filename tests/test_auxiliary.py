@@ -270,10 +270,19 @@ class TestFundamentalPair:
         assert abs(report.slack1_min) < 1e-10
         assert abs(report.slack2_min) < 1e-10
 
-    @pytest.mark.parametrize("name,rtol", [("zero", 0.0), ("poly", 1e-13), ("tabulated", 0.0)])
+    def test_undamped_small_lambda_precision(self):
+        # the prefix product keeps the low bits of 1 + O(lambda^2 h^2): 2.3e-15 here, where
+        # stepping the state gives 5.9e-15 and a plain product of the step matrices 1.2e-13
+        lam, grid = 0.5, np.arange(0.0, 10.0 + 1e-9, 1e-3)
+        pair = solve_fundamental_pair(DampingProfile.zero(), lam, 0.0, grid)
+        y2 = np.sinh(lam * grid) / lam
+        assert np.max(np.abs(pair.y1 / np.cosh(lam * grid) - 1.0)) <= 3e-14
+        assert np.max(np.abs(pair.y2[1:] / y2[1:] - 1.0)) <= 3e-14
+
+    @pytest.mark.parametrize("name,rtol", [("zero", 1e-13), ("poly", 1e-13), ("tabulated", 1e-13)])
     def test_matches_numpy_reference_loop(self, name, rtol):
-        # the vectorized pow in DampingProfile.b may differ from the scalar one
-        # by 1 ULP, so poly damping agrees to rounding rather than bit for bit
+        # the prefix product rounds in another order than stepping the state: at most
+        # 3.1e-15 apart here
         rng = np.random.default_rng(7)
         prof = {"zero": DampingProfile.zero(),
                 "poly": DampingProfile.polynomial_tail(0.7, 1.3),
@@ -288,27 +297,68 @@ class TestFundamentalPair:
                           (pair.y2, ref[:, 0, 1]), (pair.dy2, ref[:, 1, 1])):
             np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
 
+    @pytest.mark.parametrize("extra", [0, 1, auxiliary._SCAN_BLOCK + 1])
+    def test_block_boundaries_match_reference_loop(self, extra):
+        # one block of steps, one more step, and two blocks plus one: the product of
+        # each block carries into the next
+        rng = np.random.default_rng(extra)
+        prof = DampingProfile.polynomial_tail(0.7, 1.3)
+        steps = rng.uniform(0.3, 1.0, auxiliary._SCAN_BLOCK + extra) * 1e-3
+        grid = 1.0 + np.concatenate([[0.0], np.cumsum(steps)])
+        pair = solve_fundamental_pair(prof, 1.7, 1.0, grid)
+        ref = _reference_rk4(prof, 1.7, grid)
+        for got, want in ((pair.y1, ref[:, 0, 0]), (pair.dy1, ref[:, 1, 0]),
+                          (pair.y2, ref[:, 0, 1]), (pair.dy2, ref[:, 1, 1])):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
     @pytest.mark.parametrize("name", ["zero", "poly", "tabulated"])
     def test_resolve_integrates_y2_alone(self, name, monkeypatch):
-        # a re-solve of y2(t, s) runs the y2 column from (0, 1) alone, on the
-        # grid solve_fundamental_pair would get, with the same grid checks
+        # every re-solve of y2(t, s) is a call of the public solve, so a wrapper of it
+        # sees every RK4 step: 2 per identity (iv) at s = 0, 2 per identity (v)
         prof = {"zero": DampingProfile.zero(),
                 "poly": DampingProfile.polynomial_tail(0.7, 1.3),
                 "tabulated": DampingProfile.tabulated([0.0, 1.0, 4.0], [1.5, 0.2, 0.6])}[name]
-        want = solve_fundamental_pair(prof, 1.3, 0.5, np.linspace(0.5, 3.0, 2501)).y2[-1]
-        columns = []
-        original = auxiliary._rk4_column
+        lam, delta = 1.3, auxiliary.IDENTITY_DELTA * (1.0 / 1.3)  # the step at lambda > 1
+        pair = solve_fundamental_pair(prof, lam, 0.0, np.linspace(0.0, 3.0, 3001))
+        starts = []
+        original = auxiliary.solve_fundamental_pair
 
-        def counting_column(y, dy, *args):
-            columns.append((y, dy))
-            return original(y, dy, *args)
+        def counting_solve(profile, lam, s, t_grid):
+            starts.append(s)
+            return original(profile, lam, s, t_grid)
 
-        monkeypatch.setattr(auxiliary, "_rk4_column", counting_column)
-        got = auxiliary._resolve_y2_at(prof, 1.3, 0.5, 3.0, 1e-3)
-        assert columns == [(0.0, 1.0)] and got.tobytes() == want.tobytes()
-        for lam, h in ((0.0, 1e-3), (-1.0, 1e-3), (200.0, 1e-3)):
+        monkeypatch.setattr(auxiliary, "solve_fundamental_pair", counting_solve)
+        verify_fundamental_bounds(pair, prof, lam, 0.0)
+        assert starts == [delta, 2.0 * delta]
+        fundamental_identity_v(prof, lam, 2.0)
+        assert starts[2:] == [2.0 - delta, 2.0 - 2.0 * delta]
+        want = original(prof, lam, 0.5, np.linspace(0.5, 3.0, 2501)).y2[-1]
+        assert auxiliary._resolve_y2_at(prof, lam, 0.5, 3.0, 1e-3).tobytes() == want.tobytes()
+        for bad_lam, h in ((0.0, 1e-3), (-1.0, 1e-3), (200.0, 1e-3)):
             with pytest.raises(ValueError):
-                auxiliary._resolve_y2_at(prof, lam, 0.5, 3.0, h)
+                auxiliary._resolve_y2_at(prof, bad_lam, 0.5, 3.0, h)
+
+    @pytest.mark.parametrize("lam", [5.0, 40.0])
+    def test_identities_hold_at_larger_lambda(self, lam):
+        # the difference step in s shrinks like 1/lambda; a fixed 5e-4 missed -1 by 2.1e-6
+        # at lambda = 5 and by 1.3e-4 at lambda = 40
+        prof = DampingProfile.polynomial_tail(1.0, 2.0)
+        assert abs(fundamental_identity_v(prof, lam, 2.0) + 1.0) <= 1e-6
+        grid = np.linspace(0.0, 2.0, 2001)
+        report = verify_fundamental_bounds(solve_fundamental_pair(prof, lam, 0.0, grid),
+                                           prof, lam, 0.0)
+        assert report.identity4_residual <= 1e-6 and report.ok()
+
+    def test_overflow_is_a_quiet_violation(self):
+        # at lambda = 400 the pair passes float range before t = 2
+        prof = DampingProfile.polynomial_tail(1.0, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pair = solve_fundamental_pair(prof, 400.0, 0.0, np.linspace(0.0, 2.0, 16001))
+            report = verify_fundamental_bounds(pair, prof, 400.0, 0.0)
+            idv = fundamental_identity_v(prof, 400.0, 2.0)
+        assert not np.isfinite(pair.y1[-1]) and not report.ok()
+        assert abs(idv + 1.0) <= 1e-6
 
     def test_damping_evaluated_per_solve_not_per_step(self):
         prof = _CountingDamping(DampingProfile.polynomial_tail(1.0, 2.0))

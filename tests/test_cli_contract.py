@@ -153,6 +153,9 @@ PROBES = [
     ("simulate", {"p": 10**400}),
     ("verify", {"window": [50.0, 60.0]}),
     ("kernels", {"horizon": 1e-9}),
+]
+# configs that must run: exit 0, or exit 1 with a failing CHECK line
+RUNS = [
     ("kernels", {"orders": [0.5], "t_points": 2, "x_points": 2, "lambdas": [2000],
                  "horizon": 0.01}),
     ("kernels", {"lambdas": [1000.0], "horizon": 0.01}),
@@ -179,7 +182,7 @@ def with_base(probes):
 
 @settings(max_examples=100, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
-@with_base(PROBES + OVER_BUDGET)
+@with_base(PROBES + RUNS + OVER_BUDGET)
 @given(case=configs())
 def test_every_config_ends_in_one_of_three_ways(case, monkeypatch):
     monkeypatch.setenv("BLOWUP_LAB_THREADS", "1")
@@ -193,6 +196,12 @@ def test_every_config_ends_in_one_of_three_ways(case, monkeypatch):
         assert left == []
     else:
         assert code == 0, (code, stderr)
+
+
+def test_configs_that_must_run_run():
+    for command, extra in RUNS:
+        code, _, stderr, _ = run(command, {**BASE[command], **extra})
+        assert code in (0, 1) and "Traceback" not in stderr, (command, extra, code, stderr)
 
 
 def test_runs_over_the_resource_budget_are_config_errors():

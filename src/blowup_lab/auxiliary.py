@@ -190,66 +190,37 @@ def check_kernel_config(cfg: KernelConfig, n: int) -> None:
                          f"got {cfg.order}")
 
 
-def fit_kernel_bounds(
-    cfg: KernelConfig,
-    n: int,
-    t_grid,
-    s_grid=None,
-    x_points: int = 9,
-) -> KernelBoundFit:
-    """Fit (A0, B0, B1, B2) over sampled grids.
+def fit_kernel_bounds(cfg: KernelConfig, n: int, t_grid, x_points: int = 9) -> KernelBoundFit:
+    """Fit (A0, B0, B1, B2) over a sampled t-grid, which is also the s-grid.
 
     A0 = min xi(t, x) and B0 = min eta(t, 0, x) <t> over t-grid and |x| <= R;
     B1 = min eta(t, s, x) <t> <s>^r over t > s and |x| <= s + R;
     B2 = max eta(t, t, x) <t>^((n-1)/2) <t-|x|>^(r-(n-3)/2) over |x| <= t + R.
-    The B2 fit requires r > (n-3)/2.
+    The B2 fit requires r > (n-3)/2. A constant with no sample is NaN.
     """
     check_kernel_config(cfg, n)
     r = cfg.order
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    s_grid = t_grid if s_grid is None else np.atleast_1d(np.asarray(s_grid, dtype=float))
 
-    a0 = b0 = b1 = b2_ratio = None
-    x_in_R = np.linspace(0.0, cfg.R, x_points)
-    quad_R = KernelQuadrature(cfg, n, x_in_R)
-    for t in t_grid:
-        a0_here = np.min(quad_R.xi(t))
-        b0_here = np.min(quad_R.eta(t, 0.0)) * bracket(t)
-        a0 = a0_here if a0 is None else min(a0, a0_here)
-        b0 = b0_here if b0 is None else min(b0, b0_here)
+    quad_R = KernelQuadrature(cfg, n, np.linspace(0.0, cfg.R, x_points))
+    a0 = min((np.min(quad_R.xi(t)) for t in t_grid), default=math.nan)
+    b0 = min((np.min(quad_R.eta(t, 0.0)) * bracket(t) for t in t_grid), default=math.nan)
 
-    for s in s_grid:
-        xs = np.linspace(0.0, s + cfg.R, x_points)
-        quad_s = KernelQuadrature(cfg, n, xs)
-        for t in t_grid:
-            if t <= s:
-                continue
-            vals = quad_s.eta(t, s) * bracket(t) * bracket(s) ** r
-            m = np.min(vals)
-            b1 = m if b1 is None else min(b1, m)
+    quads_s = (KernelQuadrature(cfg, n, np.linspace(0.0, s + cfg.R, x_points)) for s in t_grid)
+    b1 = min((np.min(quad_s.eta(t, s) * bracket(t) * bracket(s) ** r)
+              for s, quad_s in zip(t_grid, quads_s) for t in t_grid if not t <= s),
+             default=math.nan)
 
-    for t in t_grid:
-        if t <= 0:
-            continue
-        xs = np.linspace(0.0, t + cfg.R, x_points)
-        quad_t = KernelQuadrature(cfg, n, xs)
-        vals = quad_t.eta(t, t) * bracket(t) ** ((n - 1) / 2.0) * bracket(t - xs) ** (r - (n - 3) / 2.0)
-        m = np.max(vals)
-        b2_ratio = m if b2_ratio is None else max(b2_ratio, m)
-
+    slices_t = ((t, np.linspace(0.0, t + cfg.R, x_points)) for t in t_grid if not t <= 0)
+    b2 = max((np.max(KernelQuadrature(cfg, n, xs).eta(t, t) * bracket(t) ** ((n - 1) / 2.0)
+                     * bracket(t - xs) ** (r - (n - 3) / 2.0)) for t, xs in slices_t),
+             default=math.nan)
     spec = (
         f"t in [{t_grid.min():g},{t_grid.max():g}]x{t_grid.size}, "
-        f"s in [{s_grid.min():g},{s_grid.max():g}]x{s_grid.size}, "
+        f"s in [{t_grid.min():g},{t_grid.max():g}]x{t_grid.size}, "
         f"{x_points} radii per slice, lambda0={cfg.lambda0:g}, r={r:g}"
     )
-    fill = math.nan
-    return KernelBoundFit(
-        a0=float(a0) if a0 is not None else fill,
-        b0=float(b0) if b0 is not None else fill,
-        b1=float(b1) if b1 is not None else fill,
-        b2=float(b2_ratio) if b2_ratio is not None else fill,
-        grid_spec=spec,
-    )
+    return KernelBoundFit(a0=float(a0), b0=float(b0), b1=float(b1), b2=float(b2), grid_spec=spec)
 
 
 def critical_kernel_orders(n: int, p: float, q: float) -> tuple[float, float]:
@@ -354,27 +325,24 @@ def _step_increments(q, lam2, h, b_start, b_mid, b_end):
         q[1, j] = sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
 
 
+#: the modal checks' one tolerance: relative bound slacks >= -tol, identity residuals <= tol
+IDENTITY_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class FundamentalReport:
     slack1_min: float
     slack2_min: float
     identity4_residual: float
 
-    def ok(self, slack_tol: float = -1e-6, id_tol: float = 1e-6) -> bool:
-        return (
-            self.slack1_min >= slack_tol
-            and self.slack2_min >= slack_tol
-            and self.identity4_residual <= id_tol
-        )
+    def ok(self) -> bool:
+        return (self.slack1_min >= -IDENTITY_TOL and self.slack2_min >= -IDENTITY_TOL
+                and self.identity4_residual <= IDENTITY_TOL)
 
 
 #: the identity checks' difference step in s (scaled by min(1, 1/lambda), so
-#: its O((lambda delta)^2) error stays put) and their re-solves' RK4 step
+#: its O((lambda delta)^2) error stays put) and the (v) re-solves' RK4 step
 IDENTITY_DELTA, IDENTITY_STEP = 5e-4, 1e-4
-
-
-def _identity_delta(lam):
-    return IDENTITY_DELTA * min(1.0, 1.0 / lam)
 
 
 def _resolve_y2_at(profile, lam, s_start, t_end, h):
@@ -383,13 +351,24 @@ def _resolve_y2_at(profile, lam, s_start, t_end, h):
     return solve_fundamental_pair(profile, lam, s_start, np.linspace(s_start, t_end, nodes)).y2[-1]
 
 
+def _identity_residual(profile, lam, s, t, y1, y2, h):
+    """Relative residual of the boundary identity y1(t, s) = b(s) y2(t, s) - d/ds y2(t, s):
+    d/ds y2 by a one-sided second-order difference of step d, forward (d > 0) from s < t and
+    back (d < 0) from s = t, y2 re-solved on steps about h; NaN if s + 2d leaves [0, t)."""
+    d = IDENTITY_DELTA * min(1.0, 1.0 / lam) * (1.0 if s < t else -1.0)
+    if not 0.0 <= s + 2.0 * d < t:
+        return math.nan
+    y2_d = _resolve_y2_at(profile, lam, s + d, t, h)
+    y2_2d = _resolve_y2_at(profile, lam, s + 2.0 * d, t, h)
+    ds_y2 = (-3.0 * y2 + 4.0 * y2_d - y2_2d) / (2.0 * d)
+    rhs = profile.b(s) * y2 - ds_y2
+    return float(abs(y1 - rhs) / max(abs(y1), 1.0))
+
+
 def fundamental_identity_v(profile: DampingProfile, lam: float, t: float) -> float:
-    """d/ds y2(t, s) at s = t, estimated by a one-sided second-order
-    difference; the exact value is -1."""
-    delta = _identity_delta(lam)
-    f1 = _resolve_y2_at(profile, lam, t - delta, t, IDENTITY_STEP)
-    f2 = _resolve_y2_at(profile, lam, t - 2.0 * delta, t, IDENTITY_STEP)
-    return (-4.0 * f1 + f2) / (2.0 * delta)
+    """Residual of item (v), d/ds y2(t, s) = -1 at s = t: the boundary identity
+    where y1 = 1 and y2 = 0."""
+    return _identity_residual(profile, lam, t, t, 1.0, 0.0, IDENTITY_STEP)
 
 
 def _slack_min(y, env):
@@ -397,36 +376,15 @@ def _slack_min(y, env):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow reads as a violation
-def verify_fundamental_bounds(
-    pair: FundamentalPair, profile: DampingProfile, lam: float, s: float,
-) -> FundamentalReport:
+def verify_fundamental_bounds(pair: FundamentalPair, profile: DampingProfile) -> FundamentalReport:
     """Node-wise check of the exponential lower bounds
     y1 >= e^(-l1) cosh(lambda (t-s)) and y2 >= e^(-2 l1) sinh(lambda (t-s))/lambda,
-    plus the boundary identity y1(t,0) = b(0) y2(t,0) - d/ds y2(t,0)."""
-    tau = pair.t - s
+    plus item (iv), the boundary identity at the last node and the pair's start s."""
+    tau = pair.t - pair.s
     l1 = profile.l1
-    slack_min1 = _slack_min(pair.y1, math.exp(-l1) * np.cosh(lam * tau))
-    slack_min2 = _slack_min(pair.y2, math.exp(-2.0 * l1) * tau * sinhc(lam * tau))
+    slack_min1 = _slack_min(pair.y1, math.exp(-l1) * np.cosh(pair.lam * tau))
+    slack_min2 = _slack_min(pair.y2, math.exp(-2.0 * l1) * tau * sinhc(pair.lam * tau))
     del tau  # the re-solves below need the memory
-
-    # identity (iv) at the final node, with a one-sided difference in s
-    t_end = float(pair.t[-1])
-    h = float(np.max(np.diff(pair.t)))
-    delta = _identity_delta(lam)
-    if s == 0.0 and t_end <= 2.0 * delta:
-        id4 = math.nan  # too short for the one-sided difference in s
-    elif s == 0.0:
-        y2_0 = pair.y2[-1]
-        y2_d = _resolve_y2_at(profile, lam, delta, t_end, h)
-        y2_2d = _resolve_y2_at(profile, lam, 2.0 * delta, t_end, h)
-        ds_y2 = (-3.0 * y2_0 + 4.0 * y2_d - y2_2d) / (2.0 * delta)
-        lhs = pair.y1[-1]
-        rhs = profile.b(0.0) * y2_0 - ds_y2
-        id4 = abs(lhs - rhs) / max(abs(lhs), 1.0)
-    else:
-        id4 = 0.0
-    return FundamentalReport(
-        slack1_min=slack_min1,
-        slack2_min=slack_min2,
-        identity4_residual=float(id4),
-    )
+    id4 = _identity_residual(profile, pair.lam, pair.s, float(pair.t[-1]), pair.y1[-1],
+                             pair.y2[-1], float(np.max(np.diff(pair.t))))
+    return FundamentalReport(slack1_min=slack_min1, slack2_min=slack_min2, identity4_residual=id4)

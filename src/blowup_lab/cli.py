@@ -312,11 +312,6 @@ def _modal_nodes(lam: float, horizon: float) -> int:
     return max(1, round(min(steps, auxiliary.MAX_NODES))) + 1
 
 
-def _identity_time(horizon: float) -> float:
-    """The time t at which kernels checks d/ds y2(t, s) = -1 at s = t."""
-    return min(2.0, horizon)
-
-
 def _require_kernels(n, lambda0, R, quad_nodes, orders, lambdas, horizon, **_):
     for r in orders:
         auxiliary.check_kernel_config(auxiliary.KernelConfig(lambda0, R, r, quad_nodes), n)
@@ -449,9 +444,9 @@ def cmd_kernels(out: str, n, lambda0, R, quad_nodes, orders, t_max, t_points, x_
     for lam in lambdas:
         grid = np.linspace(0.0, horizon, _modal_nodes(lam, horizon))
         pair = auxiliary.solve_fundamental_pair(damping, lam, 0.0, grid)
-        rep = auxiliary.verify_fundamental_bounds(pair, damping, lam, 0.0)
-        idv = auxiliary.fundamental_identity_v(damping, lam, _identity_time(horizon))
-        lam_ok = rep.ok() and abs(idv + 1.0) <= 1e-6
+        rep = auxiliary.verify_fundamental_bounds(pair, damping)
+        idv = auxiliary.fundamental_identity_v(damping, lam, min(2.0, horizon))  # item (v)
+        lam_ok = rep.ok() and idv <= auxiliary.IDENTITY_TOL
         ok = ok and lam_ok
         details.append(f"lam={lam:g}:{'ok' if lam_ok else 'violated'}")
     checks.append(Check("fundamental-pair-bounds", ok, " ".join(details)))

@@ -247,8 +247,9 @@ class TestFundamentalPair:
             solve_fundamental_pair(DampingProfile.zero(), 5.0, 0.0, np.linspace(0, 1, 11))
 
     def test_identity_v(self):
+        # d/ds y2(t, s) = -1 at s = t: the residual is |d/ds y2 + 1|
         val = fundamental_identity_v(DampingProfile.polynomial_tail(1.0, 2.0), 1.0, 2.0)
-        assert abs(val + 1.0) < 1e-6
+        assert val < 1e-6
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     def test_bounds_and_identity_iv(self, lam):
@@ -256,7 +257,7 @@ class TestFundamentalPair:
         h = min(1e-3, 0.05 / lam)
         grid = np.linspace(0.0, 10.0, int(round(10.0 / h)) + 1)
         pair = solve_fundamental_pair(prof, lam, 0.0, grid)
-        report = verify_fundamental_bounds(pair, prof, lam, 0.0)
+        report = verify_fundamental_bounds(pair, prof)
         assert report.slack1_min >= -1e-6
         assert report.slack2_min >= -1e-6
         assert report.identity4_residual <= 1e-6
@@ -265,7 +266,7 @@ class TestFundamentalPair:
     def test_zero_damping_bounds_tight(self):
         grid = np.arange(0.0, 5.0 + 1e-9, 1e-3)
         pair = solve_fundamental_pair(DampingProfile.zero(), 1.0, 0.0, grid)
-        report = verify_fundamental_bounds(pair, DampingProfile.zero(), 1.0, 0.0)
+        report = verify_fundamental_bounds(pair, DampingProfile.zero())
         # with no damping the envelopes are the exact solutions
         assert abs(report.slack1_min) < 1e-10
         assert abs(report.slack2_min) < 1e-10
@@ -314,7 +315,7 @@ class TestFundamentalPair:
     @pytest.mark.parametrize("name", ["zero", "poly", "tabulated"])
     def test_resolve_integrates_y2_alone(self, name, monkeypatch):
         # every re-solve of y2(t, s) is a call of the public solve, so a wrapper of it
-        # sees every RK4 step: 2 per identity (iv) at s = 0, 2 per identity (v)
+        # sees every RK4 step: 2 per identity (iv), 2 per identity (v)
         prof = {"zero": DampingProfile.zero(),
                 "poly": DampingProfile.polynomial_tail(0.7, 1.3),
                 "tabulated": DampingProfile.tabulated([0.0, 1.0, 4.0], [1.5, 0.2, 0.6])}[name]
@@ -328,7 +329,7 @@ class TestFundamentalPair:
             return original(profile, lam, s, t_grid)
 
         monkeypatch.setattr(auxiliary, "solve_fundamental_pair", counting_solve)
-        verify_fundamental_bounds(pair, prof, lam, 0.0)
+        verify_fundamental_bounds(pair, prof)
         assert starts == [delta, 2.0 * delta]
         fundamental_identity_v(prof, lam, 2.0)
         assert starts[2:] == [2.0 - delta, 2.0 - 2.0 * delta]
@@ -343,11 +344,33 @@ class TestFundamentalPair:
         # the difference step in s shrinks like 1/lambda; a fixed 5e-4 missed -1 by 2.1e-6
         # at lambda = 5 and by 1.3e-4 at lambda = 40
         prof = DampingProfile.polynomial_tail(1.0, 2.0)
-        assert abs(fundamental_identity_v(prof, lam, 2.0) + 1.0) <= 1e-6
+        assert fundamental_identity_v(prof, lam, 2.0) <= 1e-6
         grid = np.linspace(0.0, 2.0, 2001)
-        report = verify_fundamental_bounds(solve_fundamental_pair(prof, lam, 0.0, grid),
-                                           prof, lam, 0.0)
+        report = verify_fundamental_bounds(solve_fundamental_pair(prof, lam, 0.0, grid), prof)
         assert report.identity4_residual <= 1e-6 and report.ok()
+
+    def test_identity_iv_at_a_later_start(self):
+        # the pair from s = 2 checks y1(t, 2) = b(2) y2(t, 2) - d/ds y2(t, 2) at t = 6: 5.0e-8
+        # with its own damping, 333 against the undamped re-solves
+        poly = DampingProfile.polynomial_tail(1.0, 2.0)
+        pair = solve_fundamental_pair(poly, 1.0, 2.0, np.linspace(2.0, 6.0, 4001))
+        assert verify_fundamental_bounds(pair, poly).identity4_residual <= auxiliary.IDENTITY_TOL
+        zero = verify_fundamental_bounds(pair, DampingProfile.zero())
+        assert zero.identity4_residual > auxiliary.IDENTITY_TOL and not zero.ok()
+
+    def test_identity_v_before_its_stencil_fits(self, monkeypatch):
+        # at t = 7e-4 < 2 delta the back stencil t - 2 delta < 0 leaves the domain of b:
+        # the residual is NaN, as identity (iv) is there, and no re-solve starts below 0
+        starts = []
+        original = auxiliary.solve_fundamental_pair
+
+        def counting_solve(profile, lam, s, t_grid):
+            starts.append(s)
+            return original(profile, lam, s, t_grid)
+
+        monkeypatch.setattr(auxiliary, "solve_fundamental_pair", counting_solve)
+        assert math.isnan(fundamental_identity_v(DampingProfile.polynomial_tail(1.0, 2.0), 1.0, 7e-4))
+        assert all(s >= 0.0 for s in starts)
 
     def test_overflow_is_a_quiet_violation(self):
         # at lambda = 400 the pair passes float range before t = 2
@@ -355,16 +378,16 @@ class TestFundamentalPair:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             pair = solve_fundamental_pair(prof, 400.0, 0.0, np.linspace(0.0, 2.0, 16001))
-            report = verify_fundamental_bounds(pair, prof, 400.0, 0.0)
+            report = verify_fundamental_bounds(pair, prof)
             idv = fundamental_identity_v(prof, 400.0, 2.0)
         assert not np.isfinite(pair.y1[-1]) and not report.ok()
-        assert abs(idv + 1.0) <= 1e-6
+        assert idv <= 1e-6
 
     def test_damping_evaluated_per_solve_not_per_step(self):
         prof = _CountingDamping(DampingProfile.polynomial_tail(1.0, 2.0))
         pair = solve_fundamental_pair(prof, 1.0, 0.0, np.linspace(0.0, 5.0, 2001))
         assert 1 <= prof.calls <= 3
-        assert verify_fundamental_bounds(pair, prof, 1.0, 0.0).ok()
+        assert verify_fundamental_bounds(pair, prof).ok()
 
     def test_small_lambda_envelope_linear_limit(self):
         # sinh(lambda tau)/lambda -> tau as lambda -> 0+, via the series patch

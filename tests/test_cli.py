@@ -324,7 +324,7 @@ class TestKernels:
     def test_numpy_false_check_sets_exit_code(self, tmp_path, monkeypatch):
         # the bounds hold, the identity misses: lam_ok is np.False_, not False
         monkeypatch.setattr(auxiliary, "fundamental_identity_v",
-                            lambda *args: np.float64(0.0))
+                            lambda *args: np.float64(1.0))
         cfg = {"n": 3, "orders": [0.5], "t_max": 4, "t_points": 2, "x_points": 2,
                "lambdas": [1.0], "horizon": 1.0}
         code, out = run_cli(tmp_path, "kernels", cfg)

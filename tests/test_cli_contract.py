@@ -154,11 +154,20 @@ PROBES = [
     ("verify", {"window": [50.0, 60.0]}),
     ("kernels", {"horizon": 1e-9}),
 ]
+# kernels runs through the lambda loop, which the drawn examples never reach with a valid
+# `lambdas`: (extra keys, exit code, a line of stdout); at horizon 7e-4 < 2 delta neither
+# identity has room for its difference in s, so both are NaN
+LAMBDA_RUNS = [
+    ({"lambdas": [0.5, 2.0]}, 0, "CHECK fundamental-pair-bounds: PASS (lam=0.5:ok lam=2:ok)"),
+    ({"lambdas": [0.5], "horizon": 7e-4}, 1,
+     "CHECK fundamental-pair-bounds: FAIL (lam=0.5:violated)"),
+]
 # configs that must run: exit 0, or exit 1 with a failing CHECK line
 RUNS = [
     ("kernels", {"orders": [0.5], "t_points": 2, "x_points": 2, "lambdas": [2000],
                  "horizon": 0.01}),
     ("kernels", {"lambdas": [1000.0], "horizon": 0.01}),
+    *(("kernels", extra) for extra, _, _ in LAMBDA_RUNS),
 ]
 # runs past the resource budget (grid nodes, node-steps, snapshot bytes): rejected before
 # any allocation
@@ -202,6 +211,13 @@ def test_configs_that_must_run_run():
     for command, extra in RUNS:
         code, _, stderr, _ = run(command, {**BASE[command], **extra})
         assert code in (0, 1) and "Traceback" not in stderr, (command, extra, code, stderr)
+
+
+def test_kernels_lambda_loop_outcomes():
+    for extra, want_code, want_line in LAMBDA_RUNS:
+        code, stdout, stderr, _ = run("kernels", {**BASE["kernels"], **extra})
+        assert code == want_code and "Traceback" not in stderr, (extra, code, stderr)
+        assert want_line in stdout.splitlines(), (extra, stdout)
 
 
 def test_runs_over_the_resource_budget_are_config_errors():

@@ -16,6 +16,9 @@ from blowup_lab.damping import DampingProfile
 
 #: the node budget of one grid, a simulator run's or a modal RK4 solve's (README)
 MAX_NODES = 2 ** 20
+#: the kernels' budgets (README): Gauss-Legendre nodes, whose rule costs O(K^3), and the
+#: values of Phi one KernelQuadrature holds (times phi_eval's polar nodes for n >= 4)
+MAX_QUAD_NODES, MAX_PHI_VALUES = 2 ** 11, 2 ** 22
 
 #: bracket weight <y> = 3 + |y| used in all kernel bound statements
 def bracket(y):
@@ -24,8 +27,7 @@ def bracket(y):
 
 @lru_cache(maxsize=64)
 def _leggauss(nnodes: int):
-    x, w = np.polynomial.legendre.leggauss(nnodes)
-    return x, w
+    return np.polynomial.legendre.leggauss(nnodes)
 
 
 def _gl_nodes(a: float, b: float, nnodes: int):
@@ -78,11 +80,15 @@ def phi_eval(n: int, rho):
     else:
         # the node rule is taken over the non-NaN arguments; a NaN gives nan
         rmax = float(np.max(np.abs(rho_arr), initial=0.0, where=~np.isnan(rho_arr)))
-        nnodes = max(64, int(0.8 * min(rmax, _PHI_NODE_RHO_MAX)) + 32)
-        theta, w = _gl_nodes(0.0, math.pi, nnodes)
+        theta, w = _gl_nodes(0.0, math.pi, _polar_nodes(rmax))
         weight = w * np.sin(theta) ** (n - 2)
         out = sphere_area(n - 2) * (np.exp(np.outer(rho_arr, np.cos(theta))) @ weight)
     return out.reshape(np.shape(rho)) if np.ndim(rho) else float(out[0])
+
+
+def _polar_nodes(rho_max: float) -> int:
+    """phi_eval's polar node count (n >= 4) for arguments up to rho_max."""
+    return max(64, int(0.8 * min(rho_max, _PHI_NODE_RHO_MAX)) + 32)
 
 
 def sinhc(z):
@@ -119,6 +125,9 @@ class KernelConfig:
             raise ValueError(f"kernel order must be > -1, got {self.order}")
         if self.quad_nodes < 4:
             raise ValueError(f"need at least 4 quadrature nodes, got {self.quad_nodes}")
+        if self.quad_nodes > MAX_QUAD_NODES:
+            raise ValueError(f"{self.quad_nodes} quadrature nodes exceed the budget of "
+                             f"{MAX_QUAD_NODES}")
 
     def nodes(self):
         """(lambda_k, w_k) such that int_0^lambda0 g(l) l^r dl ~= sum w_k g(lambda_k)."""
@@ -141,25 +150,26 @@ class KernelQuadrature:
 
     def __init__(self, cfg: KernelConfig, n: int, radii):
         self.cfg = cfg
-        self.n = n
         self.radii = np.atleast_1d(np.asarray(radii, dtype=float))
         self.lam, self.w = cfg.nodes()
         rho = np.outer(self.lam, self.radii)
         self.phi_mat = np.asarray(phi_eval(n, rho))
 
+    def decay(self, t: float) -> np.ndarray:
+        """The lambda-weights w_k e^(-lambda_k (t + R)) that every kernel at time t carries."""
+        return self.w * np.exp(-self.lam * (t + self.cfg.R))
+
     def xi(self, t: float) -> np.ndarray:
         """xi_r(t, x) over the radii."""
         if t < 0:
             raise ValueError("xi requires t >= 0")
-        coeff = self.w * np.exp(-self.lam * (t + self.cfg.R)) * np.cosh(self.lam * t)
-        return coeff @ self.phi_mat
+        return (self.decay(t) * np.cosh(self.lam * t)) @ self.phi_mat
 
     def eta(self, t: float, s: float) -> np.ndarray:
         """eta_r(t, s, x) over the radii."""
         if t < s or s < 0:
             raise ValueError("eta requires t >= s >= 0")
-        coeff = self.w * np.exp(-self.lam * (t + self.cfg.R)) * sinhc(self.lam * (t - s))
-        return coeff @ self.phi_mat
+        return (self.decay(t) * sinhc(self.lam * (t - s))) @ self.phi_mat
 
 
 @dataclass(frozen=True)
@@ -181,13 +191,19 @@ class KernelBoundFit:
         return all(math.isfinite(v) and v > 0 for v in vals)
 
 
-def check_kernel_config(cfg: KernelConfig, n: int) -> None:
-    """Raise ValueError for kernels that cannot be bounded in dimension n: a
-    sphere measure out of float range, or an order r <= (n-3)/2 (the B2 bound)."""
+def check_kernel_config(cfg: KernelConfig, n: int, radii: float, r_max: float) -> float:
+    """The Phi values of the kernels' quadrature over `radii` radii in [0, r_max]:
+    quad_nodes x radii, times the polar nodes for n >= 4.  Raise ValueError when
+    they pass MAX_PHI_VALUES, or for kernels that cannot be bounded in dimension n:
+    a sphere measure out of float range, or an order r <= (n-3)/2 (the B2 bound)."""
     sphere_area(n - 1)
     if not cfg.order > (n - 3) / 2.0:
         raise ValueError(f"upper-bound fit needs order r > (n-3)/2 = {(n - 3) / 2.0}, "
                          f"got {cfg.order}")
+    values = cfg.quad_nodes * radii * (_polar_nodes(cfg.lambda0 * r_max) if n >= 4 else 1)
+    if not values <= MAX_PHI_VALUES:
+        raise ValueError(f"{values:.4g} kernel values exceed the budget of {MAX_PHI_VALUES}")
+    return values
 
 
 def fit_kernel_bounds(cfg: KernelConfig, n: int, t_grid, x_points: int = 9) -> KernelBoundFit:
@@ -198,9 +214,9 @@ def fit_kernel_bounds(cfg: KernelConfig, n: int, t_grid, x_points: int = 9) -> K
     B2 = max eta(t, t, x) <t>^((n-1)/2) <t-|x|>^(r-(n-3)/2) over |x| <= t + R.
     The B2 fit requires r > (n-3)/2. A constant with no sample is NaN.
     """
-    check_kernel_config(cfg, n)
     r = cfg.order
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    check_kernel_config(cfg, n, x_points, cfg.R + np.max(t_grid, initial=0.0))
 
     quad_R = KernelQuadrature(cfg, n, np.linspace(0.0, cfg.R, x_points))
     a0 = min((np.min(quad_R.xi(t)) for t in t_grid), default=math.nan)
@@ -215,27 +231,18 @@ def fit_kernel_bounds(cfg: KernelConfig, n: int, t_grid, x_points: int = 9) -> K
     b2 = max((np.max(KernelQuadrature(cfg, n, xs).eta(t, t) * bracket(t) ** ((n - 1) / 2.0)
                      * bracket(t - xs) ** (r - (n - 3) / 2.0)) for t, xs in slices_t),
              default=math.nan)
-    spec = (
-        f"t in [{t_grid.min():g},{t_grid.max():g}]x{t_grid.size}, "
-        f"s in [{t_grid.min():g},{t_grid.max():g}]x{t_grid.size}, "
-        f"{x_points} radii per slice, lambda0={cfg.lambda0:g}, r={r:g}"
-    )
+    span = f"[{t_grid.min():g},{t_grid.max():g}]x{t_grid.size}"
+    spec = f"t in {span}, s in {span}, {x_points} radii per slice, lambda0={cfg.lambda0:g}, r={r:g}"
     return KernelBoundFit(a0=float(a0), b0=float(b0), b1=float(b1), b2=float(b2), grid_spec=spec)
 
 
 def critical_kernel_orders(n: int, p: float, q: float) -> tuple[float, float]:
-    """Kernel exponents (r1, r2) used by the critical-case functionals:
-    r1 = (n-1)/2 - 1/q always; r2 equals the mirrored value at p = q and
-    sits 1/100 above the strict threshold (n-1)/2 - 1/p when p > q."""
+    """Kernel exponents (r_u, r_v) of the critical-case functionals of u and v, whose
+    sources are |v|^p and |u|^q: r_u = (n-1)/2 - 1/q and r_v = (n-1)/2 - 1/p.  When
+    p != q, the component whose source has the smaller exponent sits 1/100 above."""
     p, q = float(p), float(q)
-    if p < q:
-        raise ValueError("normalize to p >= q before choosing kernel orders")
-    r1 = (n - 1) / 2.0 - 1.0 / q
-    if p == q:
-        r2 = (n - 1) / 2.0 - 1.0 / p
-    else:
-        r2 = (n - 1) / 2.0 - 1.0 / p + 0.01
-    return r1, r2
+    return ((n - 1) / 2.0 - 1.0 / q + (0.01 if p < q else 0.0),
+            (n - 1) / 2.0 - 1.0 / p + (0.01 if q < p else 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -312,9 +312,21 @@ def _modal_nodes(lam: float, horizon: float) -> int:
     return max(1, round(min(steps, auxiliary.MAX_NODES))) + 1
 
 
-def _require_kernels(n, lambda0, R, quad_nodes, orders, lambdas, horizon, **_):
+#: the bound fits' work budget, in kernel products (README): per order, t_points^2 (t, s)
+#: pairs of x_points x quad_nodes products plus a fixed _PAIR_COST, and 2 t_points slice
+#: quadratures at _PHI_COST per value of Phi
+MAX_FIT_WORK, _PAIR_COST, _PHI_COST = 2 ** 34, 2 ** 15, 2 ** 9
+
+
+def _require_kernels(n, lambda0, R, quad_nodes, orders, t_max, t_points, x_points, lambdas,
+                     horizon, **_):
     for r in orders:
-        auxiliary.check_kernel_config(auxiliary.KernelConfig(lambda0, R, r, quad_nodes), n)
+        cfg = auxiliary.KernelConfig(lambda0, R, r, quad_nodes)
+        phi = auxiliary.check_kernel_config(cfg, n, x_points, R + t_max)  # alike for every r
+    pair = x_points * quad_nodes + _PAIR_COST
+    work = len(orders) * t_points * (t_points * pair + 2 * _PHI_COST * phi)
+    if not work <= MAX_FIT_WORK:
+        raise ValueError(f"the bound fits' work {work:.4g} exceeds the budget of {MAX_FIT_WORK}")
     for lam in lambdas:
         if _modal_nodes(lam, horizon) > auxiliary.MAX_NODES:
             raise ValueError(f"lambda = {lam:g}, horizon = {horizon:g}: the modal grid "
@@ -526,7 +538,7 @@ def cmd_verify(out: str, params, profiles, data, grid, window, ode_tol, critical
     if critical:
         log_window = log_window or (5.0, grid.horizon)
         crit = simulator.verify_critical_inequalities(
-            result, params, lambda0=lambda0, quad_nodes=quad_nodes, log_window=log_window
+            result, lambda0=lambda0, quad_nodes=quad_nodes, log_window=log_window
         )
         plotting.write_csv(
             os.path.join(out, "critical_functionals.csv"),

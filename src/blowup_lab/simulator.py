@@ -471,8 +471,9 @@ def cone_leakage(result: RunResult) -> float:
 @dataclass(frozen=True)
 class CriticalReport:
     """Sampled check of the kernel-weighted integral inequalities and of the
-    logarithmic lower bound for the weighted average of the first component.
-    log_ratio is weighted_u / log(2t/3) at each checked t (NaN for t <= 1.5);
+    logarithmic lower bound for the weighted average of the first component,
+    u when p >= q and v otherwise, which the _u fields hold (the _v, the other).
+    log_ratio is weighted_u / log(2t/3) at each checked t > 0 (NaN for t <= 1.5);
     log_ratio_min is its minimum on the caller's log_window."""
 
     t_checked: np.ndarray
@@ -484,35 +485,33 @@ class CriticalReport:
     log_ratio_min: float
 
     def bounds_hold(self, rtol: float = 1e-9) -> bool:
-        ok_u = np.all(self.weighted_u >= self.rhs_u * (1.0 - rtol) - 1e-12)
-        ok_v = np.all(self.weighted_v >= self.rhs_v * (1.0 - rtol) - 1e-12)
-        return bool(ok_u and ok_v)
+        pairs = ((self.weighted_u, self.rhs_u), (self.weighted_v, self.rhs_v))
+        return all(bool(np.all(lhs >= rhs * (1.0 - rtol) - 1e-12)) for lhs, rhs in pairs)
 
 
-def critical_kernel_configs(params: SystemParams, profiles, grid: GridConfig,
-                            lambda0: float = 1.0, quad_nodes: int = 64):
-    """Kernel configs of the two critical-case functionals ((p, q) taken with
-    p >= q), after checking the hypotheses of the critical-case machinery:
-    n >= 2, C^1 damping, snapshots and admissible kernel orders."""
+def critical_kernel_configs(params: SystemParams, profiles, grid: GridConfig, lambda0: float,
+                            quad_nodes: int):
+    """Kernel configs of the critical-case functionals of u and v, after checking
+    the hypotheses of the critical-case machinery: n >= 2, C^1 damping, snapshots,
+    admissible kernel orders and the Phi values of the quadrature over the grid."""
     if params.n < 2:
         raise ValueError("critical-case machinery requires n >= 2")
     if any(prof.kind == "tabulated" for prof in profiles):
         raise ValueError("critical-case verifiers require C^1 damping (zero/poly kinds)")
     if grid.snapshot_every is None:
         raise ValueError("critical verification needs snapshots; set snapshot_every")
-    p, q = float(params.p), float(params.q)
-    orders = critical_kernel_orders(params.n, max(p, q), min(p, q))
+    orders = critical_kernel_orders(params.n, params.p, params.q)
     cfgs = tuple(KernelConfig(lambda0, params.R, r, quad_nodes) for r in orders)
+    extent = grid_extent(params, grid)  # the verifier's radii are the grid's nodes
     for cfg in cfgs:
-        check_kernel_config(cfg, params.n)
+        check_kernel_config(cfg, params.n, extent / grid.dr + 1.0, extent)
     return cfgs
 
 
 def verify_critical_inequalities(
     result: RunResult,
-    params: SystemParams,
-    lambda0: float = 1.0,
-    quad_nodes: int = 64,
+    lambda0: float = KernelConfig.lambda0,
+    quad_nodes: int = KernelConfig.quad_nodes,
     log_window: tuple[float, float] = (5.0, math.inf),
 ) -> CriticalReport:
     """Check the kernel-weighted lower bounds along the stored history.
@@ -523,74 +522,50 @@ def verify_critical_inequalities(
     Requires n >= 2, snapshot history, and smooth damping kinds.
     """
     state = result.state
-    n = params.n
-    cfg1, cfg2 = critical_kernel_configs(params, (state.b1, state.b2), state.grid, lambda0,
-                                         quad_nodes)
-
-    p, q = float(params.p), float(params.q)
-    swap = p < q
-    if swap:
-        p, q = q, p
-    quad1 = KernelQuadrature(cfg1, n, state.r)
+    params, W = state.params, state.weights
+    cfg_u, cfg_v = critical_kernel_configs(params, (state.b1, state.b2), state.grid, lambda0,
+                                           quad_nodes)
+    quad_u = KernelQuadrature(cfg_u, params.n, state.r)
     # equal orders (p = q) give equal configs: build the quadrature once
-    quad2 = quad1 if cfg2 == cfg1 else KernelQuadrature(cfg2, n, state.r)
+    quad_v = quad_u if cfg_v == cfg_u else KernelQuadrature(cfg_v, params.n, state.r)
 
-    s_times = np.array([s for s, _, _ in result.snapshots])
-    W = state.weights
-    u_init, ut_init = state.u_init, state.ut_init
-    v_init, vt_init = state.v_init, state.vt_init
-    u_snaps = np.stack([u for _, u, _ in result.snapshots])
-    v_snaps = np.stack([v for _, _, v in result.snapshots])
-    if swap:
-        u_snaps, v_snaps = v_snaps, u_snaps
-        u_init, v_init = v_init, u_init
-        ut_init, vt_init = vt_init, ut_init
-        b_first, b_second = state.b2, state.b1
-    else:
-        b_first, b_second = state.b1, state.b2
+    s_times, u_snaps, v_snaps = (np.array(column) for column in zip(*result.snapshots))
+    d = np.diff(s_times)  # the trapezoid weights of every prefix s_0..s_j: ends half, inside mid
+    half, mid = 0.5 * d, 0.5 * (d[1:] + d[:-1])
 
-    # modal profiles: Phi-transforms of the fields and sources per lambda node
-    A_u = quad1.phi_mat @ (u_snaps * W).T           # (K1, S)
-    A_v = quad2.phi_mat @ (v_snaps * W).T           # (K2, S)
-    S_v = quad1.phi_mat @ (np.abs(v_snaps) ** p * W).T
-    S_u = quad2.phi_mat @ (np.abs(u_snaps) ** q * W).T
-    d0_u, d1_u = quad1.phi_mat @ (W * u_init), quad1.phi_mat @ (W * ut_init)
-    d0_v, d1_v = quad2.phi_mat @ (W * v_init), quad2.phi_mat @ (W * vt_init)
-
-    def component_check(quad, A, Ssrc, d0, d1, prof):
-        lam, wq, R = quad.lam, quad.w, params.R
-        l1 = prof.l1
+    def component_check(quad, own, partner, power, init, init_t, profile):
+        # Phi-transforms of the field, its source |partner|^power and its data per lambda node
+        A = quad.phi_mat @ (own * W).T  # (K, S)
+        src = quad.phi_mat @ (np.abs(partner) ** power * W).T
+        d0, d1 = quad.phi_mat @ (W * init), quad.phi_mat @ (W * init_t)
+        lam, l1 = quad.lam, profile.l1
         lhs, rhs = [], []
-        for j, tc in enumerate(s_times):
-            if tc <= 0.0:
-                continue
-            decay = wq * np.exp(-lam * (tc + R))
+        for j in range(1, s_times.size):  # snapshot 0 holds the data, at t = 0
+            tc = s_times[j]
+            decay = quad.decay(tc)
             lhs.append(float(decay @ A[:, j]))
             data0 = math.exp(-l1) * float((decay * np.cosh(lam * tc)) @ d0)
             data1 = math.exp(-2.0 * l1) * tc * float((decay * sinhc(lam * tc)) @ d1)
             sub = s_times[: j + 1]
             kernel = decay[:, None] * sinhc(np.outer(lam, tc - sub))
-            inner = np.einsum("ki,ki->i", kernel, Ssrc[:, : j + 1])
-            trap_w = np.zeros_like(sub)
-            if sub.size > 1:
-                d = np.diff(sub)
-                trap_w[0] = 0.5 * d[0]
-                trap_w[-1] = 0.5 * d[-1]
-                trap_w[1:-1] = 0.5 * (d[1:] + d[:-1])
+            inner = np.einsum("ki,ki->i", kernel, src[:, : j + 1])
+            trap_w = np.concatenate((half[:1], mid[: j - 1], half[j - 1 : j]))
             source = math.exp(-2.0 * l1) * float(np.sum(trap_w * (tc - sub) * inner))
             rhs.append(data0 + data1 + source)
         return np.asarray(lhs), np.asarray(rhs)
 
-    lhs_u, rhs_u = component_check(quad1, A_u, S_v, d0_u, d1_u, b_first)
-    lhs_v, rhs_v = component_check(quad2, A_v, S_u, d0_v, d1_v, b_second)
-    t_checked = s_times[s_times > 0.0]
+    p, q = float(params.p), float(params.q)
+    u = component_check(quad_u, u_snaps, v_snaps, p, state.u_init, state.ut_init, state.b1)
+    v = component_check(quad_v, v_snaps, u_snaps, q, state.v_init, state.vt_init, state.b2)
+    (lhs_1, rhs_1), (lhs_2, rhs_2) = (u, v) if p >= q else (v, u)
+    t_checked = s_times[1:]
 
     lo, hi = log_window
     in_win = (t_checked >= max(lo, 1.5 + 1e-9)) & (t_checked <= hi)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_ratio = np.where(t_checked > 1.5, lhs_u / np.log(2.0 * t_checked / 3.0), math.nan)
+        log_ratio = np.where(t_checked > 1.5, lhs_1 / np.log(2.0 * t_checked / 3.0), math.nan)
     log_min = float(np.min(log_ratio[in_win])) if np.any(in_win) else math.nan
-    return CriticalReport(t_checked, lhs_u, lhs_v, rhs_u, rhs_v, log_ratio, log_min)
+    return CriticalReport(t_checked, lhs_1, lhs_2, rhs_1, rhs_2, log_ratio, log_min)
 
 
 # -- lifespan sweeps --

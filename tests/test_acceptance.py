@@ -259,7 +259,7 @@ def test_criterion_8_critical_regime_functionals():
     grid = GridConfig(dr=0.0125, horizon=40.0, snapshot_every=40, sample_every=40)
     res = run_until_blowup(params, (POLY, POLY), BUMPS, grid)
     survived = res.record.detection is Detection.SURVIVED
-    rep = verify_critical_inequalities(res, params, log_window=(5.0, 40.0))
+    rep = verify_critical_inequalities(res, log_window=(5.0, 40.0))
     ok = survived and rep.bounds_hold() and rep.log_ratio_min > 0
     report(8, "critical-regime functionals", ok,
            f"bounds at {rep.t_checked.size} sampled times, "

@@ -189,8 +189,8 @@ class TestKernelBounds:
         assert r1 == r2 == 0.5
         r1, r2 = critical_kernel_orders(3, 3.0, 2.0)
         assert r1 == 0.5 and abs(r2 - (1.0 - 1.0 / 3.0 + 0.01)) < 1e-12
-        with pytest.raises(ValueError):
-            critical_kernel_orders(3, 2.0, 3.0)
+        r_u, r_v = critical_kernel_orders(3, 2.0, 3.0)
+        assert r_u == 1.0 - 1.0 / 3.0 + 0.01 and r_v == 0.5
 
 
 class _CountingDamping:

@@ -310,6 +310,30 @@ class TestKernels:
         with pytest.raises(ConfigError, match="budget"):  # the step ratio overflows to inf
             _prepare("kernels", {**cfg, "lambdas": [1e300], "horizon": 1e300})
 
+    def test_quadrature_budgets_boundary(self):
+        # quad_nodes 1e13 and x_points 1e13 are OVER_BUDGET cases of the contract tests;
+        # these pin the edges: 2^11 Gauss-Legendre nodes, and 2^22 values of Phi per
+        # quadrature, quad_nodes x x_points, times the polar nodes for n >= 4 (64 here,
+        # at lambda0 (R + t_max) = 5)
+        cfg = {"n": 3, "orders": ["1/2"], "t_max": 4.0, "t_points": 2, "x_points": 2}
+        assert _prepare("kernels", {**cfg, "quad_nodes": 2048})
+        with pytest.raises(ConfigError, match="quadrature nodes exceed the budget"):
+            _prepare("kernels", {**cfg, "quad_nodes": 2049})
+        for extra, x_max in (({"quad_nodes": 1024}, 4096),
+                             ({"n": 4, "orders": [1.5], "quad_nodes": 64}, 1024)):
+            assert _prepare("kernels", {**cfg, **extra, "x_points": x_max})
+            with pytest.raises(ConfigError, match="kernel values exceed the budget"):
+                _prepare("kernels", {**cfg, **extra, "x_points": x_max + 1})
+
+    def test_fit_work_budget_boundary(self):
+        # per order, t (t (x_points quad_nodes + 2^15) + 2^10 x_points quad_nodes) kernel
+        # products: at one radius and 4 nodes, 2^34 falls between t_points 723 and 724
+        cfg = {"n": 3, "orders": ["1/2"], "x_points": 1, "quad_nodes": 4}
+        assert _prepare("kernels", {**cfg, "t_points": 723})
+        for extra in ({"t_points": 724}, {"t_points": 723, "orders": ["1/2", "2/3"]}):
+            with pytest.raises(ConfigError, match="work .* exceeds the budget"):
+                _prepare("kernels", {**cfg, **extra})
+
     def test_large_lambda_runs(self, tmp_path, capsys):
         # the identity checks' difference step shrinks like 1/lambda, so every lambda
         # within the modal grid budget runs (the contract test's RUNS); at 400 the pair
@@ -364,6 +388,15 @@ class TestSimulateAndSweep:
             _prepare("simulate", {**cfg, "horizon": 463.0})
         with pytest.raises(ConfigError, match="node-steps exceed the budget"):
             _prepare("sweep", {**cfg, "horizon": 463.0, "eps_list": [1.0, 0.5, 0.25, 0.125]})
+
+    def test_critical_kernel_budget_boundary(self):
+        # 2048 quadrature nodes over the grid's (horizon + 2) / dr + 1 radii pass 2^22
+        # values of Phi between horizon 202 and 203 at dr = 0.1
+        cfg = {"n": 2, "p": 2, "q": 2, "dr": 0.1, "critical": True, "snapshot_every": 10,
+               "quad_nodes": 2048}
+        assert _prepare("verify", {**cfg, "horizon": 202.0})
+        with pytest.raises(ConfigError, match="kernel values exceed the budget"):
+            _prepare("verify", {**cfg, "horizon": 203.0})
 
     def test_one_damping_block_gives_one_shared_profile(self):
         cfg = {"n": 1, "p": 2, "q": 2, "damping": {"kind": "poly"}}
@@ -505,6 +538,23 @@ class TestVerifyCommand:
         assert np.all(log_ratio[late] == rep.weighted_u[late] / np.log(2.0 * t[late] / 3.0))
         in_window = (t >= 5.0) & (t <= 8.0)
         assert np.min(log_ratio[in_window]) == rep.log_ratio_min
+
+    def test_critical_verify_mirrors(self, tmp_path):
+        # swapping p with q, the u-data with the v-data and damping with damping2
+        # must write the same critical table
+        base = {"n": 3, "dr": 0.1, "horizon": 4.0, "snapshot_every": 10, "critical": True,
+                "log_window": [2.0, 4.0]}
+        fast = {"kind": "poly", "mu": 1.0, "beta": 2.0}
+        slow = {"kind": "poly", "mu": 0.5, "beta": 3.0}
+        cfg = {**base, "p": "7/2", "q": 2, "damping": fast, "damping2": slow,
+               "data": {"u0": 1.0, "u1": 0.3, "v0": 0.7, "v1": 0.2}}
+        mirror = {**base, "p": 2, "q": "7/2", "damping": slow, "damping2": fast,
+                  "data": {"u0": 0.7, "u1": 0.2, "v0": 1.0, "v1": 0.3}}
+        code, out = run_cli(tmp_path, "verify", cfg, "pq")
+        code_sw, out_sw = run_cli(tmp_path, "verify", mirror, "qp")
+        assert code == code_sw == 0
+        table = (out / "critical_functionals.csv").read_bytes()
+        assert table == (out_sw / "critical_functionals.csv").read_bytes()
 
 
 class Reached(Exception):

@@ -1,7 +1,7 @@
 import math
 import warnings
 from concurrent.futures import Future
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -601,7 +601,7 @@ def critical_run():
 class TestCriticalVerifier:
     def test_bounds_hold(self, critical_run):
         params, res = critical_run
-        rep = verify_critical_inequalities(res, params, log_window=(5.0, 12.0))
+        rep = verify_critical_inequalities(res, log_window=(5.0, 12.0))
         assert rep.bounds_hold()
         assert rep.log_ratio_min > 0
 
@@ -609,7 +609,7 @@ class TestCriticalVerifier:
         res = run_until_blowup(params1d(), (ZERO, ZERO), BUMPS,
                                GridConfig(dr=0.1, horizon=1.0, snapshot_every=5))
         with pytest.raises(ValueError):
-            verify_critical_inequalities(res, params1d())
+            verify_critical_inequalities(res)
 
     def test_rejects_tabulated_damping(self):
         ts = np.linspace(0.0, 10.0, 50)
@@ -618,29 +618,32 @@ class TestCriticalVerifier:
         res = run_until_blowup(params, (tab, tab), BUMPS,
                                GridConfig(dr=0.1, horizon=1.0, snapshot_every=5))
         with pytest.raises(ValueError):
-            verify_critical_inequalities(res, params)
+            verify_critical_inequalities(res)
 
     def test_requires_snapshots(self):
         params = SystemParams(2, F(2), F(2), R=1.0, eps=0.1)
         res = run_until_blowup(params, (ZERO, ZERO), BUMPS, GridConfig(dr=0.1, horizon=1.0))
         with pytest.raises(ValueError):
-            verify_critical_inequalities(res, params)
+            verify_critical_inequalities(res)
 
     def test_asymmetric_orders_and_swap(self):
-        # exact critical point with p > q (F(3, 7/2, 2) = 0) exercises the
-        # two distinct kernel orders; feeding the pair swapped must mirror
-        poly = DampingProfile.polynomial_tail(1.0, 2.0)
+        # exact critical point with p > q (F(3, 7/2, 2) = 0) exercises the two
+        # distinct kernel orders; swapping p with q, the u-data with the v-data and
+        # the two damping profiles must give the same report, field for field
+        slow = DampingProfile.polynomial_tail(0.5, 3.0)
         grid = GridConfig(dr=0.04, horizon=8.0, snapshot_every=15, sample_every=15)
         params = SystemParams(3, F(7, 2), F(2), R=1.0, eps=1.0)
-        res = run_until_blowup(params, (poly, poly), BUMPS, grid)
-        rep = verify_critical_inequalities(res, params, log_window=(5.0, 8.0))
+        res = run_until_blowup(params, (POLY, slow), InitialData(1.0, 0.3, 0.7, 0.2), grid)
+        rep = verify_critical_inequalities(res, log_window=(5.0, 8.0))
         assert rep.bounds_hold() and rep.log_ratio_min > 0
 
         params_sw = SystemParams(3, F(2), F(7, 2), R=1.0, eps=1.0)
-        res_sw = run_until_blowup(params_sw, (poly, poly), BUMPS, grid)
-        rep_sw = verify_critical_inequalities(res_sw, params_sw, log_window=(5.0, 8.0))
+        res_sw = run_until_blowup(params_sw, (slow, POLY), InitialData(0.7, 0.2, 1.0, 0.3), grid)
+        rep_sw = verify_critical_inequalities(res_sw, log_window=(5.0, 8.0))
         assert rep_sw.bounds_hold()
-        assert np.allclose(rep.weighted_u, rep_sw.weighted_u, rtol=1e-12)
+        for f in fields(rep):
+            a, b = getattr(rep, f.name), getattr(rep_sw, f.name)
+            assert np.array_equal(a, b, equal_nan=True), f.name
 
     @pytest.mark.parametrize("p,q,builds", [(ROOT2, ROOT2, 1), (F(7, 2), F(2), 2)],
                              ids=["p=q", "p!=q"])
@@ -656,7 +659,7 @@ class TestCriticalVerifier:
         params = SystemParams(3, p, q, R=1.0, eps=1.0)
         res = run_until_blowup(params, (POLY, POLY), BUMPS,
                                GridConfig(dr=0.1, horizon=4.0, snapshot_every=10))
-        rep = verify_critical_inequalities(res, params, quad_nodes=16, log_window=(2.0, 4.0))
+        rep = verify_critical_inequalities(res, quad_nodes=16, log_window=(2.0, 4.0))
         assert len(built) == builds
         assert rep.t_checked.size > 0
 
@@ -664,7 +667,7 @@ class TestCriticalVerifier:
         params = SystemParams(2, F(2), F(2), R=1.0, eps=1.0)
         res = run_until_blowup(params, (ZERO, ZERO), InitialData.zero(),
                                GridConfig(dr=0.1, horizon=2.0, snapshot_every=5))
-        rep = verify_critical_inequalities(res, params, log_window=(1.6, 2.0))
+        rep = verify_critical_inequalities(res, log_window=(1.6, 2.0))
         assert np.all(rep.weighted_u == 0.0) and np.all(rep.rhs_u == 0.0)
         assert rep.bounds_hold()
 

@@ -556,6 +556,27 @@ class TestVerifyCommand:
         table = (out / "critical_functionals.csv").read_bytes()
         assert table == (out_sw / "critical_functionals.csv").read_bytes()
 
+    def test_critical_bounds_fail_with_nothing_checked(self, tmp_path):
+        # 20 steps against a snapshot every 40: only the t = 0 snapshot exists
+        p0 = 2.414213562373095
+        cfg = {"n": 3, "p": p0, "q": p0, "dr": 0.1, "horizon": 1.0, "snapshot_every": 40,
+               "sample_every": 1, "critical": True}
+        code, out = run_cli(tmp_path, "verify", cfg)
+        assert code == 1
+        assert "CHECK critical-bounds: FAIL (checked 0 times)" in (out / "summary.txt").read_text()
+
+    def test_critical_checks_fail_on_negative_data(self, tmp_path):
+        # negative data make both weighted averages fall below their lower bounds
+        p0 = 2.414213562373095
+        cfg = {"n": 3, "p": p0, "q": p0, "damping": {"kind": "poly", "mu": 1.0, "beta": 2.0},
+               "dr": 0.05, "horizon": 12, "snapshot_every": 10, "critical": True,
+               "data": {"u0": -1, "v0": -1}}
+        code, out = run_cli(tmp_path, "verify", cfg)
+        summary = (out / "summary.txt").read_text()
+        assert code == 1
+        assert "CHECK critical-bounds: FAIL (checked 48 times)" in summary
+        assert "CHECK log-growth-positive: FAIL (min ratio=-0.576 on (5.0, 12.0))" in summary
+
 
 class Reached(Exception):
     """Raised in place of a command's first heavy call."""

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from blowup_lab import simulator
+from blowup_lab.auxiliary import KernelQuadrature, sinhc
 from blowup_lab.damping import DampingProfile
 from blowup_lab.exponents import SystemParams
 from blowup_lab.simulator import (
@@ -598,6 +599,50 @@ def critical_run():
     return params, run_until_blowup(params, (poly, poly), BUMPS, grid)
 
 
+def reference_critical_report(result, quad_nodes):
+    """The critical report's fields by the direct double sum: at every checked t_j
+    the data terms, plus the kernel summed against the source of every snapshot
+    s_i <= t_j with the trapezoid weights of the prefix s_0..s_j, in O(S^2 K)."""
+    state = result.state
+    params, W = state.params, state.weights
+    cfgs = simulator.critical_kernel_configs(params, (state.b1, state.b2), state.grid, 1.0,
+                                             quad_nodes)
+    s_times, u_snaps, v_snaps = (np.array(column) for column in zip(*result.snapshots))
+    d = np.diff(s_times)
+    half, mid = 0.5 * d, 0.5 * (d[1:] + d[:-1])
+
+    def component(cfg, own, partner, power, init, init_t, profile):
+        quad = KernelQuadrature(cfg, params.n, state.r)
+        A = quad.phi_mat @ (own * W).T
+        src = quad.phi_mat @ (np.abs(partner) ** power * W).T
+        d0, d1 = quad.phi_mat @ (W * init), quad.phi_mat @ (W * init_t)
+        lam, l1 = quad.lam, profile.l1
+        lhs, rhs = [], []
+        for j in range(1, s_times.size):
+            tc = s_times[j]
+            decay = quad.decay(tc)
+            lhs.append(float(decay @ A[:, j]))
+            data0 = math.exp(-l1) * float((decay * np.cosh(lam * tc)) @ d0)
+            data1 = math.exp(-2.0 * l1) * tc * float((decay * sinhc(lam * tc)) @ d1)
+            sub = s_times[: j + 1]
+            kernel = decay[:, None] * sinhc(np.outer(lam, tc - sub))
+            inner = np.einsum("ki,ki->i", kernel, src[:, : j + 1])
+            trap_w = np.concatenate((half[:1], mid[: j - 1], half[j - 1 : j]))
+            source = math.exp(-2.0 * l1) * float(np.sum(trap_w * (tc - sub) * inner))
+            rhs.append(data0 + data1 + source)
+        return np.asarray(lhs), np.asarray(rhs)
+
+    p, q = float(params.p), float(params.q)
+    u = component(cfgs[0], u_snaps, v_snaps, p, state.u_init, state.ut_init, state.b1)
+    v = component(cfgs[1], v_snaps, u_snaps, q, state.v_init, state.vt_init, state.b2)
+    (lhs_1, rhs_1), (lhs_2, rhs_2) = (u, v) if p >= q else (v, u)
+    t = s_times[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.where(t > 1.5, lhs_1 / np.log(2.0 * t / 3.0), math.nan)
+    return {"t_checked": t, "weighted_u": lhs_1, "weighted_v": lhs_2, "rhs_u": rhs_1,
+            "rhs_v": rhs_2, "log_ratio": log_ratio}
+
+
 class TestCriticalVerifier:
     def test_bounds_hold(self, critical_run):
         params, res = critical_run
@@ -670,6 +715,40 @@ class TestCriticalVerifier:
         rep = verify_critical_inequalities(res, log_window=(1.6, 2.0))
         assert np.all(rep.weighted_u == 0.0) and np.all(rep.rhs_u == 0.0)
         assert rep.bounds_hold()
+
+    @pytest.mark.parametrize("case", ["fixture", "asymmetric", "undamped", "long"])
+    def test_matches_direct_double_sum(self, critical_run, case):
+        # the recurrence against the direct O(S^2 K) sum: the lower bounds to rounding,
+        # everything read from the field alone bit for bit
+        quad_nodes = 64
+        if case == "fixture":
+            res = critical_run[1]
+        elif case == "asymmetric":
+            slow = DampingProfile.polynomial_tail(0.5, 3.0)
+            params = SystemParams(3, F(7, 2), F(2), R=1.0, eps=1.0)
+            res = run_until_blowup(params, (POLY, slow), InitialData(1.0, 0.3, 0.7, 0.2),
+                                   GridConfig(dr=0.04, horizon=8.0, snapshot_every=15,
+                                              sample_every=15))
+            quad_nodes = 16
+        elif case == "undamped":
+            params = SystemParams(3, ROOT2, ROOT2, R=1.0, eps=1.0)
+            res = run_until_blowup(params, (ZERO, ZERO), BUMPS,
+                                   GridConfig(dr=0.05, horizon=8.0, snapshot_every=8))
+        else:  # a survived run with 601 snapshots
+            params = SystemParams(2, F(3, 2), F(2), R=1.0, eps=0.001)
+            res = run_until_blowup(params, (POLY, POLY), BUMPS,
+                                   GridConfig(dr=0.2, horizon=60.0, snapshot_every=1,
+                                              sample_every=10))
+            assert len(res.snapshots) == 601
+            quad_nodes = 16
+        rep = verify_critical_inequalities(res, quad_nodes=quad_nodes)
+        ref = reference_critical_report(res, quad_nodes)
+        assert rep.t_checked.size == len(res.snapshots) - 1 > 0
+        for name in ("t_checked", "weighted_u", "weighted_v", "log_ratio"):
+            assert np.array_equal(getattr(rep, name), ref[name], equal_nan=True), name
+        for name in ("rhs_u", "rhs_v"):
+            assert np.any(ref[name] > 0.0)
+            np.testing.assert_allclose(getattr(rep, name), ref[name], rtol=1e-13, atol=0.0)
 
 
 class TestSweep:

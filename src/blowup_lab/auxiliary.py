@@ -92,14 +92,9 @@ def _polar_nodes(rho_max: float) -> int:
 
 
 def sinhc(z):
-    """sinh(z)/z, with the even series 1 + z^2/6 + z^4/120 below |z| = 1e-4
-    (relative error of the 3-term patch is below 1e-20 there)."""
+    """sinh(z)/z, and 1 at z = 0."""
     z = np.asarray(z, dtype=float)
-    small = np.abs(z) < 1e-4
-    zs = np.where(small, 0.0, z)
-    big = np.divide(np.sinh(zs), zs, out=np.ones_like(zs), where=~small)
-    series = 1.0 + z * z / 6.0 + z ** 4 / 120.0
-    out = np.where(small, series, big)
+    out = np.divide(np.sinh(z), z, out=np.ones_like(z), where=z != 0)
     return out if out.ndim else float(out)
 
 
@@ -159,17 +154,24 @@ class KernelQuadrature:
         """The lambda-weights w_k e^(-lambda_k (t + R)) that every kernel at time t carries."""
         return self.w * np.exp(-self.lam * (t + self.cfg.R))
 
-    def xi(self, t: float) -> np.ndarray:
-        """xi_r(t, x) over the radii."""
-        if t < 0:
-            raise ValueError("xi requires t >= 0")
-        return (self.decay(t) * np.cosh(self.lam * t)) @ self.phi_mat
+    def rotation(self, h):
+        """e^(-lambda h) (cosh, sinhc)(lambda h) per lambda node, h >= 0, as 1 + em/2 and
+        -em/(2 lambda h), em = expm1(-2 lambda h): in [0, 1] at any h. Arrays of h add axes."""
+        z = -2.0 * np.multiply.outer(h, self.lam)
+        em = np.expm1(z)
+        return 1.0 + 0.5 * em, np.divide(em, z, out=np.ones_like(z), where=z != 0)
 
-    def eta(self, t: float, s: float) -> np.ndarray:
-        """eta_r(t, s, x) over the radii."""
-        if t < s or s < 0:
+    def xi(self, t) -> np.ndarray:
+        """xi_r(t, x) over the radii; an array of t adds leading axes."""
+        if np.any(np.asarray(t) < 0):
+            raise ValueError("xi requires t >= 0")
+        return (self.decay(0.0) * self.rotation(t)[0]) @ self.phi_mat
+
+    def eta(self, t, s: float) -> np.ndarray:
+        """eta_r(t, s, x) over the radii; an array of t adds leading axes."""
+        if np.any(np.asarray(t) < s) or s < 0:
             raise ValueError("eta requires t >= s >= 0")
-        return (self.decay(t) * sinhc(self.lam * (t - s))) @ self.phi_mat
+        return (self.decay(s) * self.rotation(np.subtract(t, s))[1]) @ self.phi_mat
 
 
 @dataclass(frozen=True)
@@ -212,25 +214,24 @@ def fit_kernel_bounds(cfg: KernelConfig, n: int, t_grid, x_points: int = 9) -> K
     A0 = min xi(t, x) and B0 = min eta(t, 0, x) <t> over t-grid and |x| <= R;
     B1 = min eta(t, s, x) <t> <s>^r over t > s and |x| <= s + R;
     B2 = max eta(t, t, x) <t>^((n-1)/2) <t-|x|>^(r-(n-3)/2) over |x| <= t + R.
-    The B2 fit requires r > (n-3)/2. A constant with no sample is NaN.
+    The B2 fit requires r > (n-3)/2. A NaN sample, or no sample, makes a constant NaN.
     """
     r = cfg.order
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     check_kernel_config(cfg, n, x_points, cfg.R + np.max(t_grid, initial=0.0))
 
     quad_R = KernelQuadrature(cfg, n, np.linspace(0.0, cfg.R, x_points))
-    a0 = min((np.min(quad_R.xi(t)) for t in t_grid), default=math.nan)
-    b0 = min((np.min(quad_R.eta(t, 0.0)) * bracket(t) for t in t_grid), default=math.nan)
+    a0 = np.min(quad_R.xi(t_grid))
+    # min over x before the brackets: they are positive and rounding is monotone, so exact
+    b0 = np.min(np.min(quad_R.eta(t_grid, 0.0), axis=1) * bracket(t_grid))
 
-    quads_s = (KernelQuadrature(cfg, n, np.linspace(0.0, s + cfg.R, x_points)) for s in t_grid)
-    b1 = min((np.min(quad_s.eta(t, s) * bracket(t) * bracket(s) ** r)
-              for s, quad_s in zip(t_grid, quads_s) for t in t_grid if not t <= s),
-             default=math.nan)
-
+    slices_s = ((s, t_grid[t_grid > s], np.linspace(0.0, s + cfg.R, x_points)) for s in t_grid)
+    b1 = np.min([np.min(np.min(KernelQuadrature(cfg, n, xs).eta(t, s), axis=1) * bracket(t))
+                 * bracket(s) ** r for s, t, xs in slices_s if t.size] or [math.nan])
     slices_t = ((t, np.linspace(0.0, t + cfg.R, x_points)) for t in t_grid if not t <= 0)
-    b2 = max((np.max(KernelQuadrature(cfg, n, xs).eta(t, t) * bracket(t) ** ((n - 1) / 2.0)
-                     * bracket(t - xs) ** (r - (n - 3) / 2.0)) for t, xs in slices_t),
-             default=math.nan)
+    b2 = np.max([np.max(KernelQuadrature(cfg, n, xs).eta(t, t) * bracket(t) ** ((n - 1) / 2.0)
+                        * bracket(t - xs) ** (r - (n - 3) / 2.0)) for t, xs in slices_t]
+                or [math.nan])
     span = f"[{t_grid.min():g},{t_grid.max():g}]x{t_grid.size}"
     spec = f"t in {span}, s in {span}, {x_points} radii per slice, lambda0={cfg.lambda0:g}, r={r:g}"
     return KernelBoundFit(a0=float(a0), b0=float(b0), b1=float(b1), b2=float(b2), grid_spec=spec)

@@ -313,9 +313,9 @@ def _modal_nodes(lam: float, horizon: float) -> int:
 
 
 #: the bound fits' work budget, in kernel products (README): per order, t_points^2 (t, s)
-#: pairs of x_points x quad_nodes products plus a fixed _PAIR_COST, and 2 t_points slice
-#: quadratures at _PHI_COST per value of Phi
-MAX_FIT_WORK, _PAIR_COST, _PHI_COST = 2 ** 34, 2 ** 15, 2 ** 9
+#: pairs of quad_nodes x (x_points + _NODE_COST) products, the rotation costing _NODE_COST
+#: per lambda node, and 2 t_points slice quadratures at _PHI_COST per value of Phi
+MAX_FIT_WORK, _NODE_COST, _PHI_COST = 2 ** 34, 2 ** 7, 2 ** 9
 
 
 def _require_kernels(n, lambda0, R, quad_nodes, orders, t_max, t_points, x_points, lambdas,
@@ -323,7 +323,7 @@ def _require_kernels(n, lambda0, R, quad_nodes, orders, t_max, t_points, x_point
     for r in orders:
         cfg = auxiliary.KernelConfig(lambda0, R, r, quad_nodes)
         phi = auxiliary.check_kernel_config(cfg, n, x_points, R + t_max)  # alike for every r
-    pair = x_points * quad_nodes + _PAIR_COST
+    pair = quad_nodes * (x_points + _NODE_COST)
     work = len(orders) * t_points * (t_points * pair + 2 * _PHI_COST * phi)
     if not work <= MAX_FIT_WORK:
         raise ValueError(f"the bound fits' work {work:.4g} exceeds the budget of {MAX_FIT_WORK}")

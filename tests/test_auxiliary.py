@@ -1,5 +1,9 @@
+import json
 import math
 import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,6 +86,95 @@ class TestPhi:
         assert np.max(rel) < 1e-4
 
 
+def _decimal_ref(z) -> tuple[Decimal, Decimal]:
+    """e^(-z) (cosh z, sinh(z)/z) to 60 digits, as ((1 + e^(-2z))/2, (1 - e^(-2z))/(2z))."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        z = Decimal(z)
+        em = (-2 * z).exp()
+        return (1 + em) / 2, (1 - em) / (2 * z) if z else Decimal(1)
+
+
+def _sinhc_ref(z) -> Decimal:
+    """sinh(z)/z to 60 digits: its series below 1, the exponentials above."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        z = Decimal(z)
+        if z >= 1:
+            return (z.exp() - (-z).exp()) / (2 * z)
+        term = total = Decimal(1)
+        k = 1
+        while term > Decimal(10) ** -70:
+            term *= z * z / ((2 * k) * (2 * k + 1))
+            total += term
+            k += 1
+        return total
+
+
+# The unscaled kernels, w e^(-lambda (t + R)) times cosh(lambda t) or sinh(lambda (t - s)) /
+# (lambda (t - s)), and their fits one (t, s) pair at a time with Python's min and max: a
+# reference for the scaled, vectorized forms wherever cosh does not overflow (lambda t < 710).
+
+
+def _ref_sinhc(z):
+    z = np.asarray(z, dtype=float)
+    small = np.abs(z) < 1e-4
+    zs = np.where(small, 1.0, z)
+    return np.where(small, 1.0 + z * z / 6.0 + z ** 4 / 120.0, np.sinh(zs) / zs)
+
+
+def ref_xi(quad, t):
+    return (quad.w * np.exp(-quad.lam * (t + quad.cfg.R)) * np.cosh(quad.lam * t)) @ quad.phi_mat
+
+
+def ref_eta(quad, t, s):
+    decay = quad.w * np.exp(-quad.lam * (t + quad.cfg.R))
+    return (decay * _ref_sinhc(quad.lam * (t - s))) @ quad.phi_mat
+
+
+def ref_fit_kernel_bounds(cfg, n, t_grid, x_points):
+    """(A0, B0, B1, B2) by the unscaled kernels; NaN for a constant with no sample."""
+    r = cfg.order
+    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+
+    def quad(s):
+        return KernelQuadrature(cfg, n, np.linspace(0.0, s + cfg.R, x_points))
+
+    quad_R = quad(0.0)
+    a0 = min((np.min(ref_xi(quad_R, t)) for t in t_grid), default=math.nan)
+    b0 = min((np.min(ref_eta(quad_R, t, 0.0)) * bracket(t) for t in t_grid), default=math.nan)
+    b1 = min((np.min(ref_eta(quad_s, t, s) * bracket(t) * bracket(s) ** r)
+              for s in t_grid for quad_s in [quad(s)] for t in t_grid if t > s),
+             default=math.nan)
+    b2 = max((np.max(ref_eta(quad_t, t, t) * bracket(t) ** ((n - 1) / 2.0)
+                     * bracket(t - quad_t.radii) ** (r - (n - 3) / 2.0))
+              for t in t_grid if t > 0 for quad_t in [quad(t)]), default=math.nan)
+    return a0, b0, b1, b2
+
+
+def _shipped_fits():
+    """(n, KernelConfig, t_grid, x_points) of every order of experiments/kernels-*.json."""
+    root = Path(__file__).resolve().parents[1] / "experiments"
+    for path in sorted(root.glob("kernels-*.json")):
+        cfg = json.loads(path.read_text())
+        for order in cfg["orders"]:
+            kcfg = KernelConfig(lambda0=cfg["lambda0"], order=float(Fraction(order)))
+            grid = np.linspace(0.0, cfg["t_max"], cfg["t_points"])
+            yield pytest.param(cfg["n"], kcfg, grid, cfg["x_points"], id=f"{path.stem}-r{order}")
+
+
+FIT_CASES = [
+    *_shipped_fits(),
+    # the benchmark's modal fit at its reduced size (its full size is kernels-n3-lambda0-1)
+    *(pytest.param(3, KernelConfig(order=float(Fraction(r))), np.linspace(0.0, 50.0, 4), 7,
+                   id=f"modal-reduced-r{r}") for r in ("1/2", "2/3")),
+    # one sample (B1 and B2 have none at t = 0), one sample at t > 0, and two samples
+    pytest.param(3, KernelConfig(order=0.5), [0.0], 1, id="t0"),
+    pytest.param(3, KernelConfig(order=0.5), [1.0], 1, id="t1"),
+    pytest.param(3, KernelConfig(order=0.5), np.linspace(0.0, 50.0, 2), 1, id="t_points2"),
+]
+
+
 class TestKernels:
     def test_xi_closed_form_at_origin(self):
         cfg = KernelConfig(lambda0=1.0, R=1.0, order=0.0)
@@ -136,6 +229,48 @@ class TestKernels:
         above = quad.eta(t, t - 1.1e-4)[0]
         assert abs(below - above) / above < 1e-7
 
+    def test_scaled_kernels_match_the_unscaled_reference(self):
+        cfg = KernelConfig(lambda0=2.0, R=1.0, order=0.5)
+        quad = KernelQuadrature(cfg, 3, np.linspace(0.0, 3.0, 5))
+        ts = np.linspace(0.0, 50.0, 26)
+        rows = [ref_xi(quad, t) for t in ts]
+        np.testing.assert_allclose(quad.xi(ts), rows, rtol=1e-13, atol=0.0)
+        for s in (0.0, 1.0, 7.3):
+            t = ts[ts >= s]
+            rows = [ref_eta(quad, tt, s) for tt in t]
+            np.testing.assert_allclose(quad.eta(t, s), rows, rtol=1e-13, atol=0.0)
+
+    def test_kernels_finite_past_cosh_overflow(self):
+        # cosh(800) is inf and e^(-801) underflows: the unscaled product is NaN
+        cfg = KernelConfig(lambda0=1.0, R=1.0, order=0.5)
+        lam, w = cfg.nodes()
+        quad = KernelQuadrature(cfg, 3, [0.0, 0.5, 1.0])
+        xi, eta = quad.xi(800.0), quad.eta(800.0, 0.0)
+        assert np.all(np.isfinite(xi) & (xi > 0)) and np.all(np.isfinite(eta) & (eta > 0))
+        # e^(-lambda (t + R)) (cosh, sinh)(lambda t) = e^(-lambda R) (1 +- e^(-2 lambda t)) / 2
+        half, em = 0.5 * w * np.exp(-lam), np.exp(-1600.0 * lam)
+        np.testing.assert_allclose(xi, (half * (1.0 + em)) @ quad.phi_mat, rtol=1e-13)
+        np.testing.assert_allclose(eta, (half * (1.0 - em) / (800.0 * lam)) @ quad.phi_mat,
+                                   rtol=1e-13)
+
+    def test_rotation_matches_high_precision_reference(self):
+        quad = KernelQuadrature(KernelConfig(quad_nodes=16), 3, [0.0])
+        hs = np.concatenate([[0.0], np.logspace(-12, np.log10(800.0), 60)])
+        ch, shc = quad.rotation(hs)
+        assert ch.shape == shc.shape == (hs.size, quad.lam.size)
+        assert np.all(ch[0] == 1.0) and np.all(shc[0] == 1.0)
+        for i, h in enumerate(hs):
+            for k, lam in enumerate(quad.lam):
+                ref_ch, ref_shc = _decimal_ref(Decimal(float(h)) * Decimal(float(lam)))
+                assert abs(Decimal(float(ch[i, k])) / ref_ch - 1) < Decimal("4.5e-16")
+                assert abs(Decimal(float(shc[i, k])) / ref_shc - 1) < Decimal("4.5e-16")
+
+    def test_sinhc_matches_high_precision_reference(self):
+        assert sinhc(0.0) == 1.0
+        for z in np.concatenate([np.logspace(-300, np.log10(700.0), 120),
+                                 np.linspace(1e-5, 2.0, 40)]):
+            assert abs(Decimal(sinhc(z)) / _sinhc_ref(z) - 1) < Decimal("4.5e-16")
+
     def test_eta_requires_ordered_times(self):
         cfg = KernelConfig()
         with pytest.raises(ValueError):
@@ -174,6 +309,16 @@ class TestKernelBounds:
             cfg = KernelConfig(lambda0=lam0, R=1.0, order=0.5)
             fit = fit_kernel_bounds(cfg, 3, np.linspace(0.0, 10.0, 4), x_points=3)
             assert fit.a0 > 0
+
+    @pytest.mark.parametrize("n,cfg,t_grid,x_points", FIT_CASES)
+    def test_matches_the_unscaled_pairwise_reference(self, n, cfg, t_grid, x_points):
+        fit = fit_kernel_bounds(cfg, n, t_grid, x_points=x_points)
+        ref = ref_fit_kernel_bounds(cfg, n, t_grid, x_points)
+        for got, want in zip((fit.a0, fit.b0, fit.b1, fit.b2), ref):
+            if math.isnan(want):
+                assert math.isnan(got)
+            else:
+                assert abs(got - want) <= 1e-13 * abs(want), (got, want)
 
     def test_upper_bound_order_restriction(self):
         cfg = KernelConfig(order=-0.5)

@@ -326,13 +326,25 @@ class TestKernels:
                 _prepare("kernels", {**cfg, **extra, "x_points": x_max + 1})
 
     def test_fit_work_budget_boundary(self):
-        # per order, t (t (x_points quad_nodes + 2^15) + 2^10 x_points quad_nodes) kernel
-        # products: at one radius and 4 nodes, 2^34 falls between t_points 723 and 724
+        # per order, t (t quad_nodes (x_points + 2^7) + 2^10 x_points quad_nodes) kernel
+        # products: at one radius and 4 nodes, 2^34 falls between t_points 5766 and 5767
         cfg = {"n": 3, "orders": ["1/2"], "x_points": 1, "quad_nodes": 4}
-        assert _prepare("kernels", {**cfg, "t_points": 723})
-        for extra in ({"t_points": 724}, {"t_points": 723, "orders": ["1/2", "2/3"]}):
+        assert _prepare("kernels", {**cfg, "t_points": 5766})
+        for extra in ({"t_points": 5767}, {"t_points": 5766, "orders": ["1/2", "2/3"]}):
             with pytest.raises(ConfigError, match="work .* exceeds the budget"):
                 _prepare("kernels", {**cfg, **extra})
+
+    def test_kernel_overflow_is_a_failed_check(self, tmp_path):
+        # cosh(lambda t) overflows past lambda t = 710, the scaled kernels do not: A0 takes
+        # in the t = 800 sample, and Phi itself overflows at radius 801, so B2 is NaN
+        cfg = {"n": 3, "lambda0": 1.0, "orders": ["1/2"], "t_max": 800.0, "t_points": 5,
+               "x_points": 3}
+        code, out = run_cli(tmp_path, "kernels", cfg)
+        assert code == 1
+        assert "CHECK kernel-bounds-positive: FAIL" in (out / "summary.txt").read_text()
+        values = {row[1]: float(row[3]) for row in read_csv(out / "kernel_bounds.csv")[1:]}
+        assert abs(values["A0"] / 2.3810728033732445 - 1.0) < 1e-13
+        assert math.isnan(values["B2"])
 
     def test_large_lambda_runs(self, tmp_path, capsys):
         # the identity checks' difference step shrinks like 1/lambda, so every lambda
@@ -446,6 +458,14 @@ class TestSimulateAndSweep:
         assert [row.split(",")[2] for row in rows] == ["Survived"] * 4
         assert "CHECK sweep-fit: FAIL" in (out / "summary.txt").read_text()
 
+    def test_slope_off_the_window_is_a_failed_check(self, tmp_path):
+        # the n = 1 slope on this short ladder is -0.706 against -2/3: outside 0.1%
+        cfg = {"n": 1, "p": 2, "q": 2, "dr": 0.1, "horizon": 40.0,
+               "eps_list": [1.0, 0.7, 0.5, 0.35], "slope_rtol": 0.001, "workers": 1}
+        code, out = run_cli(tmp_path, "sweep", cfg)
+        assert code == 1
+        assert "CHECK slope-window: FAIL" in (out / "summary.txt").read_text()
+
     def test_sweep_needs_eps_list(self, tmp_path):
         code, _ = run_cli(tmp_path, "sweep", {"n": 1, "p": 2, "q": 2})
         assert code == 2
@@ -460,6 +480,14 @@ class TestVerifyCommand:
         summary = (out / "summary.txt").read_text()
         assert "CHECK frame-inequalities: PASS" in summary
         assert "CHECK cone-containment: PASS" in summary
+
+    def test_zero_data_is_a_failed_lower_bound_fit(self, tmp_path):
+        # zero data stay zero, so the lower-bound constants fit to 0
+        cfg = {"n": 2, "p": 2, "q": 2, "dr": 0.1, "horizon": 2.0, "data": {"u0": 0, "v0": 0}}
+        code, out = run_cli(tmp_path, "verify", cfg)
+        assert code == 1
+        summary = (out / "summary.txt").read_text()
+        assert "CHECK lower-bound-fits-positive: FAIL (C1=0 K1=0)" in summary
 
     def test_verify_fails_on_impossible_tolerance(self, tmp_path):
         cfg = {"n": 2, "p": "3/2", "q": "3/2", "dr": 0.1, "horizon": 4.0,

@@ -138,22 +138,15 @@ def classify(params: SystemParams) -> RegionClass:
     f1 = compute_F(params.n, params.p, params.q)
     f2 = compute_F(params.n, params.q, params.p)
     fmax = max(f1, f2)
-    if params.exact:
-        if fmax > 0:
-            tag = RegionTag.SUBCRITICAL_BLOWUP
-        elif fmax == 0:
-            tag = RegionTag.CRITICAL_BLOWUP
-        else:
-            tag = RegionTag.UNKNOWN
+    # inexact inputs: the boundary is fattened by CRITICAL_TOL, otherwise the
+    # nearest open region wins
+    on_curve = fmax == 0 if params.exact else abs(fmax) < CRITICAL_TOL
+    if on_curve:
+        tag = RegionTag.CRITICAL_BLOWUP
+    elif fmax > 0:
+        tag = RegionTag.SUBCRITICAL_BLOWUP
     else:
-        # inexact inputs: the boundary is fattened by CRITICAL_TOL, otherwise
-        # the nearest open region wins
-        if abs(fmax) < CRITICAL_TOL:
-            tag = RegionTag.CRITICAL_BLOWUP
-        elif fmax > 0:
-            tag = RegionTag.SUBCRITICAL_BLOWUP
-        else:
-            tag = RegionTag.UNKNOWN
+        tag = RegionTag.UNKNOWN
     return RegionClass(tag=tag, f_values=(f1, f2))
 
 
@@ -185,36 +178,26 @@ def lifespan_law(
         return LifespanLaw(LawForm.EXPONENTIAL, exponent, "critical, p != q")
 
     u_speed, v_speed = nontrivial_speeds
-    candidates: list[tuple[Scalar, str]] = []
+    # the three improvement ranges are disjoint, so at most one quantity replaces F
+    quantity, note = region.f_max, "subcritical"
     in_range = False
     if u_speed and v_speed and (n == 1 or (n == 2 and p < 2 and q < 2)):
         in_range = True
         g = max(compute_G(n, p, q), compute_G(n, q, p))
         if g > 0:
-            candidates.append((g, "improved, both speeds"))
-    if u_speed and n == 2 and p < 2 and q >= 2:
-        in_range = True
-        g = max(compute_F(n, p, q), compute_G(n, p, q))
-        if g > 0:
-            candidates.append((g, "improved, u-speed"))
-    if v_speed and n == 2 and q < 2 and p >= 2:
-        in_range = True
-        g = max(compute_F(n, q, p), compute_G(n, q, p))
-        if g > 0:
-            candidates.append((g, "improved, v-speed"))
+            quantity, note = g, "improved, both speeds"
+    for speed, r, s, name in ((u_speed, p, q, "u"), (v_speed, q, p, "v")):
+        if speed and n == 2 and r < 2 and s >= 2:
+            in_range = True
+            g = max(compute_F(n, r, s), compute_G(n, r, s))
+            if g > 0:
+                quantity, note = g, f"improved, {name}-speed"
     if (u_speed or v_speed) and not in_range:
         warnings.warn(
             f"speed flags carry no improved estimate for (n, p, q) = ({n}, {p}, {q})",
             stacklevel=2,
         )
-
-    if candidates:
-        quantity, note = candidates[0]
-    else:
-        quantity, note = region.f_max, "subcritical"
-    if _is_exact(quantity):
-        return LifespanLaw(LawForm.POWER, -1 / Fraction(quantity), note)
-    return LifespanLaw(LawForm.POWER, -1.0 / quantity, note)
+    return LifespanLaw(LawForm.POWER, -1 / quantity, note)  # exact for a Fraction quantity
 
 
 def single_equation_quantity(p: Scalar) -> Scalar:

@@ -90,18 +90,21 @@ def derive_constants(
     p, q = float(params.p), float(params.q)
     pq = p * q
     vol = ball_volume(n)
-    if C0 is None:
-        C0 = m1_0 * vol ** (1.0 - p) * R ** (-n * (p - 1.0))
-    if K0 is None:
-        K0 = m2_0 * vol ** (1.0 - q) * R ** (-n * (q - 1.0))
-
-    B0bar = n + 1 + 2.0 * (p + 1.0) / (pq - 1.0) + 1.0
-    B0tilde = n + 1 + 2.0 * (q + 1.0) / (pq - 1.0) + 1.0
-    log_Ctilde = math.log(C0) + p * math.log(K0) - 2.0 * math.log(B0bar) - 2.0 * p * math.log(B0tilde)
-    log_Ktilde = math.log(K0) + q * math.log(C0) - 2.0 * math.log(B0tilde) - 2.0 * q * math.log(B0bar)
     log_pq = math.log(pq)
-    Spq = 2.0 * pq * (p + 1.0) * log_pq / (pq - 1.0) ** 2 - log_Ctilde / (pq - 1.0)
-    Spq_tilde = 2.0 * pq * (q + 1.0) * log_pq / (pq - 1.0) ** 2 - log_Ktilde / (pq - 1.0)
+
+    def amplitude(r, m0, given):
+        return m0 * vol ** (1.0 - r) * R ** (-n * (r - 1.0)) if given is None else given
+
+    def envelope(r, s, own, other):
+        """(B0, log tilde, S) of the component of exponent r and amplitude own."""
+        b_own, b_other = (n + 1 + 2.0 * (x + 1.0) / (pq - 1.0) + 1.0 for x in (r, s))
+        log_t = (math.log(own) + r * math.log(other)
+                 - 2.0 * math.log(b_own) - 2.0 * r * math.log(b_other))
+        return b_own, log_t, 2.0 * pq * (r + 1.0) * log_pq / (pq - 1.0) ** 2 - log_t / (pq - 1.0)
+
+    C0, K0 = amplitude(p, m1_0, C0), amplitude(q, m2_0, K0)
+    B0bar, log_Ctilde, Spq = envelope(p, q, C0, K0)
+    B0tilde, log_Ktilde, Spq_tilde = envelope(q, p, K0, C0)
     j0 = math.ceil(
         max(log_Ctilde / (p + 1.0), log_Ktilde / (q + 1.0)) / log_pq
         - 2.0 * pq / (pq - 1.0)
@@ -114,6 +117,11 @@ def derive_constants(
         log_Ctilde=log_Ctilde, log_Ktilde=log_Ktilde,
         Spq=Spq, Spq_tilde=Spq_tilde, j0=j0,
     )
+
+
+def _standard_exponents(n: int, r: Fraction) -> tuple[Fraction, Fraction]:
+    """(a1, b1) = ((n-1)r/2, n+1): the standard first frame of the component of exponent r."""
+    return Fraction(n - 1) * r / 2, Fraction(n + 1)
 
 
 def subcritical_base(
@@ -130,25 +138,22 @@ def subcritical_base(
     from the speed integrals.
     """
     n = params.n
-    p, q = Fraction(params.p), Fraction(params.q)
     log_eps = math.log(params.eps)
-    if not low_dim:
-        a1 = Fraction(n - 1) * p / 2
-        alpha1 = Fraction(n - 1) * q / 2
-        b1 = beta1 = Fraction(n + 1)
-        logD = math.log(consts.m1_0 * consts.K1) + float(p) * log_eps - math.log(n * (n + 1))
-        logDelta = math.log(consts.m2_0 * consts.C1) + float(q) * log_eps - math.log(n * (n + 1))
-        return SubcriticalState(1, a1, b1, alpha1, beta1, logD, logDelta)
-
-    if not (n == 1 or (n == 2 and params.p < 2 and params.q < 2)):
+    if low_dim and not (n == 1 or (n == 2 and params.p < 2 and params.q < 2)):
         raise ValueError("low-dimension base case requires n = 1, or n = 2 with p, q < 2")
+
+    def first(r, m0, k1, speed):
+        """(a1, b1, log D1) of the component of exponent r fed by the other's speed."""
+        if not low_dim:
+            return (*_standard_exponents(n, r),
+                    math.log(m0 * k1) + float(r) * log_eps - math.log(n * (n + 1)))
+        if not speed > 0:
+            raise ValueError("low-dimension base case requires positive initial-speed integrals")
+        return r, Fraction(n - 1) * r, float(r) * (math.log(speed) + log_eps)
+
     iu1, iv1 = speed_integrals
-    if not (iu1 > 0 and iv1 > 0):
-        raise ValueError("low-dimension base case requires positive initial-speed integrals")
-    a1, b1 = p, Fraction(n - 1) * p
-    alpha1, beta1 = q, Fraction(n - 1) * q
-    logD = float(p) * (math.log(iv1) + log_eps)
-    logDelta = float(q) * (math.log(iu1) + log_eps)
+    a1, b1, logD = first(Fraction(params.p), consts.m1_0, consts.K1, iv1)
+    alpha1, beta1, logDelta = first(Fraction(params.q), consts.m2_0, consts.C1, iu1)
     return SubcriticalState(1, a1, b1, alpha1, beta1, logD, logDelta)
 
 
@@ -160,21 +165,15 @@ def subcritical_step(
     log D' = log C0 + p log Delta - log((beta p + 1)(beta p + 2)),
     with the mirrored (q, K0) updates for alpha, beta, log Delta."""
     n = params.n
-    p, q = Fraction(params.p), Fraction(params.q)
-    a = n * (p - 1) + state.alpha * p
-    b = state.beta * p + 2
-    alpha = n * (q - 1) + state.a * q
-    beta = state.b * q + 2
-    logD = (
-        math.log(consts.C0)
-        + float(p) * state.logDelta
-        - _log((state.beta * p + 1) * (state.beta * p + 2))
-    )
-    logDelta = (
-        math.log(consts.K0)
-        + float(q) * state.logD
-        - _log((state.b * q + 1) * (state.b * q + 2))
-    )
+
+    def advance(r, c0, a, b, logD):
+        """The next (a, b, log D) of the component of exponent r, from the other's (a, b, log D)."""
+        rb = b * r
+        logD_next = math.log(c0) + float(r) * logD - _log((rb + 1) * (rb + 2))
+        return n * (r - 1) + a * r, rb + 2, logD_next
+
+    a, b, logD = advance(Fraction(params.p), consts.C0, state.alpha, state.beta, state.logDelta)
+    alpha, beta, logDelta = advance(Fraction(params.q), consts.K0, state.a, state.b, state.logD)
     return SubcriticalState(state.j + 1, a, b, alpha, beta, logD, logDelta)
 
 
@@ -222,34 +221,20 @@ def subcritical_closed_form(
     p, q = Fraction(params.p), Fraction(params.q)
     pq = p * q
     if base is None:
-        a1 = Fraction(n - 1) * p / 2
-        alpha1 = Fraction(n - 1) * q / 2
-        b1 = beta1 = Fraction(n + 1)
+        (a1, b1), (alpha1, beta1) = _standard_exponents(n, p), _standard_exponents(n, q)
     else:
         a1, b1, alpha1, beta1 = base.a, base.b, base.alpha, base.beta
-    cp = 2 * (p + 1) / (pq - 1)
-    cq = 2 * (q + 1) / (pq - 1)
+    gain = pq ** ((j - 1) // 2)
+
+    def odd(r, a1, b1):
+        """(a, b) at the odd index 2((j-1)//2) + 1 of the component of exponent r."""
+        c = 2 * (r + 1) / (pq - 1)
+        return (n + a1) * gain - n, (b1 + c) * gain - c
+
+    (a, b), (alpha, beta) = odd(p, a1, b1), odd(q, alpha1, beta1)
     if j % 2 == 1:
-        m = (j - 1) // 2
-        gain = pq ** m
-        return ClosedForm(
-            j=j,
-            a=(n + a1) * gain - n,
-            b=(b1 + cp) * gain - cp,
-            alpha=(n + alpha1) * gain - n,
-            beta=(beta1 + cq) * gain - cq,
-        )
-    m = (j - 2) // 2
-    gain = pq ** m
-    beta_prev = (beta1 + cq) * gain - cq
-    b_prev = (b1 + cp) * gain - cp
-    return ClosedForm(
-        j=j,
-        a=None,
-        b=beta_prev * p + 2,
-        alpha=None,
-        beta=b_prev * q + 2,
-    )
+        return ClosedForm(j=j, a=a, b=b, alpha=alpha, beta=beta)
+    return ClosedForm(j=j, a=None, b=beta * p + 2, alpha=None, beta=b * q + 2)
 
 
 def weighted_sum_identities(p: Scalar, q: Scalar,
@@ -400,13 +385,16 @@ def critical_closed_form(params: SystemParams, j: int) -> tuple[Fraction, Fracti
     return A * gain + 1 - A, B * gain - B
 
 
+def _pq(p: Scalar, q: Scalar):
+    """The product pq, exact when p, q are rational."""
+    exact = isinstance(p, (int, Fraction)) and isinstance(q, (int, Fraction))
+    return Fraction(p) * Fraction(q) if exact else float(p) * float(q)
+
+
 def geometric_weight_limit(p: Scalar, q: Scalar):
     """Limit S of the weight sums S_j = sum_{k<=j} k (pq)^(-k): pq/(pq-1)^2.
     Exact when p, q are rational."""
-    if isinstance(p, (int, Fraction)) and isinstance(q, (int, Fraction)):
-        pq = Fraction(p) * Fraction(q)
-    else:
-        pq = float(p) * float(q)
+    pq = _pq(p, q)
     if pq <= 1:
         raise ValueError(f"need pq > 1, got {pq}")
     return pq / (pq - 1) ** 2
@@ -414,10 +402,7 @@ def geometric_weight_limit(p: Scalar, q: Scalar):
 
 def geometric_weight_partial(p: Scalar, q: Scalar, j: int):
     """Partial sum S_j; exact when p, q are rational."""
-    if isinstance(p, (int, Fraction)) and isinstance(q, (int, Fraction)):
-        pq = Fraction(p) * Fraction(q)
-        return sum(Fraction(k) / pq ** k for k in range(1, j + 1))
-    pq = float(p) * float(q)
+    pq = _pq(p, q)
     return sum(k * pq ** (-k) for k in range(1, j + 1))
 
 

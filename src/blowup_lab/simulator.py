@@ -436,27 +436,22 @@ def verify_identities(
     else:
         keep = np.ones(len(trace) - 2, dtype=bool)
 
-    def ode_residual(F, source, prof):
+    n, eps = params.n, params.eps
+
+    def component(F, source, prof, r):
+        """U with (Nv, b1, p) or V with (Nu, b2, q): the ODE residual, the frame
+        slack and the fitted lower-bound constant of the source."""
         d2 = (F[2:] - 2.0 * F[1:-1] + F[:-2]) / h ** 2
         d1 = (F[2:] - F[:-2]) / (2.0 * h)
         res = d2 + prof.b(t[sl]) * d1 - source[sl]
         # a window holding no sample (or a run that blew up before it) has no residual
-        return float(np.max(np.abs(res[keep]))) if np.any(keep) else math.nan
+        residual = float(np.max(np.abs(res[keep]))) if np.any(keep) else math.nan
+        slack = float(np.min(F - math.exp(-prof.l1) * _cumleft(_cumleft(source, t), t)))
+        fit = float(np.min(source * (1.0 + t) ** ((n - 1) * (r / 2.0 - 1.0)) / eps ** r))
+        return residual, slack, fit
 
-    res_u = ode_residual(trace.U, trace.Nv, b1)
-    res_v = ode_residual(trace.V, trace.Nu, b2)
-
-    m1_0 = math.exp(-b1.l1)
-    m2_0 = math.exp(-b2.l1)
-    i2_nv = _cumleft(_cumleft(trace.Nv, t), t)
-    i2_nu = _cumleft(_cumleft(trace.Nu, t), t)
-    slack_u = float(np.min(trace.U - m1_0 * i2_nv))
-    slack_v = float(np.min(trace.V - m2_0 * i2_nu))
-
-    n, eps = params.n, params.eps
-    p, q = float(params.p), float(params.q)
-    c1 = float(np.min(trace.Nu * (1.0 + t) ** ((n - 1) * (q / 2.0 - 1.0)) / eps ** q))
-    k1 = float(np.min(trace.Nv * (1.0 + t) ** ((n - 1) * (p / 2.0 - 1.0)) / eps ** p))
+    res_u, slack_u, k1 = component(trace.U, trace.Nv, b1, float(params.p))
+    res_v, slack_v, c1 = component(trace.V, trace.Nu, b2, float(params.q))
     return IdentityReport(res_u, res_v, slack_u, slack_v, c1, k1)
 
 

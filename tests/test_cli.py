@@ -241,6 +241,33 @@ class TestIterate:
         assert "CHECK closed-form-equality: PASS" in summary
         assert "CHECK logD-lower-bound: FAIL" in summary
 
+    def test_perturbed_exponent_fails_closed_form_equality(self, tmp_path, monkeypatch):
+        exact = iteration.subcritical_step
+
+        def perturbed(state, params, consts):
+            frame = exact(state, params, consts)
+            return replace(frame, b=frame.b + 1) if frame.j == 4 else frame
+
+        monkeypatch.setattr(iteration, "subcritical_step", perturbed)
+        code, out = run_cli(tmp_path, "iterate", {"n": 3, "p": 3, "q": 2, "j_max": 9})
+        assert code == 1
+        assert "CHECK closed-form-equality: FAIL (mismatch)" in (out / "summary.txt").read_text()
+
+    def test_perturbed_amplitude_fails_logC_lower_bound(self, tmp_path, monkeypatch):
+        exact = iteration.critical_step
+
+        def perturbed(state, params, consts):
+            frame = exact(state, params, consts)
+            return replace(frame, logC=frame.logC - 1e6) if frame.j == 3 else frame
+
+        monkeypatch.setattr(iteration, "critical_step", perturbed)
+        cfg = {"n": 3, "p": 3, "q": 2, "j_max": 6, "scheme": "critical"}
+        code, out = run_cli(tmp_path, "iterate", cfg)
+        assert code == 1
+        summary = (out / "summary.txt").read_text()
+        assert "CHECK closed-form-equality: PASS" in summary
+        assert "CHECK logC-lower-bound: FAIL" in summary
+
     def test_logD_lower_bound_checked_only_past_j0(self, tmp_path):
         # C0 = K0 = 1e9 puts j0 at 11; the bound fails at j = 1 and 3 but is not claimed there
         cfg = {"n": 3, "p": 2, "q": 2, "constants": {"C0": 1e9, "K0": 1e9}}
@@ -488,6 +515,17 @@ class TestVerifyCommand:
         assert code == 1
         summary = (out / "summary.txt").read_text()
         assert "CHECK lower-bound-fits-positive: FAIL (C1=0 K1=0)" in summary
+
+    @pytest.mark.parametrize("data,slacks", [({"u0": -1}, "(-0.632,0.623)"),
+                                             ({"v0": -1}, "(0.623,-0.635)")], ids=["u", "v"])
+    def test_negative_data_fail_frame_inequalities(self, tmp_path, data, slacks):
+        # a negative bump makes its own component's integral negative: the slack of
+        # that component, and only that one, goes below zero
+        cfg = {"n": 2, "p": 2, "q": 3, "dr": 0.1, "horizon": 2.0, "data": data}
+        code, out = run_cli(tmp_path, "verify", cfg)
+        assert code == 1
+        summary = (out / "summary.txt").read_text()
+        assert f"CHECK frame-inequalities: FAIL (slacks={slacks})" in summary
 
     def test_verify_fails_on_impossible_tolerance(self, tmp_path):
         cfg = {"n": 2, "p": "3/2", "q": "3/2", "dr": 0.1, "horizon": 4.0,

@@ -1,8 +1,9 @@
 import math
+import warnings
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blowup_lab.exponents import (
@@ -45,7 +46,10 @@ class TestComputeF:
     def test_swap_symmetry(self, n, p, q):
         # swapping the arguments must give exactly the mirrored formula
         assert compute_F(n, q, p) == (q + 2 + F(1) / p) / (p * q - 1) - F(n - 1, 2)
-        assert compute_F(n, p, q) == compute_F(n, p, q)  # deterministic and total
+        # the float path agrees with the exact one; the absolute floor covers the
+        # rational zeros of F, such as F(3, 7/2, 2) = 0
+        exact = float(compute_F(n, p, q))
+        assert math.isclose(compute_F(n, float(p), float(q)), exact, rel_tol=1e-12, abs_tol=1e-12)
 
 
 class TestComputeG:
@@ -141,6 +145,36 @@ class TestLifespanLaw:
     def test_unknown_region_raises(self):
         with pytest.raises(RegionError):
             lifespan_law(SystemParams(3, F(4), F(4)))
+
+    def test_speed_notes_follow_the_component(self):
+        u = lifespan_law(SystemParams(2, F(3, 2), F(2)), (True, False))
+        v = lifespan_law(SystemParams(2, F(2), F(3, 2)), (False, True))
+        assert (u.note, v.note) == ("improved, u-speed", "improved, v-speed")
+        assert u.exponent == v.exponent == F(-2, 3)  # -1/F(2, 3/2, 2)
+
+    @settings(max_examples=200)
+    @given(n=dims, p=rationals, q=rationals, speeds=st.tuples(st.booleans(), st.booleans()))
+    @example(n=2, p=F(5, 2), q=F(3, 2), speeds=(False, True))
+    def test_swap_mirrors_law(self, n, p, q, speeds):
+        # (p, q, speeds) and (q, p, reversed speeds) are one system with its components
+        # renamed: the same law, with the u-speed and v-speed notes exchanged
+        mirror = {"improved, u-speed": "improved, v-speed",
+                  "improved, v-speed": "improved, u-speed"}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # speed flags outside every improvement range
+            laws = []
+            for params, flags in ((SystemParams(n, p, q), speeds),
+                                  (SystemParams(n, q, p), speeds[::-1])):
+                try:
+                    laws.append(lifespan_law(params, flags))
+                except RegionError:
+                    laws.append(None)
+        law, swapped = laws
+        if law is None:
+            assert swapped is None
+            return
+        assert (swapped.form, swapped.exponent) == (law.form, law.exponent)
+        assert swapped.note == mirror.get(law.note, law.note)
 
     def test_flags_outside_improvement_range_warn(self):
         with pytest.warns(UserWarning):

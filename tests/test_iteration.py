@@ -114,6 +114,46 @@ class TestSubcriticalRecursion:
             assert cur.b > prev.b and cur.beta > prev.beta
 
 
+positive = st.floats(min_value=0.05, max_value=20.0)
+
+
+class TestMirror:
+    """Swapping (u, p, m1(0), K1, C0, int v1) with (v, q, m2(0), C1, K0, int u1) maps
+    the subcritical scheme to itself: every constant, frame and closed form swaps
+    exactly, which a p/q or C0/K0 slip in either component breaks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=dims, p=rationals, q=rationals, eps=positive, m=st.tuples(positive, positive),
+           ck1=st.tuples(positive, positive), ck0=st.none() | st.tuples(positive, positive),
+           speeds=st.tuples(positive, positive), low_dim=st.booleans())
+    def test_swap_mirrors_constants_frames_and_closed_forms(self, n, p, q, eps, m, ck1, ck0,
+                                                            speeds, low_dim):
+        low_dim = low_dim and (n == 1 or (n == 2 and p < 2 and q < 2))
+        params, swapped = make(n, p, q, eps), make(n, q, p, eps)
+        c0k0 = ck0 or (None, None)
+        c = derive_constants(params, *m, *ck1, *c0k0)
+        s = derive_constants(swapped, *m[::-1], *ck1[::-1], *c0k0[::-1])
+        assert (s.C0, s.C1, s.m1_0, s.B0bar, s.log_Ctilde, s.Spq) == (
+            c.K0, c.K1, c.m2_0, c.B0tilde, c.log_Ktilde, c.Spq_tilde)
+        assert (s.K0, s.K1, s.m2_0, s.B0tilde, s.log_Ktilde, s.Spq_tilde) == (
+            c.C0, c.C1, c.m1_0, c.B0bar, c.log_Ctilde, c.Spq)
+        assert s.j0 == c.j0
+
+        frames = iterate_subcritical(params, c, 9, low_dim, speeds)
+        mirrored = iterate_subcritical(swapped, s, 9, low_dim, speeds[::-1])
+        for f, g in zip(frames, mirrored, strict=True):
+            assert (f.j, f.a, f.b, f.logD) == (g.j, g.alpha, g.beta, g.logDelta)
+            assert (f.alpha, f.beta, f.logDelta) == (g.a, g.b, g.logD)
+            for base_f, base_g in ((frames[0], mirrored[0]), (None, None)):
+                cf = subcritical_closed_form(params, f.j, base_f)
+                cg = subcritical_closed_form(swapped, f.j, base_g)
+                assert (cf.a, cf.b, cf.alpha, cf.beta) == (cg.alpha, cg.beta, cg.a, cg.b)
+            if f.j % 2 == 1:
+                lo_f = subcritical_logD_lower_bound(params, c, frames[0], f.j)
+                lo_g = subcritical_logD_lower_bound(swapped, s, mirrored[0], f.j)
+                assert lo_f == lo_g[::-1]
+
+
 def direct_weighted_sum(p, q, j):
     """The identity's left side summed term by term, every power taken afresh."""
     pq = F(p) * F(q)

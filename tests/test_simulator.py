@@ -13,6 +13,7 @@ from blowup_lab.damping import DampingProfile
 from blowup_lab.exponents import SystemParams
 from blowup_lab.simulator import (
     Detection,
+    FunctionalTrace,
     GridConfig,
     InitialData,
     LifespanRecord,
@@ -572,6 +573,23 @@ class TestVerifyIdentities:
         assert all(f > 0 for f in fits)
         assert all(abs(f - mid) / mid <= 0.2 for f in fits)
 
+    def test_swap_mirrors_report(self):
+        # p != q, eps != 1, n >= 2, two dampings and asymmetric data: the report of the
+        # swapped inputs is the report with (residual, slack, fit) of U and V exchanged,
+        # so neither component can take the other's exponent, source or damping
+        params, swapped = SystemParams(2, F(3), F(2), eps=0.7), SystemParams(2, F(2), F(3), eps=0.7)
+        data = InitialData(u0_amp=1.0, u1_amp=0.3, v0_amp=0.5, v1_amp=0.0)
+        res = run_until_blowup(params, (ZERO, POLY), data, GridConfig(dr=0.05, horizon=3.0))
+        tr = res.trace
+        mirror = FunctionalTrace(t=tr.t, U=tr.V, V=tr.U, Nu=tr.Nv, Nv=tr.Nu, sup=tr.sup)
+        rep = verify_identities(tr, (ZERO, POLY), params, window=(0.5, 2.5))
+        swap = verify_identities(mirror, (POLY, ZERO), swapped, window=(0.5, 2.5))
+        assert (swap.ode_residual_u, swap.iter1_slack_u, swap.k1_fit) == (
+            rep.ode_residual_v, rep.iter1_slack_v, rep.c1_fit)
+        assert (swap.ode_residual_v, swap.iter1_slack_v, swap.c1_fit) == (
+            rep.ode_residual_u, rep.iter1_slack_u, rep.k1_fit)
+        assert rep.c1_fit != rep.k1_fit and rep.iter1_slack_u != rep.iter1_slack_v
+
     def test_short_trace_rejected(self):
         grid = GridConfig(dr=0.1, horizon=0.2)
         res = run_until_blowup(params1d(), (ZERO, ZERO), BUMPS, grid)
@@ -580,8 +598,6 @@ class TestVerifyIdentities:
 
 
 def _truncate(trace, k):
-    from blowup_lab.simulator import FunctionalTrace
-
     return FunctionalTrace(
         t=trace.t[:k], U=trace.U[:k], V=trace.V[:k],
         Nu=trace.Nu[:k], Nv=trace.Nv[:k], sup=trace.sup[:k],

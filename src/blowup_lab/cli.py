@@ -517,7 +517,9 @@ def cmd_sweep(out: str, params, profiles, data, grid, eps_list, slope_rtol,
 def cmd_verify(out: str, params, profiles, data, grid, window, ode_tol, critical,
                log_window, lambda0, quad_nodes) -> list[Check]:
     from blowup_lab import simulator
-    result = simulator.run_until_blowup(params, profiles, data, grid)
+    stream = (simulator.CriticalStream(params, profiles, grid, lambda0, quad_nodes)
+              if critical else None)
+    result = simulator.run_until_blowup(params, profiles, data, grid, stream)
     simulator.write_trace_csv(result.trace, os.path.join(out, "trace.csv"))
     try:
         report = simulator.verify_identities(result.trace, profiles, params, window)
@@ -537,9 +539,7 @@ def cmd_verify(out: str, params, profiles, data, grid, window, ode_tol, critical
     ]
     if critical:
         log_window = log_window or (5.0, grid.horizon)
-        crit = simulator.verify_critical_inequalities(
-            result, lambda0=lambda0, quad_nodes=quad_nodes, log_window=log_window
-        )
+        crit = simulator.verify_critical_inequalities(stream, log_window=log_window)
         plotting.write_csv(
             os.path.join(out, "critical_functionals.csv"),
             ("t", "weighted_u", "lower_bound_u", "weighted_v", "lower_bound_v", "log_ratio"),

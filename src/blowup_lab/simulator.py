@@ -131,18 +131,23 @@ class FunctionalTrace:
         return self.t.size
 
 
-MAX_NODE_STEPS, MAX_SNAPSHOT_BYTES = 2 ** 30, 2 ** 28  # a run's budget with MAX_NODES (README)
+#: a run's budget with MAX_NODES, and the critical verifier's, in kernel products (README)
+MAX_NODE_STEPS, MAX_STREAM_WORK = 2 ** 30, 2 ** 34
 
 
 def grid_extent(params: SystemParams, grid: GridConfig) -> float:
     return grid.horizon + params.R + max(0.5, 10 * grid.dr)
 
 
+def _radii(params: SystemParams, grid: GridConfig) -> np.ndarray:
+    return np.arange(int(round(grid_extent(params, grid) / grid.dr)) + 1) * grid.dr
+
+
 def check_run(params: SystemParams, data: InitialData, grid: GridConfig) -> None:
     """Raise ValueError, without building the grid, for a run that cannot start: a
     sphere measure out of float range, a threshold at or below the initial sup
-    norm eps * max(|u0|, |v0|), or a run over budget: its grid nodes, its
-    node-steps (horizon / dt) * nodes, or its snapshot bytes."""
+    norm eps * max(|u0|, |v0|), or a run over budget: its grid nodes or its
+    node-steps (horizon / dt) * nodes."""
     sphere_area(params.n - 1)
     if max(abs(params.eps * data.u0_amp), abs(params.eps * data.v0_amp)) >= grid.threshold:
         raise ValueError("threshold must exceed the initial sup norm")
@@ -152,9 +157,6 @@ def check_run(params: SystemParams, data: InitialData, grid: GridConfig) -> None
     node_steps = grid.horizon / grid.dt * nodes
     if not node_steps <= MAX_NODE_STEPS:
         raise ValueError(f"{node_steps:.4g} node-steps exceed the budget of {MAX_NODE_STEPS}")
-    shots = 0 if grid.snapshot_every is None else grid.n_steps // grid.snapshot_every + 1
-    if shots * 2 * nodes * 8 > MAX_SNAPSHOT_BYTES:
-        raise ValueError(f"{shots} snapshots exceed the budget of {MAX_SNAPSHOT_BYTES} bytes")
 
 
 class GridState:
@@ -168,7 +170,7 @@ class GridState:
         self.b1, self.b2 = profiles
         n, R, dr = params.n, params.R, grid.dr
         self.dr, self.dt = dr, grid.dt
-        self.r = np.arange(int(round(grid_extent(params, grid) / dr)) + 1) * dr
+        self.r = _radii(params, grid)
         # trapezoid weights against the surface measure |S^(n-1)| r^(n-1) dr
         w = np.full(self.r.size, dr)
         w[0] = w[-1] = 0.5 * dr
@@ -331,7 +333,8 @@ class RunResult:
     record: LifespanRecord
     trace: FunctionalTrace
     state: GridState
-    snapshots: list[tuple[float, np.ndarray, np.ndarray]] = field(default_factory=list)
+    # always empty: a run stores no snapshots, its observer reads the live state
+    snapshots: list = field(default_factory=list)
 
 
 def init_state(params, profiles, data: InitialData, grid: GridConfig) -> GridState:
@@ -343,12 +346,14 @@ def run_until_blowup(
     profiles: tuple[DampingProfile, DampingProfile],
     data: InitialData,
     grid: GridConfig,
+    observe=None,
 ) -> RunResult:
     """Step until the sup norm crosses the threshold, a non-finite value
-    appears, or the horizon is reached (a Survived record, not an error)."""
+    appears, or the horizon is reached (a Survived record, not an error).
+    observe(state), when given, sees the live state at steps 0, k, 2k, ...
+    (k = snapshot_every) up to the step the run ends on, before its checks."""
     state = init_state(params, profiles, data, grid)
     samples = {k: [] for k in ("t", "U", "V", "Nu", "Nv", "sup")}
-    snapshots: list[tuple[float, np.ndarray, np.ndarray]] = []
 
     detection = Detection.SURVIVED
     t_blow = grid.horizon
@@ -361,8 +366,9 @@ def run_until_blowup(
             sup = row[-1]
         else:
             sup = state.sup_norm()
-        if grid.snapshot_every is not None and state.step_index % grid.snapshot_every == 0:
-            snapshots.append((state.t, state.u.copy(), state.v.copy()))
+        if (observe is not None and grid.snapshot_every is not None
+                and state.step_index % grid.snapshot_every == 0):
+            observe(state)
         if not math.isfinite(sup):
             detection, t_blow = Detection.NONFINITE, state.t
             break
@@ -374,7 +380,7 @@ def run_until_blowup(
         step(state)
 
     trace = FunctionalTrace(**{k: np.asarray(v) for k, v in samples.items()})
-    return RunResult(LifespanRecord(params.eps, t_blow, detection), trace, state, snapshots)
+    return RunResult(LifespanRecord(params.eps, t_blow, detection), trace, state)
 
 
 # -- identity and inequality verification --
@@ -488,7 +494,8 @@ def critical_kernel_configs(params: SystemParams, profiles, grid: GridConfig, la
                             quad_nodes: int):
     """Kernel configs of the critical-case functionals of u and v, after checking
     the hypotheses of the critical-case machinery: n >= 2, C^1 damping, snapshots,
-    admissible kernel orders and the Phi values of the quadrature over the grid."""
+    admissible kernel orders, the Phi values of the quadrature over the grid and
+    the streamed work, snapshots x nodes x quad_nodes per distinct quadrature."""
     if params.n < 2:
         raise ValueError("critical-case machinery requires n >= 2")
     if any(prof.kind == "tabulated" for prof in profiles):
@@ -498,59 +505,105 @@ def critical_kernel_configs(params: SystemParams, profiles, grid: GridConfig, la
     orders = critical_kernel_orders(params.n, params.p, params.q)
     cfgs = tuple(KernelConfig(lambda0, params.R, r, quad_nodes) for r in orders)
     extent = grid_extent(params, grid)  # the verifier's radii are the grid's nodes
+    nodes = extent / grid.dr + 1.0
     for cfg in cfgs:
-        check_kernel_config(cfg, params.n, extent / grid.dr + 1.0, extent)
+        check_kernel_config(cfg, params.n, nodes, extent)
+    shots = grid.n_steps // grid.snapshot_every + 1
+    work = shots * nodes * quad_nodes * len(set(cfgs))
+    if not work <= MAX_STREAM_WORK:
+        raise ValueError(f"the critical verifier's work {work:.4g} exceeds the budget of "
+                         f"{MAX_STREAM_WORK}")
     return cfgs
 
 
+class CriticalStream:
+    """The critical verifier's state along one run, built before it: pass the stream
+    as run_until_blowup's observer, then verify_critical_inequalities(stream).
+
+    The kernel (t-s) sinhc(lambda (t-s)) solves y'' = lambda^2 y, so per lambda node
+    each lower bound is one solution (y, y'), scaled by e^(-lambda t): it starts from
+    the data, and each snapshot kicks y' with the previous snapshot's source, rotates
+    by the snapshot gap and records the weighted average and its bound, O(K) per
+    snapshot after one product Phi[:, :m] @ Z per distinct quadrature, where Z holds
+    u W, v W, |u|^q W and |v|^p W on the cone window m (the fields vanish past it).
+    """
+
+    def __init__(self, params: SystemParams, profiles, grid: GridConfig,
+                 lambda0: float = KernelConfig.lambda0,
+                 quad_nodes: int = KernelConfig.quad_nodes):
+        cfg_u, cfg_v = critical_kernel_configs(params, profiles, grid, lambda0, quad_nodes)
+        r = _radii(params, grid)
+        quad_u = KernelQuadrature(cfg_u, params.n, r)
+        # equal orders (p = q) give equal configs: build the quadrature once
+        quad_v = quad_u if cfg_v == cfg_u else KernelQuadrature(cfg_v, params.n, r)
+        self.params, self.t = params, []
+        self._buf = np.empty((r.size, 4))
+        # Z's columns: u W, v W, |u|^q W, |v|^p W; u's source is |v|^p, v's is |u|^q
+        self._parts = (_Component(quad_u, profiles[0], 0, 3), _Component(quad_v, profiles[1], 1, 2))
+
+    def __call__(self, state: GridState) -> None:
+        m, t = state.m, state.t
+        z, w = self._buf[:m], state.weights[:m, None]
+        u, v = self._parts
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(state._z[:2 * m].reshape(m, 2), w, out=z[:, :2])
+            np.multiply(state._sources()[:2 * m].reshape(m, 2), w, out=z[:, 2:])
+            prod_u = u.quad.phi_mat[:, :m] @ z
+            prods = (prod_u, prod_u if v.quad is u.quad else v.quad.phi_mat[:, :m] @ z)
+            if not self.t:  # the data, at t = 0
+                for part, prod, w_t0 in zip(self._parts, prods, (state.ut_init, state.vt_init)):
+                    part.start(prod[:, part.own], part.quad.phi_mat[:, :m] @ (w[:, 0] * w_t0[:m]))
+            else:
+                # the previous snapshot's kick, at its inner trapezoid weight (a
+                # prefix's end has sinh 0 = 0), then the rotation over the gap
+                s = self.t[-1]
+                kick = 0.5 * (t - self.t[max(len(self.t) - 2, 0)])
+                for part, prod in zip(self._parts, prods):
+                    part.advance(s, t, kick, prod[:, part.own])
+        for part, prod in zip(self._parts, prods):
+            part.src = prod[:, part.source]
+        self.t.append(t)
+
+
+class _Component:
+    """One component's lower-bound recurrence in a CriticalStream, with its
+    own-field and source columns of Z."""
+
+    def __init__(self, quad: KernelQuadrature, profile, own: int, source: int):
+        self.quad, self.own, self.source = quad, own, source
+        self.g1, self.g2 = math.exp(-profile.l1), math.exp(-2.0 * profile.l1)
+        self.lhs, self.rhs = [], []
+
+    def start(self, data, data_t):
+        # (y, dy) = e^(-lam t) (Y, Y') with Y'' = lam^2 Y: every rotation coefficient is in [0, 1]
+        self.y, self.dy = self.g1 * data, self.g2 * data_t
+
+    def advance(self, s, t, kick, own):
+        """Kick dy with the source of the snapshot at s, rotate to t, record at t."""
+        quad, lam, h = self.quad, self.quad.lam, t - s
+        dy = self.dy + self.g2 * kick * np.exp(-lam * s) * self.src
+        ch, shc = quad.rotation(h)  # sinh(lam h) / lam = h shc, both scaled by e^(-lam h)
+        self.y, self.dy = ch * self.y + h * shc * dy, ch * dy + lam * lam * (h * shc) * self.y
+        self.lhs.append(float(quad.decay(t) @ own))
+        self.rhs.append(float(quad.decay(0.0) @ self.y))
+
+
 def verify_critical_inequalities(
-    result: RunResult,
-    lambda0: float = KernelConfig.lambda0,
-    quad_nodes: int = KernelConfig.quad_nodes,
+    stream: CriticalStream,
     log_window: tuple[float, float] = (5.0, math.inf),
 ) -> CriticalReport:
-    """Check the kernel-weighted lower bounds along the stored history.
+    """Check the kernel-weighted lower bounds a CriticalStream recorded along its run.
 
     Each weighted average must dominate its data terms plus the
     (t-s)-weighted source integral, all damped by exp(-l1) factors; the
     first component must additionally grow at least like log(2t/3).
-    Requires n >= 2, snapshot history, and smooth damping kinds.  The kernel
-    (t-s) sinhc(lambda (t-s)) solves y'' = lambda^2 y, so per lambda node the
-    lower bound is one solution, kicked in y' by each snapshot's source: O(S K).
     """
-    state = result.state
-    params, W = state.params, state.weights
-    cfg_u, cfg_v = critical_kernel_configs(params, (state.b1, state.b2), state.grid, lambda0,
-                                           quad_nodes)
-    quad_u = KernelQuadrature(cfg_u, params.n, state.r)
-    # equal orders (p = q) give equal configs: build the quadrature once
-    quad_v = quad_u if cfg_v == cfg_u else KernelQuadrature(cfg_v, params.n, state.r)
-
-    s_times, u_snaps, v_snaps = (np.array(column) for column in zip(*result.snapshots))
-
-    def component_check(quad, own, partner, power, init, init_t, profile):
-        # Phi-transforms of the field, its source |partner|^power and its data per lambda node
-        A = quad.phi_mat @ (own * W).T  # (K, S)
-        src = quad.phi_mat @ (np.abs(partner) ** power * W).T
-        lam, g1, g2 = quad.lam, math.exp(-profile.l1), math.exp(-2.0 * profile.l1)
-        # (y, dy) = e^(-lam t) (Y, Y') with Y'' = lam^2 Y: every rotation coefficient is in [0, 1]
-        y, dy = g1 * (quad.phi_mat @ (W * init)), g2 * (quad.phi_mat @ (W * init_t))
-        lhs, rhs = [], []
-        for j, h in enumerate(np.diff(s_times), 1):  # snapshot 0 holds the data, at t = 0
-            # s_(j-1)'s kick, at its inner trapezoid weight (a prefix's end has sinh 0 = 0)
-            w = 0.5 * (s_times[j] - s_times[max(j - 2, 0)])
-            dy = dy + g2 * w * np.exp(-lam * s_times[j - 1]) * src[:, j - 1]
-            ch, shc = quad.rotation(h)  # sinh(lam h) / lam = h shc, both scaled by e^(-lam h)
-            y, dy = ch * y + h * shc * dy, ch * dy + lam * lam * (h * shc) * y
-            lhs.append(float(quad.decay(s_times[j]) @ A[:, j]))
-            rhs.append(float(quad.decay(0.0) @ y))
-        return np.asarray(lhs), np.asarray(rhs)
-
-    p, q = float(params.p), float(params.q)
-    u = component_check(quad_u, u_snaps, v_snaps, p, state.u_init, state.ut_init, state.b1)
-    v = component_check(quad_v, v_snaps, u_snaps, q, state.v_init, state.vt_init, state.b2)
-    (lhs_1, rhs_1), (lhs_2, rhs_2) = (u, v) if p >= q else (v, u)
-    t_checked = s_times[1:]
+    p, q = float(stream.params.p), float(stream.params.q)
+    u, v = stream._parts
+    first, second = (u, v) if p >= q else (v, u)
+    t_checked = np.asarray(stream.t[1:], dtype=float)
+    lhs_1, rhs_1, lhs_2, rhs_2 = (np.asarray(x, dtype=float) for x in
+                                  (first.lhs, first.rhs, second.lhs, second.rhs))
 
     lo, hi = log_window
     in_win = (t_checked >= max(lo, 1.5 + 1e-9)) & (t_checked <= hi)

@@ -44,6 +44,7 @@ from blowup_lab.iteration import (
     weighted_sum_identities,
 )
 from blowup_lab.simulator import (
+    CriticalStream,
     Detection,
     GridConfig,
     InitialData,
@@ -257,9 +258,10 @@ def test_criterion_8_critical_regime_functionals():
     p0 = strauss_exponent(3)
     params = SystemParams(3, p0, p0, R=1.0, eps=1.0)
     grid = GridConfig(dr=0.0125, horizon=40.0, snapshot_every=40, sample_every=40)
-    res = run_until_blowup(params, (POLY, POLY), BUMPS, grid)
+    stream = CriticalStream(params, (POLY, POLY), grid)
+    res = run_until_blowup(params, (POLY, POLY), BUMPS, grid, stream)
     survived = res.record.detection is Detection.SURVIVED
-    rep = verify_critical_inequalities(res, log_window=(5.0, 40.0))
+    rep = verify_critical_inequalities(stream, log_window=(5.0, 40.0))
     ok = survived and rep.bounds_hold() and rep.log_ratio_min > 0
     report(8, "critical-regime functionals", ok,
            f"bounds at {rep.t_checked.size} sampled times, "

@@ -437,6 +437,25 @@ class TestSimulateAndSweep:
         with pytest.raises(ConfigError, match="kernel values exceed the budget"):
             _prepare("verify", {**cfg, "horizon": 203.0})
 
+    def test_critical_stream_budget_boundary(self, tmp_path, capsys, monkeypatch):
+        # (horizon 1000, snapshot_every 1, quad_nodes 128) is an OVER_BUDGET case of the
+        # contract tests; this pins the edge at 2^34 products: two distinct quadratures
+        # (p != q) of 2048 nodes over 2048 radii, 2048 snapshots; one snapshot more (the
+        # same extent with one more step) is past it
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(simulator, "run_until_blowup", reached)
+        cfg = {"n": 3, "p": 2, "q": 3, "dr": 0.5, "critical": True, "snapshot_every": 1,
+               "quad_nodes": 2048}
+        assert _prepare("verify", {**cfg, "horizon": 511.75, "R": 506.75})
+        code, out = run_cli(tmp_path, "verify", {**cfg, "horizon": 512.0, "R": 506.5})
+        err = capsys.readouterr().err
+        assert code == 2 and not any(out.iterdir())
+        assert err.count("\n") == 1
+        assert err.startswith("config error: the critical verifier's work 1.719e+10 exceeds "
+                              "the budget of 17179869184")
+
     def test_one_damping_block_gives_one_shared_profile(self):
         cfg = {"n": 1, "p": 2, "q": 2, "damping": {"kind": "poly"}}
         b1, b2 = _prepare("simulate", cfg)["profiles"]

@@ -169,13 +169,13 @@ RUNS = [
     ("kernels", {"lambdas": [1000.0], "horizon": 0.01}),
     *(("kernels", extra) for extra, _, _ in LAMBDA_RUNS),
 ]
-# runs past the resource budget (grid nodes, node-steps, snapshot bytes, the modal grid,
-# quadrature nodes, values of Phi): rejected before any allocation
+# runs past the resource budget (grid nodes, node-steps, the critical verifier's work, the
+# modal grid, quadrature nodes, values of Phi): rejected before any allocation
 OVER_BUDGET = [
     ("simulate", {"dr": 1e-9}),
     ("simulate", {"R": 1e300}),
     ("simulate", {"CFL": 1e-9, "horizon": 1.0}),
-    ("verify", {"horizon": 1000.0, "snapshot_every": 1}),
+    ("verify", {"critical": True, "horizon": 1000.0, "snapshot_every": 1, "quad_nodes": 128}),
     ("kernels", {"orders": ["1/2"], "lambdas": [1e10], "horizon": 10.0}),
     ("kernels", {"x_points": 1e13}),
     ("kernels", {"quad_nodes": 1e13}),

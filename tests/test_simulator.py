@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from concurrent.futures import Future
 from dataclasses import fields, replace
@@ -12,6 +13,7 @@ from blowup_lab.auxiliary import KernelQuadrature, sinhc
 from blowup_lab.damping import DampingProfile
 from blowup_lab.exponents import SystemParams
 from blowup_lab.simulator import (
+    CriticalStream,
     Detection,
     FunctionalTrace,
     GridConfig,
@@ -152,6 +154,26 @@ def reference_record(params, profiles, data, grid):
 
 POLY = DampingProfile.polynomial_tail(1.0, 2.0)
 ROOT2 = 1.0 + math.sqrt(2.0)
+
+
+def run_with_snapshots(params, profiles, data, grid, stream=None):
+    """A run, and copies (t, u, v) of its fields at the snapshot cadence, collected
+    by an observer that then hands the state on to the critical stream, if any."""
+    snapshots = []
+
+    def observe(state):
+        snapshots.append((state.t, state.u.copy(), state.v.copy()))
+        if stream is not None:
+            stream(state)
+
+    return run_until_blowup(params, profiles, data, grid, observe), snapshots
+
+
+def critical_stream_run(params, profiles, data, grid, quad_nodes=64):
+    """A run streamed through a CriticalStream: the run, copies of its snapshots and the stream."""
+    stream = CriticalStream(params, profiles, grid, quad_nodes=quad_nodes)
+    res, snapshots = run_with_snapshots(params, profiles, data, grid, stream)
+    return res, snapshots, stream
 
 
 class _CountingDamping:
@@ -315,20 +337,18 @@ class TestInterleavedLayout:
             step(state)
         assert calls == windows  # one call over the (u, v) slots of each window
 
-    def test_snapshots_are_contiguous_copies(self):
+    def test_observer_sees_the_live_state_at_the_snapshot_cadence(self):
         grid = GridConfig(dr=0.1, horizon=2.0, snapshot_every=4)
-        res = run_until_blowup(params1d(eps=0.3), (ZERO, ZERO), BUMPS, grid)
-        assert len(res.snapshots) == 11
-        for _, u, v in res.snapshots:
-            for snap in (u, v):
-                assert snap.flags.c_contiguous and snap.flags.owndata
-                assert snap.size == res.state.r.size
-                assert not np.shares_memory(snap, res.state.u)
-                assert not np.shares_memory(snap, res.state.u_prev)
-        _, u0, v0 = res.snapshots[0]
-        assert np.array_equal(u0, res.state.u_init) and np.array_equal(v0, res.state.v_init)
-        _, u_end, v_end = res.snapshots[-1]
-        assert np.array_equal(u_end, res.state.u) and np.array_equal(v_end, res.state.v)
+        seen = []
+        res = run_until_blowup(params1d(eps=0.3), (ZERO, ZERO), BUMPS, grid,
+                               lambda state: seen.append((state, state.step_index, state.t)))
+        assert [k for _, k, _ in seen] == list(range(0, 41, 4))  # steps 0, k, 2k, ..., the last
+        assert [t for _, _, t in seen] == list(res.trace.t[::4])  # state.t, sampled every step
+        assert all(state is res.state for state, _, _ in seen)  # the live state, no copy
+        assert res.snapshots == []
+        # a run without snapshot_every never calls its observer
+        run_until_blowup(params1d(eps=0.3), (ZERO, ZERO), BUMPS, replace(grid, snapshot_every=None),
+                         lambda state: pytest.fail("observed without snapshot_every"))
 
     @pytest.mark.parametrize("profiles,linear", [((ZERO, POLY), False), ((POLY, POLY), False),
                                                  ((POLY, ZERO), True)],
@@ -364,14 +384,15 @@ class TestInterleavedLayout:
         data = InitialData(1.0, 0.3, 0.5, -0.2)
         swapped = InitialData(data.v0_amp, data.v1_amp, data.u0_amp, data.u1_amp)
         grid = GridConfig(dr=0.05, horizon=6.0, snapshot_every=40)
-        a = run_until_blowup(SystemParams(n, p, q, eps=2.0), profiles, data, grid)
-        b = run_until_blowup(SystemParams(n, q, p, eps=2.0), profiles[::-1], swapped, grid)
+        a, snaps_a = run_with_snapshots(SystemParams(n, p, q, eps=2.0), profiles, data, grid)
+        b, snaps_b = run_with_snapshots(SystemParams(n, q, p, eps=2.0), profiles[::-1], swapped,
+                                        grid)
         assert (a.record.t_blow, a.record.detection) == (b.record.t_blow, b.record.detection)
         for x, y in ((a.trace.U, b.trace.V), (a.trace.V, b.trace.U), (a.trace.Nu, b.trace.Nv),
                      (a.trace.Nv, b.trace.Nu), (a.trace.sup, b.trace.sup), (a.trace.t, b.trace.t)):
             assert np.array_equal(x, y)
         assert not np.array_equal(a.trace.U, a.trace.V)  # the two components differ
-        for (ta, ua, va), (tb, ub, vb) in zip(a.snapshots, b.snapshots, strict=True):
+        for (ta, ua, va), (tb, ub, vb) in zip(snaps_a, snaps_b, strict=True):
             assert ta == tb and np.array_equal(ua, vb) and np.array_equal(va, ub)
 
 
@@ -612,32 +633,42 @@ def critical_run():
     params = SystemParams(3, p0, p0, R=1.0, eps=1.0)
     poly = DampingProfile.polynomial_tail(1.0, 2.0)
     grid = GridConfig(dr=0.025, horizon=12.0, snapshot_every=40)
-    return params, run_until_blowup(params, (poly, poly), BUMPS, grid)
+    return params, *critical_stream_run(params, (poly, poly), BUMPS, grid)
 
 
-def reference_critical_report(result, quad_nodes):
+def reference_critical_report(result, snapshots, quad_nodes, linear=False):
     """The critical report's fields by the direct double sum: at every checked t_j
     the data terms, plus the kernel summed against the source of every snapshot
-    s_i <= t_j with the trapezoid weights of the prefix s_0..s_j, in O(S^2 K)."""
+    s_i <= t_j with the trapezoid weights of the prefix s_0..s_j, in O(S^2 K).
+    The weighted averages read the field as the stream does: Phi over the cone
+    window times the four weighted fields u W, v W, |u|^q W, |v|^p W. A linear
+    run has no source."""
     state = result.state
     params, W = state.params, state.weights
     cfgs = simulator.critical_kernel_configs(params, (state.b1, state.b2), state.grid, 1.0,
                                              quad_nodes)
-    s_times, u_snaps, v_snaps = (np.array(column) for column in zip(*result.snapshots))
+    s_times, u_snaps, v_snaps = (np.array(column) for column in zip(*snapshots))
     d = np.diff(s_times)
     half, mid = 0.5 * d, 0.5 * (d[1:] + d[:-1])
+    p, q = float(params.p), float(params.q)
 
-    def component(cfg, own, partner, power, init, init_t, profile):
+    def weighted_fields(quad, j):
+        m = state._window(s_times[j])
+        u, v = u_snaps[j], v_snaps[j]
+        z = np.stack([u * W, v * W, np.power(np.abs(u), q) * W, np.power(np.abs(v), p) * W],
+                     axis=1)
+        return quad.phi_mat[:, :m] @ z[:m]
+
+    def component(cfg, col, own, partner, power, init, init_t, profile):
         quad = KernelQuadrature(cfg, params.n, state.r)
-        A = quad.phi_mat @ (own * W).T
-        src = quad.phi_mat @ (np.abs(partner) ** power * W).T
+        src = quad.phi_mat @ (np.abs(partner) ** power * W).T * (not linear)
         d0, d1 = quad.phi_mat @ (W * init), quad.phi_mat @ (W * init_t)
         lam, l1 = quad.lam, profile.l1
         lhs, rhs = [], []
         for j in range(1, s_times.size):
             tc = s_times[j]
             decay = quad.decay(tc)
-            lhs.append(float(decay @ A[:, j]))
+            lhs.append(float(decay @ weighted_fields(quad, j)[:, col]))
             data0 = math.exp(-l1) * float((decay * np.cosh(lam * tc)) @ d0)
             data1 = math.exp(-2.0 * l1) * tc * float((decay * sinhc(lam * tc)) @ d1)
             sub = s_times[: j + 1]
@@ -648,9 +679,8 @@ def reference_critical_report(result, quad_nodes):
             rhs.append(data0 + data1 + source)
         return np.asarray(lhs), np.asarray(rhs)
 
-    p, q = float(params.p), float(params.q)
-    u = component(cfgs[0], u_snaps, v_snaps, p, state.u_init, state.ut_init, state.b1)
-    v = component(cfgs[1], v_snaps, u_snaps, q, state.v_init, state.vt_init, state.b2)
+    u = component(cfgs[0], 0, u_snaps, v_snaps, p, state.u_init, state.ut_init, state.b1)
+    v = component(cfgs[1], 1, v_snaps, u_snaps, q, state.v_init, state.vt_init, state.b2)
     (lhs_1, rhs_1), (lhs_2, rhs_2) = (u, v) if p >= q else (v, u)
     t = s_times[1:]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -659,33 +689,61 @@ def reference_critical_report(result, quad_nodes):
             "rhs_v": rhs_2, "log_ratio": log_ratio}
 
 
+def critical_peak_bytes(snapshot_every):
+    """The tracemalloc peak of the critical fixture's run plus its verification."""
+    p0 = 1.0 + math.sqrt(2.0)
+    params = SystemParams(3, p0, p0, R=1.0, eps=1.0)
+    poly = DampingProfile.polynomial_tail(1.0, 2.0)
+    grid = GridConfig(dr=0.025, horizon=12.0, snapshot_every=snapshot_every)
+    tracemalloc.start()
+    try:
+        stream = CriticalStream(params, (poly, poly), grid)
+        run_until_blowup(params, (poly, poly), BUMPS, grid, stream)
+        rep = verify_critical_inequalities(stream, log_window=(5.0, 12.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.bounds_hold() and rep.t_checked.size == 960 // snapshot_every
+    return peak
+
+
 class TestCriticalVerifier:
     def test_bounds_hold(self, critical_run):
-        params, res = critical_run
-        rep = verify_critical_inequalities(res, log_window=(5.0, 12.0))
+        params, res, snapshots, stream = critical_run
+        rep = verify_critical_inequalities(stream, log_window=(5.0, 12.0))
         assert rep.bounds_hold()
         assert rep.log_ratio_min > 0
 
-    def test_rejects_low_dimension(self):
-        res = run_until_blowup(params1d(), (ZERO, ZERO), BUMPS,
-                               GridConfig(dr=0.1, horizon=1.0, snapshot_every=5))
-        with pytest.raises(ValueError):
-            verify_critical_inequalities(res)
+    @pytest.fixture
+    def no_run(self, monkeypatch):
+        def started(*args, **kwargs):
+            raise AssertionError("the run started")
 
-    def test_rejects_tabulated_damping(self):
+        monkeypatch.setattr(simulator, "init_state", started)
+
+    def test_rejects_low_dimension(self, no_run):
+        with pytest.raises(ValueError, match="n >= 2"):
+            critical_stream_run(params1d(), (ZERO, ZERO), BUMPS,
+                                GridConfig(dr=0.1, horizon=1.0, snapshot_every=5))
+
+    def test_rejects_tabulated_damping(self, no_run):
         ts = np.linspace(0.0, 10.0, 50)
         tab = DampingProfile.tabulated(ts, np.exp(-ts))
         params = SystemParams(2, F(2), F(2), R=1.0, eps=0.1)
-        res = run_until_blowup(params, (tab, tab), BUMPS,
-                               GridConfig(dr=0.1, horizon=1.0, snapshot_every=5))
-        with pytest.raises(ValueError):
-            verify_critical_inequalities(res)
+        with pytest.raises(ValueError, match="C\\^1 damping"):
+            critical_stream_run(params, (tab, tab), BUMPS,
+                                GridConfig(dr=0.1, horizon=1.0, snapshot_every=5))
 
-    def test_requires_snapshots(self):
+    def test_requires_snapshots(self, no_run):
         params = SystemParams(2, F(2), F(2), R=1.0, eps=0.1)
-        res = run_until_blowup(params, (ZERO, ZERO), BUMPS, GridConfig(dr=0.1, horizon=1.0))
-        with pytest.raises(ValueError):
-            verify_critical_inequalities(res)
+        with pytest.raises(ValueError, match="snapshot_every"):
+            critical_stream_run(params, (ZERO, ZERO), BUMPS, GridConfig(dr=0.1, horizon=1.0))
+
+    def test_peak_memory_does_not_grow_with_snapshots(self):
+        # 25 against 193 snapshots: stored copies of u and v would add about 3.7 MB; the
+        # first pass fills one-time caches, so it is not measured
+        critical_peak_bytes(40)
+        assert abs(critical_peak_bytes(5) - critical_peak_bytes(40)) < 0.5 * 2 ** 20
 
     def test_asymmetric_orders_and_swap(self):
         # exact critical point with p > q (F(3, 7/2, 2) = 0) exercises the two
@@ -694,13 +752,15 @@ class TestCriticalVerifier:
         slow = DampingProfile.polynomial_tail(0.5, 3.0)
         grid = GridConfig(dr=0.04, horizon=8.0, snapshot_every=15, sample_every=15)
         params = SystemParams(3, F(7, 2), F(2), R=1.0, eps=1.0)
-        res = run_until_blowup(params, (POLY, slow), InitialData(1.0, 0.3, 0.7, 0.2), grid)
-        rep = verify_critical_inequalities(res, log_window=(5.0, 8.0))
+        *_, stream = critical_stream_run(params, (POLY, slow), InitialData(1.0, 0.3, 0.7, 0.2),
+                                         grid)
+        rep = verify_critical_inequalities(stream, log_window=(5.0, 8.0))
         assert rep.bounds_hold() and rep.log_ratio_min > 0
 
         params_sw = SystemParams(3, F(2), F(7, 2), R=1.0, eps=1.0)
-        res_sw = run_until_blowup(params_sw, (slow, POLY), InitialData(0.7, 0.2, 1.0, 0.3), grid)
-        rep_sw = verify_critical_inequalities(res_sw, log_window=(5.0, 8.0))
+        *_, stream_sw = critical_stream_run(params_sw, (slow, POLY),
+                                            InitialData(0.7, 0.2, 1.0, 0.3), grid)
+        rep_sw = verify_critical_inequalities(stream_sw, log_window=(5.0, 8.0))
         assert rep_sw.bounds_hold()
         for f in fields(rep):
             a, b = getattr(rep, f.name), getattr(rep_sw, f.name)
@@ -718,19 +778,32 @@ class TestCriticalVerifier:
 
         monkeypatch.setattr(simulator, "KernelQuadrature", CountingQuadrature)
         params = SystemParams(3, p, q, R=1.0, eps=1.0)
-        res = run_until_blowup(params, (POLY, POLY), BUMPS,
-                               GridConfig(dr=0.1, horizon=4.0, snapshot_every=10))
-        rep = verify_critical_inequalities(res, quad_nodes=16, log_window=(2.0, 4.0))
+        *_, stream = critical_stream_run(params, (POLY, POLY), BUMPS,
+                                         GridConfig(dr=0.1, horizon=4.0, snapshot_every=10),
+                                         quad_nodes=16)
+        rep = verify_critical_inequalities(stream, log_window=(2.0, 4.0))
         assert len(built) == builds
         assert rep.t_checked.size > 0
 
     def test_zero_data_bounds_trivially(self):
         params = SystemParams(2, F(2), F(2), R=1.0, eps=1.0)
-        res = run_until_blowup(params, (ZERO, ZERO), InitialData.zero(),
-                               GridConfig(dr=0.1, horizon=2.0, snapshot_every=5))
-        rep = verify_critical_inequalities(res, log_window=(1.6, 2.0))
+        *_, stream = critical_stream_run(params, (ZERO, ZERO), InitialData.zero(),
+                                         GridConfig(dr=0.1, horizon=2.0, snapshot_every=5))
+        rep = verify_critical_inequalities(stream, log_window=(1.6, 2.0))
         assert np.all(rep.weighted_u == 0.0) and np.all(rep.rhs_u == 0.0)
         assert rep.bounds_hold()
+
+    def test_linear_run_bound_has_no_source(self):
+        # the stream reads the run's own sources, which a linear run does not have
+        params = SystemParams(3, ROOT2, ROOT2, R=1.0, eps=1.0)
+        grid = GridConfig(dr=0.05, horizon=8.0, snapshot_every=20, linear_mode=True)
+        res, snapshots, stream = critical_stream_run(params, (POLY, POLY), BUMPS, grid)
+        rep = verify_critical_inequalities(stream)
+        ref = reference_critical_report(res, snapshots, 64, linear=True)
+        assert np.array_equal(rep.weighted_u, ref["weighted_u"])
+        np.testing.assert_allclose(rep.rhs_u, ref["rhs_u"], rtol=1e-13, atol=0.0)
+        with_source = reference_critical_report(res, snapshots, 64)
+        assert np.all(rep.rhs_u < with_source["rhs_u"])
 
     @pytest.mark.parametrize("case", ["fixture", "asymmetric", "undamped", "long"])
     def test_matches_direct_double_sum(self, critical_run, case):
@@ -738,28 +811,28 @@ class TestCriticalVerifier:
         # everything read from the field alone bit for bit
         quad_nodes = 64
         if case == "fixture":
-            res = critical_run[1]
+            _, res, snapshots, stream = critical_run
         elif case == "asymmetric":
             slow = DampingProfile.polynomial_tail(0.5, 3.0)
             params = SystemParams(3, F(7, 2), F(2), R=1.0, eps=1.0)
-            res = run_until_blowup(params, (POLY, slow), InitialData(1.0, 0.3, 0.7, 0.2),
-                                   GridConfig(dr=0.04, horizon=8.0, snapshot_every=15,
-                                              sample_every=15))
             quad_nodes = 16
+            res, snapshots, stream = critical_stream_run(
+                params, (POLY, slow), InitialData(1.0, 0.3, 0.7, 0.2),
+                GridConfig(dr=0.04, horizon=8.0, snapshot_every=15, sample_every=15), quad_nodes)
         elif case == "undamped":
             params = SystemParams(3, ROOT2, ROOT2, R=1.0, eps=1.0)
-            res = run_until_blowup(params, (ZERO, ZERO), BUMPS,
-                                   GridConfig(dr=0.05, horizon=8.0, snapshot_every=8))
+            res, snapshots, stream = critical_stream_run(
+                params, (ZERO, ZERO), BUMPS, GridConfig(dr=0.05, horizon=8.0, snapshot_every=8))
         else:  # a survived run with 601 snapshots
             params = SystemParams(2, F(3, 2), F(2), R=1.0, eps=0.001)
-            res = run_until_blowup(params, (POLY, POLY), BUMPS,
-                                   GridConfig(dr=0.2, horizon=60.0, snapshot_every=1,
-                                              sample_every=10))
-            assert len(res.snapshots) == 601
             quad_nodes = 16
-        rep = verify_critical_inequalities(res, quad_nodes=quad_nodes)
-        ref = reference_critical_report(res, quad_nodes)
-        assert rep.t_checked.size == len(res.snapshots) - 1 > 0
+            res, snapshots, stream = critical_stream_run(
+                params, (POLY, POLY), BUMPS,
+                GridConfig(dr=0.2, horizon=60.0, snapshot_every=1, sample_every=10), quad_nodes)
+            assert len(snapshots) == 601
+        rep = verify_critical_inequalities(stream)
+        ref = reference_critical_report(res, snapshots, quad_nodes)
+        assert rep.t_checked.size == len(snapshots) - 1 > 0
         for name in ("t_checked", "weighted_u", "weighted_v", "log_ratio"):
             assert np.array_equal(getattr(rep, name), ref[name], equal_nan=True), name
         for name in ("rhs_u", "rhs_v"):

@@ -25,9 +25,12 @@ from __future__ import annotations
 
 import math
 import os
+import threading
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -655,11 +658,37 @@ def thread_cap() -> int | None:
 
 
 def sweep_workers(n_jobs: int, requested: int | None = None) -> int:
-    """Worker count for a sweep: the requested value (default one per job up
-    to the CPU count), always capped by BLOWUP_LAB_THREADS when set."""
-    cap = thread_cap() or os.cpu_count() or 1
-    want = requested if requested is not None else min(n_jobs, os.cpu_count() or 1)
+    """Runs at once in a sweep, this process included: the requested value
+    (default one per job up to the usable CPU count), always capped by
+    BLOWUP_LAB_THREADS when set, else by the usable CPUs.  Usable means the
+    CPUs this process may run on (its affinity set) where the platform tells."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    cap = thread_cap() or cpus
+    want = requested if requested is not None else min(n_jobs, cpus)
     return max(1, min(want, cap, n_jobs))
+
+
+def _drain(queue: deque, records: list, errors: list, start, job=None) -> None:
+    """Run job indices popped off the shared queue until it is empty, storing
+    each record at its index.  start(i) begins job i and returns a call that
+    waits for its record; `job` is an (i, wait) pair begun before this call.
+    A failure goes to errors and clears the queue, so no runner starts another
+    job; the caller re-raises it."""
+    try:
+        while True:
+            if job is None:
+                try:
+                    i = queue.popleft()
+                except IndexError:
+                    return
+                job = i, start(i)
+            i, wait = job
+            records[i] = wait()
+            job = None
+    except BaseException as exc:
+        errors.append(exc)
+        queue.clear()
 
 
 def check_sweep(params_template: SystemParams, data: InitialData, grid: GridConfig,
@@ -683,10 +712,13 @@ def lifespan_sweep(
     eps_list,
     workers: int | None = None,
 ) -> SweepResult:
-    """Run one blow-up detection per eps (independently, optionally in
-    parallel processes), fit log T against log eps, and compare with the
-    theoretical law.  Survived records are excluded from the fit and counted;
-    with fewer than 2 blow-ups the fitted fields are NaN."""
+    """Run one blow-up detection per eps (independently, sweep_workers(...)
+    at once: this process runs eps too, so the pool forks one worker fewer),
+    fit log T against log eps, and compare with the theoretical law.  Records
+    keep the order of eps_list.  An exception from a run, here or in a
+    worker, is raised here once the runs under way end; no further eps
+    starts.  Survived records are excluded from the fit and counted; with
+    fewer than 2 blow-ups the fitted fields are NaN."""
     eps_list = list(eps_list)
     check_sweep(params_template, data, grid, eps_list)
     # a sweep keeps only the records: sample at t = 0 alone, store no snapshots,
@@ -697,11 +729,27 @@ def lifespan_sweep(
     ]
     nw = sweep_workers(len(jobs), workers)
     if nw > 1:
-        # smallest eps first: it runs longest, so it must not start last
-        with ProcessPoolExecutor(max_workers=nw) as pool:
-            futures = {i: pool.submit(_sweep_one, jobs[i])
-                       for i in sorted(range(len(jobs)), key=lambda i: jobs[i][0].eps)}
-            records = [futures[i].result() for i in range(len(jobs))]
+        # nw runners, this process and a pool of nw - 1 workers, pull from one
+        # queue, smallest eps first: it runs longest, so it must not start last
+        queue = deque(sorted(range(len(jobs)), key=lambda i: jobs[i][0].eps))
+        records, errors = [None] * len(jobs), []
+        with ProcessPoolExecutor(max_workers=nw - 1) as pool:
+            def remote(i):
+                return pool.submit(_sweep_one, jobs[i]).result
+
+            firsts = [queue.popleft() for _ in range(nw - 1)]
+            # submitting them here forks the workers from this thread, before
+            # any feeder thread or run here starts
+            feeders = [threading.Thread(target=_drain,
+                                        args=(queue, records, errors, remote, (i, remote(i))))
+                       for i in firsts]
+            for t in feeders:
+                t.start()
+            _drain(queue, records, errors, lambda i: partial(_sweep_one, jobs[i]))
+            for t in feeders:
+                t.join()
+        if errors:
+            raise errors[0]
     else:
         records = [_sweep_one(j) for j in jobs]
 

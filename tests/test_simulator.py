@@ -1,8 +1,13 @@
 import math
+import multiprocessing
+import os
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
-from concurrent.futures import Future
-from dataclasses import fields, replace
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -840,6 +845,49 @@ class TestCriticalVerifier:
             np.testing.assert_allclose(getattr(rep, name), ref[name], rtol=1e-13, atol=0.0)
 
 
+_real_sweep_one = simulator._sweep_one
+
+
+@dataclass(frozen=True)
+class _PidRecord(LifespanRecord):
+    pid: int = 0
+
+
+def _sweep_one_tagged(job):
+    """The real run, tagged with the pid of the process that ran it."""
+    rec = _real_sweep_one(job)
+    return _PidRecord(rec.eps, rec.t_blow, rec.detection, os.getpid())
+
+
+# set per test: the directory the runs mark, the pid of the sweep's own process,
+# and which side fails ("here" or "worker"); a fork carries it into the worker
+_failing = {}
+
+
+def _wait_for(cond, what):
+    deadline = time.monotonic() + 10.0
+    while not cond():
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"waited 10 s for {what}")
+        time.sleep(0.01)
+
+
+def _sweep_one_failing(job):
+    """Marks its eps as started.  A run on the failing side waits until both
+    runners have started, then raises; a run on the other side waits for that
+    failure, and 1 s more for it to reach the sweep, then returns."""
+    eps, d = job[0].eps, _failing["dir"]
+    (d / f"start-{eps}").touch()
+    here = os.getpid() == _failing["pid"]
+    if here == (_failing["side"] == "here"):
+        _wait_for(lambda: len(list(d.glob("start-*"))) >= 2, "both runners to start")
+        (d / "failed").touch()
+        raise RuntimeError(f"run at eps {eps} failed")
+    _wait_for((d / "failed").exists, "the other runner to fail")
+    time.sleep(1.0)
+    return LifespanRecord(eps, 1.0 / eps, Detection.THRESHOLD)
+
+
 class TestSweep:
     def test_fit_recovers_exact_power_law(self):
         eps = np.array([1.0, 0.5, 0.25, 0.125])
@@ -893,7 +941,19 @@ class TestSweep:
         assert [r.t_blow for r in serial.records] == [r.t_blow for r in parallel.records]
         assert serial.slope == parallel.slope
 
-    def test_records_keep_caller_order(self, tmp_path):
+    def test_two_workers_fork_one_and_run_here(self, tmp_path, monkeypatch):
+        # workers=2 is two runs at once: this process and one forked worker;
+        # records keep the caller's order and the CSV is that of one worker
+        pools = []
+
+        class SpyPool(ProcessPoolExecutor):
+            def shutdown(self, *args, **kwargs):
+                pools.append((self._max_workers, set(self._processes or {})))
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setenv("BLOWUP_LAB_THREADS", "2")
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", SpyPool)
+        monkeypatch.setattr(simulator, "_sweep_one", _sweep_one_tagged)
         grid = GridConfig(dr=0.05, horizon=30.0)
         eps = [0.5, 1.0, 0.35, 0.7]
         for workers in (1, 2):
@@ -901,37 +961,90 @@ class TestSweep:
             assert [r.eps for r in sweep.records] == eps
             write_records_csv(sweep.records, grid, tmp_path / f"records{workers}.csv")
         assert (tmp_path / "records1.csv").read_bytes() == (tmp_path / "records2.csv").read_bytes()
+        [(max_workers, worker_pids)] = pools
+        assert max_workers == 1 and len(worker_pids) == 1
+        assert {r.pid for r in sweep.records} == worker_pids | {os.getpid()}
+        assert multiprocessing.active_children() == []
 
-    def test_pool_starts_smallest_eps_first(self, monkeypatch):
-        submitted = []
+    def test_runs_start_smallest_eps_first(self, monkeypatch):
+        # threads stand in for the pool's processes; the pool's first run waits
+        # until this process starts one, so the two smallest eps start first
+        pools, starts = [], []
+        started_here = threading.Event()
 
-        class InlinePool:
+        class ThreadPool(ThreadPoolExecutor):
             def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, job):
-                submitted.append(job[0].eps)
-                fut = Future()
-                fut.set_result(fn(job))
-                return fut
+                pools.append(max_workers)
+                super().__init__(max_workers)
 
         def fake_run(job):
-            eps = job[0].eps
+            eps, here = job[0].eps, threading.current_thread() is threading.main_thread()
+            starts.append((eps, here))
+            if here:
+                started_here.set()
+            else:
+                assert started_here.wait(10.0)
             return LifespanRecord(eps, 1.0 / eps, Detection.THRESHOLD)
 
         monkeypatch.setenv("BLOWUP_LAB_THREADS", "2")
-        monkeypatch.setattr(simulator, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", ThreadPool)
         monkeypatch.setattr(simulator, "_sweep_one", fake_run)
-        eps = [0.5, 1.0, 0.25, 0.7]
+        eps = [0.5, 1.0, 0.25, 0.7, 0.35, 0.9]
         sweep = lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, GridConfig(), eps, workers=2)
-        assert submitted == [0.25, 0.5, 0.7, 1.0]
+        assert pools == [1]
         assert [r.eps for r in sweep.records] == eps
+        assert sorted(e for e, _ in starts) == sorted(eps)
+        pool_side = [e for e, here in starts if not here]
+        this_side = [e for e, here in starts if here]
+        assert pool_side[0] == 0.25 and this_side[0] == 0.35
+        assert pool_side == sorted(pool_side) and this_side == sorted(this_side)
+
+    def test_shared_queue_runs_each_eps_once(self, monkeypatch):
+        # more runners than CPUs and a short switch interval: a lost pop or a
+        # lost record would run an eps twice or leave a record out
+        runs = []
+
+        def fake_run(job):
+            runs.append(job[0].eps)
+            return LifespanRecord(job[0].eps, 1.0, Detection.THRESHOLD)
+
+        monkeypatch.setenv("BLOWUP_LAB_THREADS", "8")
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", ThreadPoolExecutor)
+        monkeypatch.setattr(simulator, "_sweep_one", fake_run)
+        eps = [1.0 - k / 400 for k in range(200)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sweep = lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, GridConfig(), eps, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(runs) == sorted(eps)
+        assert [r.eps for r in sweep.records] == eps
+
+    @pytest.mark.parametrize("side", ["here", "worker"])
+    def test_failed_run_stops_the_sweep(self, side, tmp_path, monkeypatch):
+        # the error surfaces whichever runner raised it, the queued eps never
+        # start, and no worker outlives the call
+        monkeypatch.setitem(_failing, "dir", tmp_path)
+        monkeypatch.setitem(_failing, "pid", os.getpid())
+        monkeypatch.setitem(_failing, "side", side)
+        monkeypatch.setenv("BLOWUP_LAB_THREADS", "2")
+        monkeypatch.setattr(simulator, "_sweep_one", _sweep_one_failing)
+        eps = [1.0, 0.9, 0.8, 0.7, 0.6, 0.5]
+        with pytest.raises(RuntimeError, match="failed"):
+            lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, GridConfig(), eps, workers=2)
+        assert sorted(f.name for f in tmp_path.glob("start-*")) == ["start-0.5", "start-0.6"]
+        assert multiprocessing.active_children() == []
+
+    def test_workers_count_usable_cpus(self, monkeypatch):
+        # a CPU-pinned process counts the CPUs it may run on, not the host's
+        monkeypatch.delenv("BLOWUP_LAB_THREADS", raising=False)
+        monkeypatch.setattr(simulator.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        assert simulator.sweep_workers(5) == 2
+        assert simulator.sweep_workers(5, requested=4) == 2
+        monkeypatch.setenv("BLOWUP_LAB_THREADS", "4")
+        assert simulator.sweep_workers(5, requested=4) == 4
 
 
 class TestPersistence:

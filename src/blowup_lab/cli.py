@@ -467,10 +467,12 @@ def cmd_kernels(out: str, n, lambda0, R, quad_nodes, orders, t_max, t_points, x_
 
 def cmd_simulate(out: str, params, profiles, data, grid) -> list[Check]:
     from blowup_lab import simulator
-    result = simulator.run_until_blowup(params, profiles, data, grid)
-    simulator.write_trace_csv(result.trace, os.path.join(out, "trace.csv"))
+    sampler = simulator.FunctionalSampler()
+    result = simulator.run_until_blowup(params, profiles, data, grid,
+                                        [(grid.sample_every, sampler)])
+    tr = sampler.trace()
+    simulator.write_trace_csv(tr, os.path.join(out, "trace.csv"))
     simulator.write_records_csv([result.record], grid, os.path.join(out, "run_record.csv"))
-    tr = result.trace
     if not (np.isfinite(tr.U).any() or np.isfinite(tr.V).any()):  # e.g. weights past float range
         return [Check("trace-finite", False, "no sample of U or V is finite: nothing to plot")]
     plotting.emit_plot([plotting.PlotSeries(tr.t, tr.U, "U(t)", "line"),
@@ -509,20 +511,22 @@ def cmd_sweep(out: str, params, profiles, data, grid, eps_list, slope_rtol,
         checks.append(Check("slope-window", sweep.slope_matches(slope_rtol),
                             f"|{sweep.slope:.4g} - {sweep.theory_exponent:.4g}| "
                             f"<= {slope_rtol:g}|theory|"))
-    checks.append(Check("upper-bound-uniform", sweep.upper_bound_holds(),
-                        f"C={sweep.c_fit:.6g} spread={sweep.ratio_spread:.4g}"))
     return checks
 
 
 def cmd_verify(out: str, params, profiles, data, grid, window, ode_tol, critical,
                log_window, lambda0, quad_nodes) -> list[Check]:
     from blowup_lab import simulator
-    stream = (simulator.CriticalStream(params, profiles, grid, lambda0, quad_nodes)
-              if critical else None)
-    result = simulator.run_until_blowup(params, profiles, data, grid, stream)
-    simulator.write_trace_csv(result.trace, os.path.join(out, "trace.csv"))
+    sampler = simulator.FunctionalSampler()
+    observers = [(grid.sample_every, sampler)]
+    if critical:
+        stream = simulator.CriticalStream(params, profiles, grid, lambda0, quad_nodes)
+        observers.append((grid.snapshot_every, stream))
+    result = simulator.run_until_blowup(params, profiles, data, grid, observers)
+    trace = sampler.trace()
+    simulator.write_trace_csv(trace, os.path.join(out, "trace.csv"))
     try:
-        report = simulator.verify_identities(result.trace, profiles, params, window)
+        report = simulator.verify_identities(trace, profiles, params, window)
     except ValueError as exc:  # too few samples: a short horizon or an early blow-up
         return [Check("trace-samples", False, str(exc))]
     res = max(report.ode_residual_u, report.ode_residual_v)

@@ -14,11 +14,13 @@ is stepped, sampled and searched for blow-up, and every node past it stays
 zero (the exact solution vanishes there; the scheme's own dispersive
 leakage would otherwise pollute the support cone).  A time level is one
 buffer of 2N slots, u_i at slot 2i and v_i at 2i+1: each step operation is
-one numpy pass over the window prefix for both components.  The sources sit
-in their own component's slots, |u|^q and |v|^p: one contiguous power when
-p = q (np.square for exponent 2), and each update adds its partner's.  2 w
-is formed once per step for the Laplacian and the update; an undamped update
-skips + 0 w_prev and / 1, exact identities there.
+one numpy pass over the window prefix for both components.  Each level is
+measured once, when it is made: |z|, then its sup norm, then the sources in
+their own component's slots, |u|^q and |v|^p (one contiguous power when
+p = q, np.square for exponent 2); each update adds its partner's.  2 w is
+formed once per step for the Laplacian and the update; an undamped update
+skips + 0 w_prev and / 1, exact identities there.  Functional sampling
+and the critical verifier read a run as observers of run_until_blowup.
 """
 
 from __future__ import annotations
@@ -193,11 +195,10 @@ class GridState:
         self._two_dr_r = np.repeat(2.0 * dr * self.r, 2)
         # work buffers of _laplacian, _advance and functionals
         self._lap, self._work, self._tmp = (np.zeros_like(self._z) for _ in range(3))
-        # |z| of the level at _abs_index, on its window; it shares the Laplacian's
-        # buffer, which a step writes only after the sources have read |z|
-        self._abs, self._abs_index = self._lap, -1
-        # |u|^q, |v|^p of the level at _src_index, in their own slots; zero past the window
-        self._src, self._src_index = np.zeros_like(self._z), -1
+        # |u|^q, |v|^p of the current level in their own slots; zero past the window
+        self._src = np.zeros_like(self._z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._measure()
 
     u = property(lambda self: self._z[0::2])
     v = property(lambda self: self._z[1::2])
@@ -211,26 +212,21 @@ class GridState:
             return self.r.size
         return min(self.r.size, int(math.floor((t + self.params.R) / self.dr + 2.0)) + 1)
 
-    def _abs_level(self):
-        """|z| of the current level on its window, computed once per level."""
-        k = 2 * self.m
-        if self._abs_index != self.step_index:
-            np.abs(self._z[:k], out=self._abs[:k])
-            self._abs_index = self.step_index
-        return self._abs[:k]
-
-    def _sources(self):
-        """|u|^q at the u slots, |v|^p at the v slots, once per level; one
-        contiguous power when p = q."""
-        if self._src_index != self.step_index and not self.grid.linear_mode:
-            k, z_abs, src = 2 * self.m, self._abs_level(), self._src
-            if self._p == self._q:
-                _power(z_abs, self._p, src[:k])
-            else:
-                _power(z_abs[0::2], self._q, src[0:k:2])
-                _power(z_abs[1::2], self._p, src[1:k:2])
-            self._src_index = self.step_index
-        return self._src
+    def _measure(self) -> None:
+        """Measure the current level on its window: |z| into the Laplacian's
+        buffer (the next step writes it after reading the sources), the sup norm
+        (a NaN anywhere propagates through the max), and outside linear mode the
+        sources, |u|^q at the u slots and |v|^p at the v slots."""
+        k, src = 2 * self.m, self._src
+        z_abs = np.abs(self._z[:k], out=self._lap[:k])
+        self._sup = float(z_abs.max())
+        if self.grid.linear_mode:
+            return
+        if self._p == self._q:
+            _power(z_abs, self._p, src[:k])
+        else:
+            _power(z_abs[0::2], self._q, src[0:k:2])
+            _power(z_abs[1::2], self._p, src[1:k:2])
 
     def _laplacian(self, k: int, two_z):
         """Radial Laplacian of u and v at the nodes [0, k), k < r.size, into a
@@ -260,17 +256,16 @@ class GridState:
 
     def functionals(self) -> tuple[float, float, float, float, float]:
         # U, V, Nu, Nv; a contiguous copy keeps the dot's sum order
-        k, buf, sums = 2 * self.m, self._work[:self.m], []
+        k, buf, src, sums = 2 * self.m, self._work[:self.m], self._src, []
         with np.errstate(over="ignore", invalid="ignore"):
-            src = self._sources()
             for f in (self._z[0:k:2], self._z[1:k:2], src[0:k:2], src[1:k:2]):
                 np.copyto(buf, f)
                 sums.append(self.integral(buf))
-        return (*sums, self.sup_norm())
+        return (*sums, self._sup)
 
     def sup_norm(self) -> float:
-        # a NaN anywhere propagates through the max
-        return float(self._abs_level().max())
+        """max |u|, |v| of the current level, taken when the level was made."""
+        return self._sup
 
 
 def _power(x, e, out):
@@ -315,29 +310,42 @@ def _advance(state: GridState, k: int, b1: float, b2: float) -> None:
 
 def step(state: GridState) -> GridState:
     """Advance one leapfrog step (mutates and returns the state), on the cone
-    window of the new level.  Non-finite values are not an error here;
-    blow-up detection is the caller's job.  Components that share one
-    damping profile object share one evaluation of b."""
+    window of the new level, and measure that level.  Non-finite values are
+    not an error here; blow-up detection is the caller's job.  Components
+    that share one damping profile object share one evaluation of b."""
     t_new = state.t + state.dt
     m_new = state._window(t_new)
     with np.errstate(over="ignore", invalid="ignore"):
         b1 = state.b1.b(state.t)
         b2 = b1 if state.b2 is state.b1 else state.b2.b(state.t)
-        state._sources()
         _advance(state, min(m_new, state.r.size - 1), b1, b2)
-    state._z_prev, state._z = state._z, state._z_prev
-    state.t, state.m = t_new, m_new
-    state.step_index += 1
+        state._z_prev, state._z = state._z, state._z_prev
+        state.t, state.m = t_new, m_new
+        state.step_index += 1
+        state._measure()
     return state
 
 
 @dataclass
 class RunResult:
     record: LifespanRecord
-    trace: FunctionalTrace
     state: GridState
-    # always empty: a run stores no snapshots, its observer reads the live state
+    # always empty: a run stores no snapshots, its observers read the live state
     snapshots: list = field(default_factory=list)
+
+
+class FunctionalSampler:
+    """Run observer that records t, U, V, Nu, Nv and the sup norm of each level
+    it sees; trace() returns them as a FunctionalTrace."""
+
+    def __init__(self):
+        self._rows = []
+
+    def __call__(self, state: GridState) -> None:
+        self._rows.append((state.t, *state.functionals()))
+
+    def trace(self) -> FunctionalTrace:
+        return FunctionalTrace(*(np.asarray(col) for col in zip(*self._rows)))
 
 
 def init_state(params, profiles, data: InitialData, grid: GridConfig) -> GridState:
@@ -349,29 +357,22 @@ def run_until_blowup(
     profiles: tuple[DampingProfile, DampingProfile],
     data: InitialData,
     grid: GridConfig,
-    observe=None,
+    observers=(),
 ) -> RunResult:
     """Step until the sup norm crosses the threshold, a non-finite value
     appears, or the horizon is reached (a Survived record, not an error).
-    observe(state), when given, sees the live state at steps 0, k, 2k, ...
-    (k = snapshot_every) up to the step the run ends on, before its checks."""
+    observers: (every, callable) pairs; at steps 0, every, 2 every, ... up to
+    the step the run ends on, each due callable is called with the live
+    state, in the order given, before the checks of that step."""
     state = init_state(params, profiles, data, grid)
-    samples = {k: [] for k in ("t", "U", "V", "Nu", "Nv", "sup")}
-
     detection = Detection.SURVIVED
     t_blow = grid.horizon
     n_steps = grid.n_steps
     while True:
-        if state.step_index % grid.sample_every == 0:
-            row = (state.t, *state.functionals())
-            for key, val in zip(samples, row):
-                samples[key].append(val)
-            sup = row[-1]
-        else:
-            sup = state.sup_norm()
-        if (observe is not None and grid.snapshot_every is not None
-                and state.step_index % grid.snapshot_every == 0):
-            observe(state)
+        for every, observe in observers:
+            if state.step_index % every == 0:
+                observe(state)
+        sup = state.sup_norm()
         if not math.isfinite(sup):
             detection, t_blow = Detection.NONFINITE, state.t
             break
@@ -381,9 +382,7 @@ def run_until_blowup(
         if state.step_index == n_steps:
             break
         step(state)
-
-    trace = FunctionalTrace(**{k: np.asarray(v) for k, v in samples.items()})
-    return RunResult(LifespanRecord(params.eps, t_blow, detection), trace, state)
+    return RunResult(LifespanRecord(params.eps, t_blow, detection), state)
 
 
 # -- identity and inequality verification --
@@ -521,7 +520,8 @@ def critical_kernel_configs(params: SystemParams, profiles, grid: GridConfig, la
 
 class CriticalStream:
     """The critical verifier's state along one run, built before it: pass the stream
-    as run_until_blowup's observer, then verify_critical_inequalities(stream).
+    to run_until_blowup as the observer (snapshot_every, stream), then call
+    verify_critical_inequalities(stream).
 
     The kernel (t-s) sinhc(lambda (t-s)) solves y'' = lambda^2 y, so per lambda node
     each lower bound is one solution (y, y'), scaled by e^(-lambda t): it starts from
@@ -550,7 +550,7 @@ class CriticalStream:
         u, v = self._parts
         with np.errstate(over="ignore", invalid="ignore"):
             np.multiply(state._z[:2 * m].reshape(m, 2), w, out=z[:, :2])
-            np.multiply(state._sources()[:2 * m].reshape(m, 2), w, out=z[:, 2:])
+            np.multiply(state._src[:2 * m].reshape(m, 2), w, out=z[:, 2:])
             prod_u = u.quad.phi_mat[:, :m] @ z
             prods = (prod_u, prod_u if v.quad is u.quad else v.quad.phi_mat[:, :m] @ z)
             if not self.t:  # the data, at t = 0
@@ -625,15 +625,10 @@ class SweepResult:
     slope: float
     intercept: float
     theory_exponent: float
-    c_fit: float
-    ratio_spread: float
     excluded: int
 
     def slope_matches(self, rel_tol: float = 0.25) -> bool:
         return abs(self.slope - self.theory_exponent) <= rel_tol * abs(self.theory_exponent)
-
-    def upper_bound_holds(self) -> bool:
-        return self.c_fit > 0 and math.isfinite(self.c_fit)
 
 
 def fit_power_law(eps: np.ndarray, t_blow: np.ndarray) -> tuple[float, float]:
@@ -721,12 +716,8 @@ def lifespan_sweep(
     fewer than 2 blow-ups the fitted fields are NaN."""
     eps_list = list(eps_list)
     check_sweep(params_template, data, grid, eps_list)
-    # a sweep keeps only the records: sample at t = 0 alone, store no snapshots,
-    # and let every later step check just the sup norm
-    run_grid = replace(grid, sample_every=grid.n_steps + 1, snapshot_every=None)
-    jobs = [
-        (replace(params_template, eps=float(e)), profiles, data, run_grid) for e in eps_list
-    ]
+    # a sweep keeps only the records: its runs have no observers
+    jobs = [(replace(params_template, eps=float(e)), profiles, data, grid) for e in eps_list]
     nw = sweep_workers(len(jobs), workers)
     if nw > 1:
         # nw runners, this process and a pool of nw - 1 workers, pull from one
@@ -761,12 +752,9 @@ def lifespan_sweep(
     theory = float(law.exponent)
     if eps.size < 2:
         # too few blow-ups to fit: a numerical outcome, not a usage error
-        return SweepResult(records, math.nan, math.nan, theory, math.nan, math.nan, excluded)
+        return SweepResult(records, math.nan, math.nan, theory, excluded)
     slope, intercept = fit_power_law(eps, ts)
-    ratios = ts * eps ** (-theory)
-    c_fit = float(np.max(ratios))
-    spread = float(np.max(ratios) / np.min(ratios))
-    return SweepResult(records, slope, intercept, theory, c_fit, spread, excluded)
+    return SweepResult(records, slope, intercept, theory, excluded)
 
 
 # -- CSV persistence (schemas documented in the header rows) --

@@ -417,6 +417,16 @@ class TestSimulateAndSweep:
         assert (out / "run_record.csv").exists()
         assert (out / "summary.txt").read_text().startswith("NOTE run-completed: detection=")
 
+    def test_weights_past_float_range_fail_trace_finite(self, tmp_path):
+        # r^(n-1) passes the float range inside the support (r ~ 1000, n = 200): every
+        # sampled U and V is NaN, and no plot is drawn
+        cfg = {"n": 200, "p": 2, "q": 2, "R": 1000.0, "dr": 1.0, "horizon": 2.0}
+        code, out = run_cli(tmp_path, "simulate", cfg)
+        assert code == 1
+        assert (out / "summary.txt").read_text() == (
+            "CHECK trace-finite: FAIL (no sample of U or V is finite: nothing to plot)\n")
+        assert (out / "trace.csv").exists() and not (out / "trace.svg").exists()
+
     def test_node_step_budget_boundary(self):
         # (CFL 1e-9, horizon 1) is an OVER_BUDGET case of the contract tests; this pins the
         # edge: dt = 0.01, so horizon H takes 100 H steps over 50 H + 76 nodes, and 2^30
@@ -474,6 +484,26 @@ class TestSimulateAndSweep:
         summary = (out1 / "summary.txt").read_text()
         assert "CHECK slope-window: PASS" in summary
         assert "CHECK lifespans-monotone: PASS" in summary
+
+    def test_smaller_eps_blowing_up_sooner_fails_monotone(self, tmp_path, monkeypatch):
+        # a doctored sweep: the run at eps 0.5 reports half its lifespan, which puts it
+        # below the lifespan at eps 0.7
+        real = simulator.run_until_blowup
+
+        def doctored(params, *args):
+            res = real(params, *args)
+            if params.eps == 0.5:
+                res.record = replace(res.record, t_blow=0.5 * res.record.t_blow)
+            return res
+
+        monkeypatch.setattr(simulator, "run_until_blowup", doctored)
+        cfg = {"n": 1, "p": 2, "q": 2, "dr": 0.05, "horizon": 40.0,
+               "eps_list": [1.0, 0.7, 0.5, 0.35], "workers": 1}
+        code, out = run_cli(tmp_path, "sweep", cfg)
+        summary = (out / "summary.txt").read_text()
+        assert code == 1
+        assert "CHECK sweep-fit: PASS" in summary
+        assert "CHECK lifespans-monotone: FAIL (smaller eps never blows up sooner)" in summary
 
     def test_thread_cap_does_not_change_results(self, tmp_path):
         cfg = {"n": 1, "p": 2, "q": 2, "dr": 0.05, "horizon": 30.0,

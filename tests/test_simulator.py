@@ -20,6 +20,7 @@ from blowup_lab.exponents import SystemParams
 from blowup_lab.simulator import (
     CriticalStream,
     Detection,
+    FunctionalSampler,
     FunctionalTrace,
     GridConfig,
     InitialData,
@@ -42,6 +43,14 @@ BUMPS = InitialData(1.0, 0.0, 1.0, 0.0)
 
 def params1d(eps=1.0, p=F(2), q=F(2)):
     return SystemParams(1, p, q, R=1.0, eps=eps)
+
+
+def sampled_run(params, profiles, data, grid, *observers):
+    """A run with a FunctionalSampler at sample_every, then the given observers:
+    the result and the sampled trace."""
+    sampler = FunctionalSampler()
+    res = run_until_blowup(params, profiles, data, grid, [(grid.sample_every, sampler), *observers])
+    return res, sampler.trace()
 
 
 class TestInit:
@@ -85,8 +94,7 @@ class TestStep:
         # telescopes, so U follows U(0) + U'(0) t to roundoff
         data = InitialData(1.0, 0.5, 1.0, 0.0)
         grid = GridConfig(dr=0.02, horizon=3.0, linear_mode=True, enforce_cone=False)
-        res = run_until_blowup(params1d(), (ZERO, ZERO), data, grid)
-        tr = res.trace
+        res, tr = sampled_run(params1d(), (ZERO, ZERO), data, grid)
         du0 = res.state.integral(res.state.ut_init)
         err = np.max(np.abs(tr.U - (tr.U[0] + du0 * tr.t)))
         assert err < 1e-6
@@ -162,8 +170,9 @@ ROOT2 = 1.0 + math.sqrt(2.0)
 
 
 def run_with_snapshots(params, profiles, data, grid, stream=None):
-    """A run, and copies (t, u, v) of its fields at the snapshot cadence, collected
-    by an observer that then hands the state on to the critical stream, if any."""
+    """A sampled run, its trace, and copies (t, u, v) of its fields at the snapshot
+    cadence, collected by an observer that then hands the state on to the critical
+    stream, if any."""
     snapshots = []
 
     def observe(state):
@@ -171,13 +180,14 @@ def run_with_snapshots(params, profiles, data, grid, stream=None):
         if stream is not None:
             stream(state)
 
-    return run_until_blowup(params, profiles, data, grid, observe), snapshots
+    return (*sampled_run(params, profiles, data, grid, (grid.snapshot_every, observe)),
+            snapshots)
 
 
 def critical_stream_run(params, profiles, data, grid, quad_nodes=64):
     """A run streamed through a CriticalStream: the run, copies of its snapshots and the stream."""
     stream = CriticalStream(params, profiles, grid, quad_nodes=quad_nodes)
-    res, snapshots = run_with_snapshots(params, profiles, data, grid, stream)
+    res, _, snapshots = run_with_snapshots(params, profiles, data, grid, stream)
     return res, snapshots, stream
 
 
@@ -279,35 +289,29 @@ class TestWindowedStep:
             assert (rec.t_blow, rec.detection) == ref
         assert sweep.excluded == 0
 
-    def test_sources_computed_once_per_sampled_step(self, monkeypatch):
+    def test_sampling_and_the_sup_norm_measure_nothing(self, monkeypatch):
+        # a level's |z|, sup norm and sources are taken when the level is made;
+        # the functionals and the sup norm only read them
         calls = []
-        original = np.abs
 
-        def counting_abs(x, *args, **kwargs):
-            calls.append(x.size)
-            return original(x, *args, **kwargs)
+        def counting(name):
+            original = getattr(np, name)
+
+            def wrapper(x, *args, **kwargs):
+                calls.append(name)
+                return original(x, *args, **kwargs)
+            return wrapper
 
         state = init_state(params1d(), (ZERO, ZERO), BUMPS, GridConfig(dr=0.1, horizon=2.0))
-        state.functionals()
-        monkeypatch.setattr(np, "abs", counting_abs)
-        step(state)
-        assert calls == []  # the sampled level's sources were reused
-
-    def test_abs_computed_once_per_unsampled_level(self, monkeypatch):
-        calls = []
-        original = np.abs
-
-        def counting_abs(x, *args, **kwargs):
-            calls.append(x.size)
-            return original(x, *args, **kwargs)
-
-        state = init_state(params1d(), (ZERO, ZERO), BUMPS, GridConfig(dr=0.1, horizon=2.0))
-        step(state)
-        monkeypatch.setattr(np, "abs", counting_abs)
+        for name in ("abs", "power", "square"):
+            monkeypatch.setattr(np, name, counting(name))
         for _ in range(5):
-            state.sup_norm()  # what run_until_blowup checks on an unsampled level
+            state.functionals()
+            state.sup_norm()
+            assert calls == []
             step(state)
-        assert 0 < len(calls) <= 2 * 5  # |u| and |v| once per level
+            assert calls == ["abs", "square"]  # the new level's |z| and sources
+            calls.clear()
 
 
 class TestInterleavedLayout:
@@ -324,7 +328,7 @@ class TestInterleavedLayout:
             assert not np.may_share_memory(state.u, state.u_prev)
             step(state)
 
-    def test_one_abs_call_per_unsampled_level(self, monkeypatch):
+    def test_one_abs_call_per_level(self, monkeypatch):
         calls = []
         original = np.abs
 
@@ -337,23 +341,44 @@ class TestInterleavedLayout:
         monkeypatch.setattr(np, "abs", counting_abs)
         windows = []
         for _ in range(5):
-            windows.append(2 * state.m)
-            state.sup_norm()  # what run_until_blowup checks on an unsampled level
+            state.sup_norm()  # what run_until_blowup checks at every level
             step(state)
-        assert calls == windows  # one call over the (u, v) slots of each window
+            windows.append(2 * state.m)
+        assert calls == windows  # one call over the (u, v) slots of each new window
 
-    def test_observer_sees_the_live_state_at_the_snapshot_cadence(self):
-        grid = GridConfig(dr=0.1, horizon=2.0, snapshot_every=4)
+    def test_observers_see_the_live_state_at_their_own_cadence(self):
+        # every observer is called at the multiples of its cadence up to the step the
+        # run ends on, with the live state, in the order given
+        grid = GridConfig(dr=0.1, horizon=2.0)
         seen = []
+
+        def observer(name):
+            return lambda state: seen.append((name, state, state.step_index))
+
         res = run_until_blowup(params1d(eps=0.3), (ZERO, ZERO), BUMPS, grid,
-                               lambda state: seen.append((state, state.step_index, state.t)))
-        assert [k for _, k, _ in seen] == list(range(0, 41, 4))  # steps 0, k, 2k, ..., the last
-        assert [t for _, _, t in seen] == list(res.trace.t[::4])  # state.t, sampled every step
-        assert all(state is res.state for state, _, _ in seen)  # the live state, no copy
+                               [(4, observer("a")), (6, observer("b")), (1, observer("c"))])
+        assert res.record.detection is Detection.SURVIVED and grid.n_steps == 40
+        for name, every in (("a", 4), ("b", 6), ("c", 1)):
+            steps = [k for who, _, k in seen if who == name]
+            assert steps == list(range(0, 41, every))  # steps 0, k, 2k, ..., up to the last
+        at_12 = [who for who, _, k in seen if k == 12]
+        assert at_12 == ["a", "b", "c"]  # the order given
+        assert all(state is res.state for _, state, _ in seen)  # the live state, no copy
         assert res.snapshots == []
-        # a run without snapshot_every never calls its observer
-        run_until_blowup(params1d(eps=0.3), (ZERO, ZERO), BUMPS, replace(grid, snapshot_every=None),
-                         lambda state: pytest.fail("observed without snapshot_every"))
+
+    def test_observers_see_the_level_the_run_ends_on(self):
+        # a threshold run ends at the first level past the threshold: an observer
+        # due there sees it before detection stops the run; no step follows
+        grid = GridConfig(dr=0.05, horizon=40.0)
+        seen = []
+        res = run_until_blowup(params1d(), (ZERO, ZERO), BUMPS, grid,
+                               [(1, lambda state: seen.append((state.t, state.sup_norm())))])
+        assert res.record.detection is Detection.THRESHOLD
+        assert seen[-1] == (res.record.t_blow, res.state.sup_norm())
+        assert seen[-1][1] > grid.threshold >= seen[-2][1]
+        # observers change nothing in the run itself
+        plain = run_until_blowup(params1d(), (ZERO, ZERO), BUMPS, grid)
+        assert plain.record == res.record
 
     @pytest.mark.parametrize("profiles,linear", [((ZERO, POLY), False), ((POLY, POLY), False),
                                                  ((POLY, ZERO), True)],
@@ -389,28 +414,30 @@ class TestInterleavedLayout:
         data = InitialData(1.0, 0.3, 0.5, -0.2)
         swapped = InitialData(data.v0_amp, data.v1_amp, data.u0_amp, data.u1_amp)
         grid = GridConfig(dr=0.05, horizon=6.0, snapshot_every=40)
-        a, snaps_a = run_with_snapshots(SystemParams(n, p, q, eps=2.0), profiles, data, grid)
-        b, snaps_b = run_with_snapshots(SystemParams(n, q, p, eps=2.0), profiles[::-1], swapped,
-                                        grid)
+        a, tr_a, snaps_a = run_with_snapshots(SystemParams(n, p, q, eps=2.0), profiles, data, grid)
+        b, tr_b, snaps_b = run_with_snapshots(SystemParams(n, q, p, eps=2.0), profiles[::-1],
+                                              swapped, grid)
         assert (a.record.t_blow, a.record.detection) == (b.record.t_blow, b.record.detection)
-        for x, y in ((a.trace.U, b.trace.V), (a.trace.V, b.trace.U), (a.trace.Nu, b.trace.Nv),
-                     (a.trace.Nv, b.trace.Nu), (a.trace.sup, b.trace.sup), (a.trace.t, b.trace.t)):
+        for x, y in ((tr_a.U, tr_b.V), (tr_a.V, tr_b.U), (tr_a.Nu, tr_b.Nv),
+                     (tr_a.Nv, tr_b.Nu), (tr_a.sup, tr_b.sup), (tr_a.t, tr_b.t)):
             assert np.array_equal(x, y)
-        assert not np.array_equal(a.trace.U, a.trace.V)  # the two components differ
+        assert not np.array_equal(tr_a.U, tr_a.V)  # the two components differ
         for (ta, ua, va), (tb, ub, vb) in zip(snaps_a, snaps_b, strict=True):
             assert ta == tb and np.array_equal(ua, vb) and np.array_equal(va, ub)
 
 
 class TestStepCalls:
-    """The numpy calls of an unsampled step: one contiguous source power when
-    p = q, np.square for an exponent of 2, and a fixed budget of array calls."""
+    """The numpy calls of a step, the new level's measurement included: one
+    contiguous source power when p = q, np.square for an exponent of 2, and a
+    fixed budget of array calls."""
 
     WRAPPED = ("abs", "power", "square", "multiply", "subtract", "add", "divide", "copyto")
 
     @classmethod
     def calls_per_level(cls, monkeypatch, state, levels=5):
-        """[(2m, [(name, size of the first argument, contiguous)])] of each
-        unsampled level past the Taylor start: its sup norm, then its step."""
+        """[(2m, [(name, size of the first argument, contiguous)])] of each step
+        past the Taylor start, with the window m of the level it makes; the run's
+        sup norm check before it makes no call."""
         out = []
 
         def wrap(name):
@@ -426,9 +453,10 @@ class TestStepCalls:
         for name in cls.WRAPPED:
             monkeypatch.setattr(np, name, wrap(name))
         for _ in range(levels):
-            out.append((2 * state.m, []))
-            state.sup_norm()  # what run_until_blowup checks on an unsampled level
+            out.append((None, []))
+            state.sup_norm()
             step(state)
+            out[-1] = (2 * state.m, out[-1][1])
         monkeypatch.undo()
         return out
 
@@ -459,7 +487,6 @@ class TestStepCalls:
         for _ in range(6):
             m, (_, u, v) = state.m, next(ref)
             assert state.u.tobytes() == u.tobytes() and state.v.tobytes() == v.tobytes()
-            state.functionals()
             assert state._src[0:2 * m:2].tobytes() == (np.abs(u[:m]) ** 2.0).tobytes()
             assert state._src[1:2 * m:2].tobytes() == (np.abs(v[:m]) ** 3.0).tobytes()
             step(state)
@@ -468,14 +495,73 @@ class TestStepCalls:
     @pytest.mark.parametrize("n,p,budget", [(1, F(2), (12, 15)), (2, F(3, 2), (15, 18)),
                                             (3, ROOT2, (16, 19))])
     @pytest.mark.parametrize("damping", [ZERO, POLY], ids=["zero", "poly"])
-    def test_call_budget_per_unsampled_step(self, monkeypatch, n, p, budget, damping):
-        # array calls of a step and its sup norm, for a shared profile and p = q;
-        # the sup norm's max() is a method no wrapper sees, so it counts as 1
+    def test_call_budget_per_step(self, monkeypatch, n, p, budget, damping):
+        # array calls of a step with its new level's measurement, for a shared profile
+        # and p = q; the sup norm's max() is a method no wrapper sees, so it counts as 1
         params = SystemParams(n, p, p, R=1.0, eps=1.0)
         state = init_state(params, (damping, damping), BUMPS, GridConfig(dr=0.1, horizon=2.0))
         want = budget[damping is POLY]
         for _, calls in self.calls_per_level(monkeypatch, state):
             assert len(calls) + 1 == want, calls
+
+
+def _bump(x):
+    """The built-in data profile at R = 1, (1 - x^2)^4 on |x| < 1, even in x."""
+    x = np.abs(x)
+    return np.where(x < 1.0, (1.0 - np.minimum(x, 1.0) ** 2) ** 4, 0.0)
+
+
+def _bump_integral(x):
+    """The integral of the bump from 0 to x, odd in x."""
+    y = np.clip(x, -1.0, 1.0)
+    return y - 4.0 * y ** 3 / 3.0 + 6.0 * y ** 5 / 5.0 - 4.0 * y ** 7 / 7.0 + y ** 9 / 9.0
+
+
+def linear_free_wave(n, dr, data, t=5.0):
+    """The state at t of an undamped linear run on the whole grid: u and v are
+    free waves of their own data."""
+    grid = GridConfig(dr=dr, horizon=t, linear_mode=True, enforce_cone=False)
+    params = SystemParams(n, F(2), F(2), R=1.0, eps=1.0)
+    return run_until_blowup(params, (ZERO, ZERO), data, grid).state
+
+
+class TestExactSolutions:
+    """The solver against closed-form free waves (linear mode, no damping, t = 5):
+    second order in dr, with bounds C dr^2 a few percent above the measured sup
+    errors, and n = 2 by self-convergence."""
+
+    @staticmethod
+    def exact(n, r, t, speed):
+        if n == 1:  # d'Alembert, with the speed's integral over [r - t, r + t]
+            return (0.5 * (_bump(r + t) + _bump(r - t))
+                    + 0.5 * speed * (_bump_integral(r + t) - _bump_integral(r - t)))
+        # n = 3, zero speed: (W(r + t) + W(r - t)) / (2r) with W(x) = x u0(|x|), and
+        # W'(t) at the origin, which vanishes once t > R
+        w = (r + t) * _bump(r + t) + (r - t) * _bump(r - t)
+        return np.divide(w, 2.0 * r, out=np.zeros_like(r), where=r > 0)
+
+    @pytest.mark.parametrize("n,speed,c", [(1, 0.0, 2.6), (1, 1.0, 2.8), (3, 0.0, 0.4)],
+                             ids=["n1", "n1-speed", "n3"])
+    def test_second_order_against_the_exact_solution(self, n, speed, c):
+        # measured sup errors at dr 0.04 / 0.02 / 0.01: 3.97e-3 / 9.89e-4 / 2.47e-4 (n = 1),
+        # 4.27e-3 / 1.07e-3 / 2.68e-4 (n = 1 with speeds), 6.12e-4 / 1.54e-4 / 3.86e-5 (n = 3)
+        data = InitialData(1.0, speed, 1.0, speed)
+        errors = []
+        for dr in (0.04, 0.02, 0.01):
+            state = linear_free_wave(n, dr, data)
+            exact = self.exact(n, state.r, state.t, speed)
+            errors.append(max(np.max(np.abs(state.u - exact)), np.max(np.abs(state.v - exact))))
+            assert errors[-1] <= c * dr ** 2, (dr, errors[-1])
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.8 <= coarse / fine <= 4.2, errors
+
+    def test_second_order_self_convergence_at_n2(self):
+        # no elementary closed form: u on dr, dr/2 and dr/4 at the coarse nodes;
+        # measured differences 1.21e-3 and 3.04e-4, a ratio of 3.98
+        data = InitialData(1.0, 0.5, 1.0, 0.0)
+        us = [linear_free_wave(2, dr, data).u[::k] for dr, k in ((0.04, 1), (0.02, 2), (0.01, 4))]
+        coarse, fine = (float(np.max(np.abs(a - b))) for a, b in zip(us, us[1:]))
+        assert coarse <= 1.3e-3 and 3.8 <= coarse / fine <= 4.2, (coarse, fine)
 
 
 class TestBlowupDetection:
@@ -491,7 +577,9 @@ class TestBlowupDetection:
         fine = run_until_blowup(params1d(), (ZERO, ZERO), BUMPS, replace(grid, dr=0.02))
         assert abs(fine.record.t_blow - res.record.t_blow) / res.record.t_blow < 0.05
         # nonnegative data keeps the space averages positive along the run
-        assert np.all(res.trace.U > 0.0) and np.all(res.trace.V > 0.0)
+        sampled, tr = sampled_run(params1d(), (ZERO, ZERO), BUMPS, grid)
+        assert sampled.record == res.record
+        assert np.all(tr.U > 0.0) and np.all(tr.V > 0.0)
 
     def test_threshold_insensitivity(self):
         grid = GridConfig(dr=0.04, horizon=40.0)
@@ -509,20 +597,24 @@ class TestBlowupDetection:
         grid = GridConfig(dr=0.1, horizon=20.0, threshold=1e200)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = run_until_blowup(params1d(), (ZERO, ZERO), BUMPS, grid)
+            res, tr = sampled_run(params1d(), (ZERO, ZERO), BUMPS, grid)
         assert res.record.detection is Detection.THRESHOLD
-        assert np.isinf(res.trace.Nv[-1])
+        assert np.isinf(tr.Nv[-1])
 
     def test_nan_in_second_component_is_nonfinite(self):
+        # the sup norm is taken when a level is made: a NaN put into v reaches the
+        # next level's sup norm, and a run detects it there
         state = init_state(params1d(), (ZERO, ZERO), BUMPS, GridConfig(horizon=2.0))
         state.v[3] = np.nan
+        assert state.sup_norm() == 1.0
+        step(state)
         assert math.isnan(state.sup_norm())
 
     def test_determinism(self):
         grid = GridConfig(dr=0.05, horizon=5.0)
-        a = run_until_blowup(params1d(), (ZERO, ZERO), BUMPS, grid)
-        b = run_until_blowup(params1d(), (ZERO, ZERO), BUMPS, grid)
-        assert np.array_equal(a.trace.U, b.trace.U)
+        a, tr_a = sampled_run(params1d(), (ZERO, ZERO), BUMPS, grid)
+        b, tr_b = sampled_run(params1d(), (ZERO, ZERO), BUMPS, grid)
+        assert np.array_equal(tr_a.U, tr_b.U)
         assert np.array_equal(a.state.u, b.state.u)
 
 
@@ -532,20 +624,20 @@ class TestFunctionals:
         params = SystemParams(1, F(3), F(2), R=1.0, eps=1.0)
         data = InitialData(u0_amp=1.0, u1_amp=0.0, v0_amp=0.5, v1_amp=0.0)
         grid = GridConfig(dr=0.05, horizon=1.0)
-        res = run_until_blowup(params, (ZERO, ZERO), data, grid)
+        _, tr = sampled_run(params, (ZERO, ZERO), data, grid)
         state = init_state(params, (ZERO, ZERO), data, grid)
         nu0 = state.integral(np.abs(state.u_init) ** 2.0)
         nv0 = state.integral(np.abs(state.v_init) ** 3.0)
-        assert abs(res.trace.Nu[0] - nu0) < 1e-14
-        assert abs(res.trace.Nv[0] - nv0) < 1e-14
+        assert abs(tr.Nu[0] - nu0) < 1e-14
+        assert abs(tr.Nv[0] - nv0) < 1e-14
         assert nu0 != nv0
 
     def test_initial_row_is_the_full_grid_data(self):
         params = SystemParams(2, F(3), F(2), R=1.0, eps=0.7)
         data = InitialData(u0_amp=1.0, u1_amp=0.4, v0_amp=0.5, v1_amp=0.0)
-        res = run_until_blowup(params, (ZERO, POLY), data, GridConfig(dr=0.05, horizon=1.0))
+        res, tr = sampled_run(params, (ZERO, POLY), data, GridConfig(dr=0.05, horizon=1.0))
         s, w = res.state, res.state.weights
-        row = [getattr(res.trace, k)[0] for k in ("t", "U", "V", "Nu", "Nv", "sup")]
+        row = [getattr(tr, k)[0] for k in ("t", "U", "V", "Nu", "Nv", "sup")]
         assert row[0] == 0.0
         assert row[5] == max(np.max(np.abs(s.u_init)), np.max(np.abs(s.v_init)))
         full = [w @ s.u_init, w @ s.v_init, w @ np.abs(s.u_init) ** 2.0, w @ np.abs(s.v_init) ** 3.0]
@@ -556,8 +648,8 @@ class TestFunctionals:
         # an asymmetric configuration catches any label swap
         params = SystemParams(1, F(3), F(2), R=1.0, eps=0.5)
         data = InitialData(u0_amp=1.0, u1_amp=0.0, v0_amp=0.2, v1_amp=0.1)
-        res = run_until_blowup(params, (ZERO, ZERO), data, GridConfig(dr=0.02, horizon=4.0))
-        rep = verify_identities(res.trace, (ZERO, ZERO), params, window=(0.5, 3.5))
+        _, tr = sampled_run(params, (ZERO, ZERO), data, GridConfig(dr=0.02, horizon=4.0))
+        rep = verify_identities(tr, (ZERO, ZERO), params, window=(0.5, 3.5))
         assert rep.ode_residual_u < 5e-4
         assert rep.ode_residual_v < 5e-4
 
@@ -566,14 +658,14 @@ class TestVerifyIdentities:
     def test_linear_mode_residual_is_discretization_noise(self):
         data = InitialData(1.0, 0.5, 1.0, 0.0)
         grid = GridConfig(dr=0.02, horizon=3.0, linear_mode=True, enforce_cone=False)
-        res = run_until_blowup(params1d(), (ZERO, ZERO), data, grid)
-        rep = verify_identities(res.trace, (ZERO, ZERO), params1d())
+        _, tr = sampled_run(params1d(), (ZERO, ZERO), data, grid)
+        rep = verify_identities(tr, (ZERO, ZERO), params1d())
         assert rep.ode_residual_u < 1e-6
 
     def test_frame_inequalities_on_blowup_run(self):
         grid = GridConfig(dr=0.04, horizon=20.0)
-        res = run_until_blowup(params1d(), (ZERO, ZERO), BUMPS, grid)
-        rep = verify_identities(res.trace, (ZERO, ZERO), params1d())
+        _, tr = sampled_run(params1d(), (ZERO, ZERO), BUMPS, grid)
+        rep = verify_identities(tr, (ZERO, ZERO), params1d())
         assert rep.inequalities_hold()
         assert rep.c1_fit > 0 and rep.k1_fit > 0
 
@@ -582,8 +674,8 @@ class TestVerifyIdentities:
         resids = []
         for dr in (0.04, 0.02):
             grid = GridConfig(dr=dr, horizon=6.0)
-            res = run_until_blowup(params, (ZERO, ZERO), BUMPS, grid)
-            rep = verify_identities(res.trace, (ZERO, ZERO), params, window=(1.0, 5.0))
+            _, tr = sampled_run(params, (ZERO, ZERO), BUMPS, grid)
+            rep = verify_identities(tr, (ZERO, ZERO), params, window=(1.0, 5.0))
             resids.append(rep.ode_residual_u)
         order = math.log2(resids[0] / resids[1])
         assert order >= 1.8
@@ -592,8 +684,8 @@ class TestVerifyIdentities:
         fits = []
         for eps in (0.5, 1.0, 2.0):
             params = SystemParams(2, F(3, 2), F(3, 2), R=1.0, eps=eps)
-            res = run_until_blowup(params, (ZERO, ZERO), BUMPS, GridConfig(dr=0.04, horizon=8.0))
-            rep = verify_identities(res.trace, (ZERO, ZERO), params)
+            _, tr = sampled_run(params, (ZERO, ZERO), BUMPS, GridConfig(dr=0.04, horizon=8.0))
+            rep = verify_identities(tr, (ZERO, ZERO), params)
             fits.append(rep.c1_fit)
         mid = sorted(fits)[1]
         assert all(f > 0 for f in fits)
@@ -605,8 +697,7 @@ class TestVerifyIdentities:
         # so neither component can take the other's exponent, source or damping
         params, swapped = SystemParams(2, F(3), F(2), eps=0.7), SystemParams(2, F(2), F(3), eps=0.7)
         data = InitialData(u0_amp=1.0, u1_amp=0.3, v0_amp=0.5, v1_amp=0.0)
-        res = run_until_blowup(params, (ZERO, POLY), data, GridConfig(dr=0.05, horizon=3.0))
-        tr = res.trace
+        _, tr = sampled_run(params, (ZERO, POLY), data, GridConfig(dr=0.05, horizon=3.0))
         mirror = FunctionalTrace(t=tr.t, U=tr.V, V=tr.U, Nu=tr.Nv, Nv=tr.Nu, sup=tr.sup)
         rep = verify_identities(tr, (ZERO, POLY), params, window=(0.5, 2.5))
         swap = verify_identities(mirror, (POLY, ZERO), swapped, window=(0.5, 2.5))
@@ -618,9 +709,9 @@ class TestVerifyIdentities:
 
     def test_short_trace_rejected(self):
         grid = GridConfig(dr=0.1, horizon=0.2)
-        res = run_until_blowup(params1d(), (ZERO, ZERO), BUMPS, grid)
+        _, tr = sampled_run(params1d(), (ZERO, ZERO), BUMPS, grid)
         with pytest.raises(ValueError):
-            verify_identities(_truncate(res.trace, 3), (ZERO, ZERO), params1d())
+            verify_identities(_truncate(tr, 3), (ZERO, ZERO), params1d())
 
 
 def _truncate(trace, k):
@@ -703,7 +794,7 @@ def critical_peak_bytes(snapshot_every):
     tracemalloc.start()
     try:
         stream = CriticalStream(params, (poly, poly), grid)
-        run_until_blowup(params, (poly, poly), BUMPS, grid, stream)
+        run_until_blowup(params, (poly, poly), BUMPS, grid, [(snapshot_every, stream)])
         rep = verify_critical_inequalities(stream, log_window=(5.0, 12.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -906,14 +997,13 @@ class TestSweep:
         ts = [r.t_blow for r in sweep.records]
         assert ts == sorted(ts)
         assert sweep.slope_matches(0.25)
-        assert sweep.upper_bound_holds()
 
-    def test_sweep_samples_only_t0(self, tmp_path, monkeypatch):
-        # a sweep keeps only its records: the functionals are integrated at
-        # t = 0 alone, and the records match runs sampled at every step
+    def test_sweep_runs_sample_nothing(self, tmp_path, monkeypatch):
+        # a sweep keeps only its records: its runs have no observers and integrate
+        # no functional, and the records match runs sampled at every step
         grid = GridConfig(dr=0.05, horizon=30.0)
         eps = [1.0, 0.7, 0.5, 0.35]
-        sampled = [run_until_blowup(params1d(eps=e), (ZERO, ZERO), BUMPS, grid).record
+        sampled = [sampled_run(params1d(eps=e), (ZERO, ZERO), BUMPS, grid)[0].record
                    for e in eps]
         write_records_csv(sampled, grid, tmp_path / "sampled.csv")
         integrated_at = []
@@ -926,7 +1016,7 @@ class TestSweep:
         monkeypatch.setattr(simulator.GridState, "integral", counting_integral)
         sweep = lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, grid, eps, workers=1)
         write_records_csv(sweep.records, grid, tmp_path / "records.csv")
-        assert integrated_at and set(integrated_at) == {0}
+        assert integrated_at == []
         assert (tmp_path / "records.csv").read_bytes() == (tmp_path / "sampled.csv").read_bytes()
 
     def test_needs_enough_points(self):
@@ -1049,13 +1139,13 @@ class TestSweep:
 
 class TestPersistence:
     def test_trace_csv_roundtrip(self, tmp_path):
-        res = run_until_blowup(params1d(), (ZERO, ZERO), BUMPS, GridConfig(dr=0.1, horizon=1.0))
+        _, tr = sampled_run(params1d(), (ZERO, ZERO), BUMPS, GridConfig(dr=0.1, horizon=1.0))
         path = tmp_path / "trace.csv"
-        write_trace_csv(res.trace, path)
+        write_trace_csv(tr, path)
         body = path.read_text().splitlines()
         assert body[0] == "t,U,V,Nu,Nv,supnorm"
         loaded = np.array([float(line.split(",")[1]) for line in body[1:]])
-        assert np.array_equal(loaded, res.trace.U)
+        assert np.array_equal(loaded, tr.U)
 
     def test_records_csv(self, tmp_path):
         rec = LifespanRecord(0.5, 12.25, Detection.THRESHOLD)

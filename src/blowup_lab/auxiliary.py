@@ -282,9 +282,51 @@ def solve_fundamental_pair(
     which keeps the low bits of 1 + O(lambda^2 h^2) that a plain product
     rounds away: doubling passes within blocks of _SCAN_BLOCK steps, each
     block then taking the product before it."""
+    t_grid = np.ascontiguousarray(t_grid, dtype=float)
+    blocks = _step_blocks(profile, lam, s, t_grid)
+    e = np.zeros((2, 2, t_grid.size))  # I + e[..., i] = [[y1, y2], [y1', y2']] at node i
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the bounds check
+        for lo, blk in blocks:
+            d = 1
+            while d < blk.shape[-1]:
+                _compose(blk[..., d:], blk[..., :-d])
+                d *= 2
+            if lo:
+                _compose(blk, e[..., lo:lo + 1])
+            e[..., lo + 1:lo + 1 + blk.shape[-1]] = blk
+    e[0, 0] += 1.0
+    e[1, 1] += 1.0
+    return FundamentalPair(t=t_grid, y1=e[0, 0], dy1=e[1, 0], y2=e[0, 1], dy2=e[1, 1], lam=lam, s=s)
+
+
+def _pair_at_end(profile: DampingProfile, lam: float, s: float, t_grid) -> np.ndarray:
+    """[[y1, y2], [y1', y2']] at t_grid's last node, bit for bit solve_fundamental_pair's:
+    the same products in the same order, but only those that node reads. Within a block of
+    L steps, doubling pass d reads the nodes L-1, L-1-2d, ... (those >= d) and their partners
+    L-1-d, L-1-3d, ...: two disjoint strided sets, composed in place."""
+    blocks = _step_blocks(profile, lam, s, np.ascontiguousarray(t_grid, dtype=float))
+    carry = None
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the identity check
+        for _, blk in blocks:
+            last, d = blk.shape[-1] - 1, 1
+            while d <= last:
+                _compose(blk[..., last:d - 1:-2 * d], blk[..., last - d::-2 * d])
+                d *= 2
+            if carry is not None:
+                _compose(blk[..., last:], carry)
+            carry = blk[..., last:]
+    end = carry[..., 0]
+    end[0, 0] += 1.0
+    end[1, 1] += 1.0
+    return end
+
+
+def _step_blocks(profile, lam, s, t_grid):
+    """The block loop of both products: check lambda and t_grid and evaluate b at the three
+    stage times of every step, then iterate over the blocks of up to _SCAN_BLOCK steps as
+    (their first step, the (2, 2, steps) array of their RK4 increments)."""
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    t_grid = np.ascontiguousarray(t_grid, dtype=float)
     h = np.diff(t_grid)
     if t_grid.size < 2 or not np.all(h > 0):
         raise ValueError("t_grid must be strictly increasing with >= 2 nodes")
@@ -294,20 +336,8 @@ def solve_fundamental_pair(
         raise ValueError("t_grid must start at s")
     t0 = t_grid[:-1]
     steps = [h] + [profile.b(tt) for tt in (t0, t0 + 0.5 * h, t0 + h)]  # b at each stage time
-    e = np.zeros((2, 2, t_grid.size))  # I + e[..., i] = [[y1, y2], [y1', y2']] at node i
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the bounds check
-        for lo in range(1, t_grid.size, _SCAN_BLOCK):
-            blk = e[..., lo:lo + _SCAN_BLOCK]
-            _step_increments(blk, lam * lam, *(a[lo - 1:lo - 1 + _SCAN_BLOCK] for a in steps))
-            d = 1
-            while d < blk.shape[-1]:
-                _compose(blk[..., d:], blk[..., :-d])
-                d *= 2
-            if lo > 1:
-                _compose(blk, e[..., lo - 1:lo])
-    e[0, 0] += 1.0
-    e[1, 1] += 1.0
-    return FundamentalPair(t=t_grid, y1=e[0, 0], dy1=e[1, 0], y2=e[0, 1], dy2=e[1, 1], lam=lam, s=s)
+    return ((lo, _step_increments(lam * lam, *(a[lo:lo + _SCAN_BLOCK] for a in steps)))
+            for lo in range(0, h.size, _SCAN_BLOCK))
 
 
 def _compose(later, earlier):
@@ -317,9 +347,10 @@ def _compose(later, earlier):
     later += prod
 
 
-def _step_increments(q, lam2, h, b_start, b_mid, b_end):
-    """Write into q[:, j] each step's classic RK4 increment of (y, y') from
-    (1, 0) for j = 0 and from (0, 1) for j = 1."""
+def _step_increments(lam2, h, b_start, b_mid, b_end):
+    """q[:, j, i], step i's classic RK4 increment of (y, y') from (1, 0) for
+    j = 0 and from (0, 1) for j = 1."""
+    q = np.empty((2, 2, h.size))
     half, sixth = 0.5 * h, h / 6.0
     for j, (y, dy) in enumerate(((1.0, 0.0), (0.0, 1.0))):
         k1y, k1d = dy, lam2 * y - b_start * dy
@@ -331,6 +362,7 @@ def _step_increments(q, lam2, h, b_start, b_mid, b_end):
         k4y, k4d = d4, lam2 * y4 - b_end * d4
         q[0, j] = sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
         q[1, j] = sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+    return q
 
 
 #: the modal checks' one tolerance: relative bound slacks >= -tol, identity residuals <= tol
@@ -356,7 +388,7 @@ IDENTITY_DELTA, IDENTITY_STEP = 5e-4, 1e-4
 def _resolve_y2_at(profile, lam, s_start, t_end, h):
     """y2(t_end) of the pair started at s_start, on nodes about h apart."""
     nodes = max(2, int(round((t_end - s_start) / h)) + 1)
-    return solve_fundamental_pair(profile, lam, s_start, np.linspace(s_start, t_end, nodes)).y2[-1]
+    return _pair_at_end(profile, lam, s_start, np.linspace(s_start, t_end, nodes))[0, 1]
 
 
 def _identity_residual(profile, lam, s, t, y1, y2, h):

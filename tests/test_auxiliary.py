@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blowup_lab import auxiliary
 from blowup_lab.auxiliary import (
@@ -372,6 +374,31 @@ def _reference_rk4(profile, lam, t_grid):
     return out
 
 
+_PROFILES = {"zero": DampingProfile.zero(),
+             "poly": DampingProfile.polynomial_tail(0.7, 1.3),
+             "tabulated": DampingProfile.tabulated([0.0, 1.0, 4.0], [1.5, 0.2, 0.6])}
+
+
+def _record_starts(monkeypatch):
+    """The starts s of every last-node product and of every full solve from here on."""
+    starts, full_starts = [], []
+    for name, record in (("_pair_at_end", starts), ("solve_fundamental_pair", full_starts)):
+        def recording(profile, lam, s, t_grid, _solve=getattr(auxiliary, name), _record=record):
+            _record.append(s)
+            return _solve(profile, lam, s, t_grid)
+
+        monkeypatch.setattr(auxiliary, name, recording)
+    return starts, full_starts
+
+
+def _tabulated_kink_report():
+    """The (iv) report of a table whose b jumps to 0 past t = 4, at lambda = 1 on the
+    kernels modal grid of horizon 10 (step 1e-3)."""
+    prof = _PROFILES["tabulated"]
+    pair = solve_fundamental_pair(prof, 1.0, 0.0, np.linspace(0.0, 10.0, 10001))
+    return verify_fundamental_bounds(pair, prof)
+
+
 class TestFundamentalPair:
     def test_undamped_matches_hyperbolic_solutions(self):
         grid = np.arange(0.0, 10.0 + 1e-9, 1e-3)
@@ -459,30 +486,56 @@ class TestFundamentalPair:
 
     @pytest.mark.parametrize("name", ["zero", "poly", "tabulated"])
     def test_resolve_integrates_y2_alone(self, name, monkeypatch):
-        # every re-solve of y2(t, s) is a call of the public solve, so a wrapper of it
-        # sees every RK4 step: 2 per identity (iv), 2 per identity (v)
-        prof = {"zero": DampingProfile.zero(),
-                "poly": DampingProfile.polynomial_tail(0.7, 1.3),
-                "tabulated": DampingProfile.tabulated([0.0, 1.0, 4.0], [1.5, 0.2, 0.6])}[name]
+        # every re-solve of y2(t, s) is a last-node product and none a full solve, so a
+        # wrapper of it sees every re-solve: 2 per identity (iv), 2 per identity (v)
+        prof = _PROFILES[name]
         lam, delta = 1.3, auxiliary.IDENTITY_DELTA * (1.0 / 1.3)  # the step at lambda > 1
         pair = solve_fundamental_pair(prof, lam, 0.0, np.linspace(0.0, 3.0, 3001))
-        starts = []
-        original = auxiliary.solve_fundamental_pair
-
-        def counting_solve(profile, lam, s, t_grid):
-            starts.append(s)
-            return original(profile, lam, s, t_grid)
-
-        monkeypatch.setattr(auxiliary, "solve_fundamental_pair", counting_solve)
+        starts, full_starts = _record_starts(monkeypatch)
         verify_fundamental_bounds(pair, prof)
-        assert starts == [delta, 2.0 * delta]
+        assert starts and starts == [delta, 2.0 * delta]
         fundamental_identity_v(prof, lam, 2.0)
         assert starts[2:] == [2.0 - delta, 2.0 - 2.0 * delta]
-        want = original(prof, lam, 0.5, np.linspace(0.5, 3.0, 2501)).y2[-1]
+        assert not full_starts
+        want = solve_fundamental_pair(prof, lam, 0.5, np.linspace(0.5, 3.0, 2501)).y2[-1]
         assert auxiliary._resolve_y2_at(prof, lam, 0.5, 3.0, 1e-3).tobytes() == want.tobytes()
         for bad_lam, h in ((0.0, 1e-3), (-1.0, 1e-3), (200.0, 1e-3)):
             with pytest.raises(ValueError):
                 auxiliary._resolve_y2_at(prof, bad_lam, 0.5, 3.0, h)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(sorted(_PROFILES)),
+           steps=st.one_of(st.integers(1, auxiliary._SCAN_BLOCK - 1),
+                           st.sampled_from([auxiliary._SCAN_BLOCK, auxiliary._SCAN_BLOCK + 1,
+                                            2 * auxiliary._SCAN_BLOCK + 1])),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(name="tabulated", steps=1, seed=0)
+    @example(name="zero", steps=auxiliary._SCAN_BLOCK, seed=1)
+    @example(name="poly", steps=auxiliary._SCAN_BLOCK + 1, seed=2)
+    @example(name="tabulated", steps=2 * auxiliary._SCAN_BLOCK + 1, seed=3)
+    def test_last_node_product_is_the_solve_bit_for_bit(self, name, steps, seed):
+        # the last-node product takes the scan's products at that node in the scan's order
+        rng = np.random.default_rng(seed)
+        lam, s = rng.uniform(0.05, 3.0), rng.uniform(0.0, 3.0)
+        grid = s + np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 1.0, steps) * 0.1 / lam)])
+        pair = solve_fundamental_pair(_PROFILES[name], lam, s, grid)
+        end = auxiliary._pair_at_end(_PROFILES[name], lam, s, grid)
+        want = np.array([[pair.y1[-1], pair.y2[-1]], [pair.dy1[-1], pair.dy2[-1]]])
+        assert end.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("solve", [solve_fundamental_pair, auxiliary._pair_at_end])
+    @pytest.mark.parametrize("lam,s,grid", [
+        (0.0, 0.0, np.linspace(0.0, 1.0, 101)),            # lambda <= 0
+        (-1.0, 0.0, np.linspace(0.0, 1.0, 101)),
+        (1.0, 0.0, np.linspace(0.0, 1.0, 5)),              # lambda h = 0.25 > 0.1
+        (1.0, 0.0, np.array([0.0, 0.1, 0.1, 0.2])),        # a repeated node
+        (1.0, 0.0, np.array([0.0, 0.1, 0.05, 0.2])),       # a decreasing step
+        (1.0, 0.0, np.array([0.0])),                       # one node
+        (1.0, 0.5, np.linspace(0.0, 1.0, 101)),            # the grid does not start at s
+    ])
+    def test_both_paths_reject_bad_input(self, solve, lam, s, grid):
+        with pytest.raises(ValueError):
+            solve(DampingProfile.polynomial_tail(1.0, 2.0), lam, s, grid)
 
     @pytest.mark.parametrize("lam", [5.0, 40.0])
     def test_identities_hold_at_larger_lambda(self, lam):
@@ -505,17 +558,26 @@ class TestFundamentalPair:
 
     def test_identity_v_before_its_stencil_fits(self, monkeypatch):
         # at t = 7e-4 < 2 delta the back stencil t - 2 delta < 0 leaves the domain of b:
-        # the residual is NaN, as identity (iv) is there, and no re-solve starts below 0
-        starts = []
-        original = auxiliary.solve_fundamental_pair
+        # the residual is NaN, as identity (iv) is there, and nothing is re-solved; at
+        # t = 2 delta the stencil fits, and the re-solves start at t - delta and 0
+        poly = DampingProfile.polynomial_tail(1.0, 2.0)
+        delta = auxiliary.IDENTITY_DELTA
+        starts, full_starts = _record_starts(monkeypatch)
+        assert math.isnan(fundamental_identity_v(poly, 1.0, 7e-4))
+        assert starts == []
+        assert fundamental_identity_v(poly, 1.0, 2.0 * delta) <= auxiliary.IDENTITY_TOL
+        assert starts and starts == [delta, 0.0]
+        assert not full_starts
 
-        def counting_solve(profile, lam, s, t_grid):
-            starts.append(s)
-            return original(profile, lam, s, t_grid)
+    def test_tabulated_bounds_hold(self):
+        # the pair below: both exponential lower bounds hold on the kernels modal grid
+        report = _tabulated_kink_report()
+        assert report.slack1_min >= 0.0 and report.slack2_min >= 0.0
 
-        monkeypatch.setattr(auxiliary, "solve_fundamental_pair", counting_solve)
-        assert math.isnan(fundamental_identity_v(DampingProfile.polynomial_tail(1.0, 2.0), 1.0, 7e-4))
-        assert all(s >= 0.0 for s in starts)
+    @pytest.mark.xfail(strict=True, reason="the re-solves' grids, offset by delta from the "
+                       "main one, put the table's kinks mid-step: the residual reads 0.196")
+    def test_tabulated_identity_iv_where_the_bounds_hold(self):
+        assert _tabulated_kink_report().identity4_residual <= auxiliary.IDENTITY_TOL
 
     def test_overflow_is_a_quiet_violation(self):
         # at lambda = 400 the pair passes float range before t = 2

@@ -57,33 +57,41 @@ def ball_volume(n: int) -> float:
 _PHI_NODE_RHO_MAX = 750.0
 
 
-def phi_eval(n: int, rho):
+def phi_eval(n: int, rho, rho_max: float | None = None):
     """Positive radial eigenfunction of the Laplacian (Delta Phi = Phi), the
     integral of e^(omega . x) over the unit sphere,
     (2 pi)^(n/2) rho^(1-n/2) I_(n/2-1)(rho).
 
-    Closed forms for n <= 3: e^rho + e^(-rho), 2 pi I_0(rho), 4 pi sinh(rho)/rho.
+    Closed forms for n <= 3: e^rho + e^(-rho), 2 pi I_0(rho), 4 pi sinh(rho)/rho,
+    elementwise, so a block of arguments gives the bits of the whole.
     n >= 4: the 1-d polar integral by Gauss-Legendre quadrature; the node
-    count grows with |rho| (up to the overflow point) so the quadrature stays
-    spectral out to large arguments.
+    count grows with the largest |rho| (up to the overflow point) so the
+    quadrature stays spectral out to large arguments.  A block of a larger
+    matrix passes the matrix's largest |rho| as rho_max, so every block takes
+    one rule.  Past the float range Phi is inf, without a warning.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
-    if n == 1:
-        out = np.exp(rho_arr) + np.exp(-rho_arr)
-    elif n <= 3:
-        # i0(inf) and sinh(inf)/inf are nan; Phi grows like e^|rho|
-        with np.errstate(invalid="ignore"):
+    # i0(inf) and sinh(inf)/inf are nan; Phi grows like e^|rho|
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n == 1:
+            out = np.exp(rho_arr) + np.exp(-rho_arr)
+        elif n <= 3:
             out = 2.0 * math.pi * np.i0(rho_arr) if n == 2 else 4.0 * math.pi * sinhc(rho_arr)
-        out[np.isinf(rho_arr)] = np.inf
-    else:
-        # the node rule is taken over the non-NaN arguments; a NaN gives nan
-        rmax = float(np.max(np.abs(rho_arr), initial=0.0, where=~np.isnan(rho_arr)))
-        theta, w = _gl_nodes(0.0, math.pi, _polar_nodes(rmax))
-        weight = w * np.sin(theta) ** (n - 2)
-        out = sphere_area(n - 2) * (np.exp(np.outer(rho_arr, np.cos(theta))) @ weight)
+            out[np.isinf(rho_arr)] = np.inf
+        else:
+            # the node rule is taken over the non-NaN arguments; a NaN gives nan
+            rmax = _abs_max(rho_arr) if rho_max is None else rho_max
+            theta, w = _gl_nodes(0.0, math.pi, _polar_nodes(rmax))
+            weight = w * np.sin(theta) ** (n - 2)
+            out = sphere_area(n - 2) * (np.exp(np.outer(rho_arr, np.cos(theta))) @ weight)
     return out.reshape(np.shape(rho)) if np.ndim(rho) else float(out[0])
+
+
+def _abs_max(x) -> float:
+    """The largest |x| over the non-NaN entries, 0 for none."""
+    return float(np.max(np.abs(x), initial=0.0, where=~np.isnan(x)))
 
 
 def _polar_nodes(rho_max: float) -> int:
@@ -135,20 +143,37 @@ class KernelConfig:
         return lam, w * lam ** r
 
 
+#: values of Phi per tile of KernelQuadrature's build, times phi_eval's polar
+#: nodes for n >= 4, which bounds the build's temporaries (chosen by measurement, README)
+_PHI_BLOCK = 2 ** 12
+
+
 class KernelQuadrature:
     """Kernel evaluator over a fixed set of radii.
 
     Precomputes the lambda nodes and the eigenfunction matrix Phi(lambda_k r_i)
     once, so repeated evaluations at many (t, s) cost a single matrix-vector
-    product each.
+    product each.  The matrix is filled a tile of lambda-rows (of radii, when one
+    row is too long) at a time, each at most _PHI_BLOCK values of phi_eval, so the
+    build's temporaries scale with one tile, not with the matrix.  For n >= 4 every
+    tile takes the node rule of the whole matrix's largest |lambda r|.
     """
 
     def __init__(self, cfg: KernelConfig, n: int, radii):
         self.cfg = cfg
         self.radii = np.atleast_1d(np.asarray(radii, dtype=float))
         self.lam, self.w = cfg.nodes()
-        rho = np.outer(self.lam, self.radii)
-        self.phi_mat = np.asarray(phi_eval(n, rho))
+        # n >= 4: the node rule of the largest |lambda_k r_i|, exactly this product
+        # (lambda > 0 and rounding is monotone)
+        rho_max = self.lam.max() * _abs_max(self.radii) if n >= 4 else None
+        size = _PHI_BLOCK // (1 if rho_max is None else _polar_nodes(rho_max))
+        cols = max(1, min(self.radii.size, size))
+        rows = max(1, size // cols)
+        self.phi_mat = np.empty((self.lam.size, self.radii.size))
+        for k in range(0, self.lam.size, rows):
+            for i in range(0, self.radii.size, cols):
+                self.phi_mat[k:k + rows, i:i + cols] = phi_eval(
+                    n, np.outer(self.lam[k:k + rows], self.radii[i:i + cols]), rho_max)
 
     def decay(self, t: float) -> np.ndarray:
         """The lambda-weights w_k e^(-lambda_k (t + R)) that every kernel at time t carries."""
@@ -208,6 +233,7 @@ def check_kernel_config(cfg: KernelConfig, n: int, radii: float, r_max: float) -
     return values
 
 
+@np.errstate(over="ignore", invalid="ignore")  # Phi past float range: a NaN constant fails
 def fit_kernel_bounds(cfg: KernelConfig, n: int, t_grid, x_points: int = 9) -> KernelBoundFit:
     """Fit (A0, B0, B1, B2) over a sampled t-grid, which is also the s-grid.
 

@@ -574,8 +574,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="output directory")
     args = parser.parse_args(argv)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    # a warning becomes one NOTE line per distinct category and message, sorted, so
+    # the lines do not depend on which process raised it first; an expected
+    # overflow is silenced where it happens
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             cfg = _load_config(args.config)
             os.makedirs(args.out, exist_ok=True)
@@ -584,6 +587,8 @@ def main(argv=None) -> int:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
         checks = COMMANDS[args.command](args.out, **kwargs)
+    notes = sorted({f"{w.category.__name__}: {w.message}" for w in caught})
+    checks += [Check("warning", None, note) for note in notes]
 
     summary = "\n".join(c.line() for c in checks)
     with open(os.path.join(args.out, "summary.txt"), "w") as fh:

@@ -28,11 +28,11 @@ from __future__ import annotations
 import math
 import os
 import threading
+import warnings
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
@@ -179,7 +179,8 @@ class GridState:
         # trapezoid weights against the surface measure |S^(n-1)| r^(n-1) dr
         w = np.full(self.r.size, dr)
         w[0] = w[-1] = 0.5 * dr
-        self.weights = sphere_area(n - 1) * self.r ** (n - 1) * w
+        with np.errstate(over="ignore"):  # past float range U, V read NaN: trace-finite fails
+            self.weights = sphere_area(n - 1) * self.r ** (n - 1) * w
 
         bump = np.where(self.r < R, (1.0 - np.minimum(self.r / R, 1.0) ** 2) ** 4, 0.0)
         self.u_init, self.ut_init, self.v_init, self.vt_init = (
@@ -644,6 +645,15 @@ def _sweep_one(args) -> LifespanRecord:
     return run_until_blowup(params, profiles, data, grid).record
 
 
+def _sweep_caught(args) -> tuple[LifespanRecord, list]:
+    """_sweep_one(args) in a pool worker, and the (category, message) of each
+    warning it raised, which lifespan_sweep raises again in this process."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        record = _sweep_one(args)
+    return record, [(w.category, str(w.message)) for w in caught]
+
+
 def thread_cap() -> int | None:
     """The worker cap BLOWUP_LAB_THREADS sets, or None when it is unset or empty."""
     raw = os.environ.get("BLOWUP_LAB_THREADS")
@@ -666,8 +676,8 @@ def sweep_workers(n_jobs: int, requested: int | None = None) -> int:
 
 def _drain(queue: deque, records: list, errors: list, start, job=None) -> None:
     """Run job indices popped off the shared queue until it is empty, storing
-    each record at its index.  start(i) begins job i and returns a call that
-    waits for its record; `job` is an (i, wait) pair begun before this call.
+    each job's result at its index.  start(i) begins job i and returns a call
+    that waits for its result; `job` is an (i, wait) pair begun before this call.
     A failure goes to errors and clears the queue, so no runner starts another
     job; the caller re-raises it."""
     try:
@@ -712,8 +722,9 @@ def lifespan_sweep(
     fit log T against log eps, and compare with the theoretical law.  Records
     keep the order of eps_list.  An exception from a run, here or in a
     worker, is raised here once the runs under way end; no further eps
-    starts.  Survived records are excluded from the fit and counted; with
-    fewer than 2 blow-ups the fitted fields are NaN."""
+    starts; a worker's warnings are raised here.  Survived records are excluded
+    from the fit and counted; with fewer than 2 blow-ups the fitted fields are
+    NaN."""
     eps_list = list(eps_list)
     check_sweep(params_template, data, grid, eps_list)
     # a sweep keeps only the records: its runs have no observers
@@ -723,24 +734,29 @@ def lifespan_sweep(
         # nw runners, this process and a pool of nw - 1 workers, pull from one
         # queue, smallest eps first: it runs longest, so it must not start last
         queue = deque(sorted(range(len(jobs)), key=lambda i: jobs[i][0].eps))
-        records, errors = [None] * len(jobs), []
+        runs, errors = [None] * len(jobs), []
         with ProcessPoolExecutor(max_workers=nw - 1) as pool:
             def remote(i):
-                return pool.submit(_sweep_one, jobs[i]).result
+                return pool.submit(_sweep_caught, jobs[i]).result
 
             firsts = [queue.popleft() for _ in range(nw - 1)]
             # submitting them here forks the workers from this thread, before
             # any feeder thread or run here starts
             feeders = [threading.Thread(target=_drain,
-                                        args=(queue, records, errors, remote, (i, remote(i))))
+                                        args=(queue, runs, errors, remote, (i, remote(i))))
                        for i in firsts]
             for t in feeders:
                 t.start()
-            _drain(queue, records, errors, lambda i: partial(_sweep_one, jobs[i]))
+            # a run here raises its warnings here itself
+            _drain(queue, runs, errors, lambda i: lambda: (_sweep_one(jobs[i]), []))
             for t in feeders:
                 t.join()
         if errors:
             raise errors[0]
+        for _, caught in runs:
+            for category, message in caught:
+                warnings.warn(message, category)
+        records = [rec for rec, _ in runs]
     else:
         records = [_sweep_one(j) for j in jobs]
 

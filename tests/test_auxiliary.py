@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -291,6 +292,92 @@ class TestKernels:
         ref = 2.0 * math.pi * math.sqrt(math.pi) * math.erf(1.0)
         val = KernelQuadrature(cfg, 2, [0.0]).xi(0.0)[0]
         assert abs(val - ref) / ref < 1e-9
+
+
+def _phi_tiles(monkeypatch):
+    """The argument shapes of every phi_eval call the KernelQuadrature build makes."""
+    shapes = []
+
+    def spy(n, rho, rho_max=None):
+        shapes.append(np.shape(rho))
+        return phi_eval(n, rho, rho_max)
+
+    monkeypatch.setattr(auxiliary, "phi_eval", spy)
+    return shapes
+
+
+def _build_peak(cfg, n, radii):
+    """The tracemalloc peak of one KernelQuadrature build, with its Gauss-Legendre
+    rules (the lambda rule, and the polar rule for n >= 4) cached first."""
+    lam, _ = cfg.nodes()
+    if n >= 4:
+        auxiliary._leggauss(auxiliary._polar_nodes(lam.max() * np.max(np.abs(radii))))
+    tracemalloc.start()
+    try:
+        quad = KernelQuadrature(cfg, n, radii)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, quad
+
+
+#: the critical verify's grid (verify-critical-n3.json: dr 0.0125, 3,321 radii)
+CRITICAL_RADII = np.arange(3321) * 0.0125
+
+
+class TestPhiMatrix:
+    # (K, radii): 64 rows of 300 radii in tiles of 13 rows, the last of 12; 4 rows of
+    # 9,000 radii in tiles of one row and 4,096 radii, the last of 808
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("K, radii", [(64, np.linspace(0.0, 40.0, 300)),
+                                          (4, np.linspace(-30.0, 60.0, 9000))])
+    def test_closed_forms_bit_for_bit(self, monkeypatch, n, K, radii):
+        shapes = _phi_tiles(monkeypatch)
+        quad = KernelQuadrature(KernelConfig(quad_nodes=K), n, radii)
+        assert len(set(shapes)) == 2 and shapes[-1] != shapes[0]  # a last tile not full
+        assert sum(rows * cols for rows, cols in shapes) == quad.phi_mat.size
+        assert np.array_equal(quad.phi_mat, phi_eval(n, np.outer(quad.lam, quad.radii)))
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("R", [37, 200, 400])
+    def test_polar_quadrature_matches_one_call(self, monkeypatch, n, R):
+        # BLAS may round a tile's product in another order than the whole matrix's
+        radii = np.linspace(0.0, 50.0, R)
+        shapes = _phi_tiles(monkeypatch)
+        quad = KernelQuadrature(KernelConfig(quad_nodes=64), n, radii)
+        assert len(shapes) > 1
+        np.testing.assert_allclose(quad.phi_mat, phi_eval(n, np.outer(quad.lam, quad.radii)),
+                                   rtol=1e-15, atol=0.0)
+
+    def test_polar_node_rule_of_the_whole_matrix(self, monkeypatch):
+        real, rules = auxiliary._polar_nodes, []
+
+        def spy(rho_max):
+            rules.append(rho_max)
+            return real(rho_max)
+
+        monkeypatch.setattr(auxiliary, "_polar_nodes", spy)
+        radii = np.linspace(-300.0, 100.0, 400)  # the largest |lambda r| has r < 0
+        quad = KernelQuadrature(KernelConfig(lambda0=2.0, quad_nodes=64), 4, radii)
+        whole = float(np.max(np.abs(np.outer(quad.lam, radii))))
+        assert len(rules) > 2 and set(rules) == {whole}
+        assert real(whole) > real(quad.lam[0] * 300.0)  # the first tile's own rule is smaller
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("K, radii", [(64, CRITICAL_RADII), (256, np.linspace(0.0, 50.0, 4000))])
+    def test_build_peaks_near_its_matrix(self, n, K, radii):
+        peak, quad = _build_peak(KernelConfig(quad_nodes=K), n, radii)
+        assert peak <= 1.25 * quad.phi_mat.nbytes
+
+    @pytest.mark.parametrize("K, R", [(64, 400), (16, 3000)])
+    def test_polar_build_temporaries_bounded_by_one_tile(self, K, R):
+        # a one-call build holds K R x nodes values twice (exp of an outer product)
+        peak, quad = _build_peak(KernelConfig(quad_nodes=K), 4, np.linspace(0.0, 50.0, R))
+        assert peak - quad.phi_mat.nbytes <= 4 * 8 * auxiliary._PHI_BLOCK
+
+    def test_empty_radii(self):
+        quad = KernelQuadrature(KernelConfig(quad_nodes=8), 4, np.array([]))
+        assert quad.phi_mat.shape == (8, 0)
 
 
 class TestKernelBounds:

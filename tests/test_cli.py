@@ -4,15 +4,21 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from blowup_lab import auxiliary, iteration, simulator
+from blowup_lab import auxiliary, cli, iteration, simulator
 from blowup_lab.cli import ConfigError, _prepare, main
 from blowup_lab.plotting import PlotSeries, emit_plot, loglog_fit_series
+
+#: a critical verify whose lambda r passes 710 at t = 730: Phi overflows (ROADMAP item 5)
+PHI_OVERFLOW = {"n": 3, "p": 2.414213562373095, "q": 2.414213562373095,
+                "damping": {"kind": "poly"}, "dr": 0.5, "horizon": 760.0, "snapshot_every": 40,
+                "eps": 1e-3, "threshold": 1e300, "critical": True}
 
 EXPERIMENTS = sorted((Path(__file__).resolve().parents[1] / "experiments").glob("*.json"))
 
@@ -192,6 +198,53 @@ class TestClassify:
         rows = read_csv(out / "classify.csv")
         assert all(len(row) == 2 for row in rows)
         assert ["law_note", "improved, both speeds"] in rows
+
+
+class TestWarnings:
+    def test_warning_is_a_note(self, tmp_path):
+        # lifespan_law warns that speed flags carry no improved estimate at n = 3
+        code, out = run_cli(tmp_path, "classify", {"n": 3, "p": 2, "q": 2, "speeds": [True, True]})
+        assert code == 0
+        assert (out / "summary.txt").read_text() == (
+            "NOTE classification: region=SubcriticalBlowup\n"
+            "NOTE warning: UserWarning: speed flags carry no improved estimate for "
+            "(n, p, q) = (3, 2, 2)\n")
+
+    def test_one_note_per_distinct_warning_sorted(self, tmp_path, monkeypatch):
+        classify = cli.COMMANDS["classify"]
+
+        def warning_classify(out, **kwargs):
+            for message, category in (("b", UserWarning), ("a", UserWarning),
+                                      ("b", RuntimeWarning), ("b", UserWarning)):
+                warnings.warn(message, category)
+            return classify(out, **kwargs)
+
+        monkeypatch.setitem(cli.COMMANDS, "classify", warning_classify)
+        code, out = run_cli(tmp_path, "classify", {"n": 3, "p": 2, "q": 2})
+        assert code == 0
+        assert (out / "summary.txt").read_text().splitlines()[1:] == [
+            "NOTE warning: RuntimeWarning: b", "NOTE warning: UserWarning: a",
+            "NOTE warning: UserWarning: b"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command, cfg", [
+        # Phi overflows in the kernels' fits (n = 3: sinh, n = 4: the polar exp)
+        ("kernels", {"n": 3, "lambda0": 1.0, "orders": ["1/2"], "t_max": 800.0, "t_points": 5,
+                     "x_points": 3}),
+        ("kernels", {"n": 4, "orders": ["1", "2"], "R": 1e300, "t_max": 5, "t_points": 3,
+                     "x_points": 3, "lambdas": [1.0], "horizon": 1.0}),
+        # the weights r^(n-1) pass the float range
+        ("simulate", {"n": 200, "p": 2, "q": 2, "R": 1000.0, "dr": 1.0, "horizon": 2.0}),
+        # a run past its blow-up to a non-finite value
+        ("simulate", {"n": 1, "p": 2, "q": 2, "dr": 0.05, "horizon": 30.0, "threshold": 1e300}),
+        ("verify", PHI_OVERFLOW),
+    ], ids=["kernels-n3", "kernels-n4", "weights", "blow-up", "verify-phi"])
+    def test_expected_overflow_is_silent(self, tmp_path, capsys, command, cfg):
+        # each overflow reads as inf or NaN where it happens, and no warning escapes main
+        code, out = run_cli(tmp_path, command, cfg)
+        assert code in (0, 1)
+        assert "NOTE warning" not in (out / "summary.txt").read_text()
+        assert "Warning" not in capsys.readouterr().err
 
 
 class TestIterate:
@@ -556,6 +609,15 @@ class TestVerifyCommand:
         summary = (out / "summary.txt").read_text()
         assert "CHECK frame-inequalities: PASS" in summary
         assert "CHECK cone-containment: PASS" in summary
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 5: Phi overflows past lambda r = 710, "
+                                           "so the critical functionals are NaN from t = 730")
+    def test_critical_functionals_finite_past_phi_overflow(self, tmp_path):
+        code, out = run_cli(tmp_path, "verify", PHI_OVERFLOW)
+        assert code == 1  # the linear run at eps 1e-3 fails frame-inequalities
+        header, *rows = read_csv(out / "critical_functionals.csv")
+        last = dict(zip(header, rows[-1]))
+        assert float(last["t"]) == 760.0 and math.isfinite(float(last["log_ratio"]))
 
     def test_zero_data_is_a_failed_lower_bound_fit(self, tmp_path):
         # zero data stay zero, so the lower-bound constants fit to 0

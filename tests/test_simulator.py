@@ -950,6 +950,12 @@ def _sweep_one_tagged(job):
     return _PidRecord(rec.eps, rec.t_blow, rec.detection, os.getpid())
 
 
+def _sweep_one_warning(job):
+    """The real run, after a warning that names its eps."""
+    warnings.warn(f"run at eps {job[0].eps}", RuntimeWarning)
+    return _real_sweep_one(job)
+
+
 # set per test: the directory the runs mark, the pid of the sweep's own process,
 # and which side fails ("here" or "worker"); a fork carries it into the worker
 _failing = {}
@@ -1030,6 +1036,19 @@ class TestSweep:
         parallel = lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, grid, eps, workers=2)
         assert [r.t_blow for r in serial.records] == [r.t_blow for r in parallel.records]
         assert serial.slope == parallel.slope
+
+    def test_run_warnings_reach_the_caller_at_any_worker_count(self, monkeypatch):
+        # a run in a pool worker warns here as one in this process does
+        monkeypatch.setenv("BLOWUP_LAB_THREADS", "2")
+        monkeypatch.setattr(simulator, "_sweep_one", _sweep_one_warning)
+        grid = GridConfig(dr=0.05, horizon=30.0)
+        eps = [0.5, 1.0, 0.35, 0.7]
+        for workers in (1, 2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, grid, eps, workers=workers)
+            assert sorted((w.category, str(w.message)) for w in caught) == sorted(
+                (RuntimeWarning, f"run at eps {e}") for e in eps)
 
     def test_two_workers_fork_one_and_run_here(self, tmp_path, monkeypatch):
         # workers=2 is two runs at once: this process and one forked worker;

@@ -150,11 +150,14 @@ def _radii(params: SystemParams, grid: GridConfig) -> np.ndarray:
 
 def check_run(params: SystemParams, data: InitialData, grid: GridConfig) -> None:
     """Raise ValueError, without building the grid, for a run that cannot start: a
-    sphere measure out of float range, a threshold at or below the initial sup
-    norm eps * max(|u0|, |v0|), or a run over budget: its grid nodes or its
-    node-steps (horizon / dt) * nodes."""
+    sphere measure out of float range, scaled data eps * amplitude out of float
+    range, a threshold at or below the initial sup norm eps * max(|u0|, |v0|),
+    or a run over budget: its grid nodes or its node-steps (horizon / dt) * nodes."""
     sphere_area(params.n - 1)
-    if max(abs(params.eps * data.u0_amp), abs(params.eps * data.v0_amp)) >= grid.threshold:
+    u0, u1, v0, v1 = (params.eps * a for a in (data.u0_amp, data.u1_amp, data.v0_amp, data.v1_amp))
+    if not all(map(math.isfinite, (u0, u1, v0, v1))):
+        raise ValueError(f"eps * data amplitudes must be finite, got eps {params.eps} and {data}")
+    if max(abs(u0), abs(v0)) >= grid.threshold:
         raise ValueError("threshold must exceed the initial sup norm")
     nodes = grid_extent(params, grid) / grid.dr + 1.0  # a float, never an oversized int
     if not nodes <= MAX_NODES:
@@ -171,7 +174,7 @@ class GridState:
 
     def __init__(self, params: SystemParams, profiles, data: InitialData, grid: GridConfig):
         check_run(params, data, grid)
-        self.params, self.data, self.grid = params, data, grid
+        self.params, self.grid = params, grid
         self.b1, self.b2 = profiles
         n, R, dr = params.n, params.R, grid.dr
         self.dr, self.dt = dr, grid.dt
@@ -654,24 +657,13 @@ def _sweep_caught(args) -> tuple[LifespanRecord, list]:
     return record, [(w.category, str(w.message)) for w in caught]
 
 
-def thread_cap() -> int | None:
-    """The worker cap BLOWUP_LAB_THREADS sets, or None when it is unset or empty."""
-    raw = os.environ.get("BLOWUP_LAB_THREADS")
-    if raw and not (raw.strip().isdecimal() and int(raw) >= 1):
-        raise ValueError(f"BLOWUP_LAB_THREADS must be a whole number >= 1, got {raw!r}")
-    return int(raw) if raw else None
-
-
 def sweep_workers(n_jobs: int, requested: int | None = None) -> int:
     """Runs at once in a sweep, this process included: the requested value
-    (default one per job up to the usable CPU count), always capped by
-    BLOWUP_LAB_THREADS when set, else by the usable CPUs.  Usable means the
+    (default one per job), capped by the jobs and by the usable CPUs, the
     CPUs this process may run on (its affinity set) where the platform tells."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    cap = thread_cap() or cpus
-    want = requested if requested is not None else min(n_jobs, cpus)
-    return max(1, min(want, cap, n_jobs))
+    return max(1, min(cpus if requested is None else requested, cpus, n_jobs))
 
 
 def _drain(queue: deque, records: list, errors: list, start, job=None) -> None:
@@ -698,12 +690,10 @@ def _drain(queue: deque, records: list, errors: list, start, job=None) -> None:
 
 def check_sweep(params_template: SystemParams, data: InitialData, grid: GridConfig,
                 eps_list) -> None:
-    """Raise ValueError for a sweep that cannot run: fewer than 4 eps points,
-    an eps no run can start from, a region without a blow-up law, or a
-    malformed BLOWUP_LAB_THREADS."""
-    if len(eps_list) < 4:
-        raise ValueError(f"sweep needs >= 4 eps points, got {len(eps_list)}")
-    thread_cap()
+    """Raise ValueError for a sweep that cannot run: fewer than 4 distinct eps,
+    an eps no run can start from, or a region without a blow-up law."""
+    if (distinct := len({float(e) for e in eps_list})) < 4:
+        raise ValueError(f"sweep needs >= 4 distinct eps points, got {distinct}")
     for e in eps_list:
         check_run(replace(params_template, eps=float(e)), data, grid)
     lifespan_law(params_template, data.speed_flags())

@@ -23,19 +23,11 @@ PHI_OVERFLOW = {"n": 3, "p": 2.414213562373095, "q": 2.414213562373095,
 EXPERIMENTS = sorted((Path(__file__).resolve().parents[1] / "experiments").glob("*.json"))
 
 
-def run_cli(tmp_path, command, cfg, name="cfg", extra_env=None):
+def run_cli(tmp_path, command, cfg, name="cfg"):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / f"out_{name}"
-    old = dict(os.environ)
-    try:
-        if extra_env:
-            os.environ.update(extra_env)
-        code = main([command, "--config", str(path), "--out", str(out)])
-    finally:
-        os.environ.clear()
-        os.environ.update(old)
-    return code, out
+    return main([command, "--config", str(path), "--out", str(out)]), out
 
 
 def read_csv(path) -> list[list[str]]:
@@ -93,11 +85,15 @@ class TestConfigValidation:
         ({"R": 1e400}, "support radius must be finite"),
         ({"data": {"u1": math.nan}}, "data amplitudes must be finite"),
         ({"threshold": 0.5}, "threshold must exceed the initial sup norm"),
+        ({"eps": 10, "data": {"u1": 1e308}}, "eps * data amplitudes must be finite"),
+        ({"eps_list": [10, 5, 2, 1], "data": {"u1": 1e308}},
+         "eps * data amplitudes must be finite"),
     ], ids=["infinite-horizon", "zero-snapshot-cadence", "damping-not-object", "infinite-eps",
-            "huge-n", "infinite-R", "nan-data", "threshold-below-data"])
+            "huge-n", "infinite-R", "nan-data", "threshold-below-data", "overflowing-scaled-data",
+            "overflowing-scaled-sweep-data"])
     def test_bad_simulation_value_is_one_line_config_error(self, tmp_path, capsys, extra, reason):
         cfg = {"n": 1, "p": 2, "q": 2, "horizon": 2.0, **extra}
-        code, _ = run_cli(tmp_path, "simulate", cfg)
+        code, _ = run_cli(tmp_path, "sweep" if "eps_list" in extra else "simulate", cfg)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error:") and err.count("\n") == 1
@@ -558,25 +554,14 @@ class TestSimulateAndSweep:
         assert "CHECK sweep-fit: PASS" in summary
         assert "CHECK lifespans-monotone: FAIL (smaller eps never blows up sooner)" in summary
 
-    def test_thread_cap_does_not_change_results(self, tmp_path):
+    def test_worker_count_does_not_change_results(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         cfg = {"n": 1, "p": 2, "q": 2, "dr": 0.05, "horizon": 30.0,
                "eps_list": [1.0, 0.7, 0.5, 0.35]}
-        code1, out1 = run_cli(tmp_path, "sweep", cfg, name="w1",
-                              extra_env={"BLOWUP_LAB_THREADS": "1"})
-        code2, out2 = run_cli(tmp_path, "sweep", cfg, name="w2",
-                              extra_env={"BLOWUP_LAB_THREADS": "2"})
+        code1, out1 = run_cli(tmp_path, "sweep", {**cfg, "workers": 1}, name="w1")
+        code2, out2 = run_cli(tmp_path, "sweep", {**cfg, "workers": 2}, name="w2")
         assert code1 == 0 and code2 == 0
         assert (out1 / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
-
-    @pytest.mark.parametrize("value", ["abc", "0", "1.5"])
-    def test_bad_thread_cap_is_one_line_config_error(self, tmp_path, capsys, value):
-        cfg = {"n": 1, "p": 2, "q": 2, "dr": 0.05, "horizon": 30.0,
-               "eps_list": [1.0, 0.7, 0.5, 0.35]}
-        code, out = run_cli(tmp_path, "sweep", cfg, extra_env={"BLOWUP_LAB_THREADS": value})
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("config error: BLOWUP_LAB_THREADS") and err.count("\n") == 1
-        assert not any(out.iterdir())
 
     def test_all_survived_sweep_is_a_failed_check(self, tmp_path):
         cfg = {"n": 1, "p": 2, "q": 2, "horizon": 2, "eps_list": [0.01, 0.02, 0.03, 0.04],
@@ -609,6 +594,15 @@ class TestVerifyCommand:
         summary = (out / "summary.txt").read_text()
         assert "CHECK frame-inequalities: PASS" in summary
         assert "CHECK cone-containment: PASS" in summary
+
+    def test_cone_off_fails_cone_containment(self, tmp_path):
+        # the check's only failing input: with the cone on, every node past the cone
+        # is zeroed, so the leakage is 0 by construction
+        cfg = {"n": 3, "p": 3, "q": 3, "dr": 0.05, "horizon": 4.0, "enforce_cone": False}
+        code, out = run_cli(tmp_path, "verify", cfg)
+        assert code == 1
+        summary = (out / "summary.txt").read_text()
+        assert "CHECK cone-containment: FAIL (leakage=1.62e-05)" in summary
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 5: Phi overflows past lambda r = 710, "
                                            "so the critical functionals are NaN from t = 730")

@@ -153,6 +153,7 @@ PROBES = [
     ("simulate", {"p": 10**400}),
     ("verify", {"window": [50.0, 60.0]}),
     ("kernels", {"horizon": 1e-9}),
+    ("sweep", {"eps_list": [1.0, 1.0, 1.0, 1.0], "dr": 0.05, "horizon": 40.0}),
 ]
 # kernels runs through the lambda loop, which the drawn examples never reach with a valid
 # `lambdas`: (extra keys, exit code, a line of stdout); at horizon 7e-4 < 2 delta neither
@@ -197,7 +198,7 @@ def with_base(probes):
 @with_base(PROBES + RUNS + OVER_BUDGET)
 @given(case=configs())
 def test_every_config_ends_in_one_of_three_ways(case, monkeypatch):
-    monkeypatch.setenv("BLOWUP_LAB_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     command, cfg = case
     code, stdout, stderr, left = run(command, cfg)
     if code == 1:

@@ -956,6 +956,12 @@ def _sweep_one_warning(job):
     return _real_sweep_one(job)
 
 
+def usable_cpus(monkeypatch, k):
+    """Let this process run on k CPUs, so a sweep runs up to k eps at once."""
+    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: set(range(k)),
+                        raising=False)
+
+
 # set per test: the directory the runs mark, the pid of the sweep's own process,
 # and which side fails ("here" or "worker"); a fork carries it into the worker
 _failing = {}
@@ -1028,8 +1034,12 @@ class TestSweep:
     def test_needs_enough_points(self):
         with pytest.raises(ValueError):
             lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, GridConfig(), [1.0, 0.5])
+        # repeated eps count once: a fit needs distinct abscissae
+        with pytest.raises(ValueError, match="4 distinct eps points, got 2"):
+            lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, GridConfig(), [1.0, 0.5, 1.0, 0.5])
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
         grid = GridConfig(dr=0.05, horizon=30.0)
         eps = [1.0, 0.7, 0.5, 0.35]
         serial = lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, grid, eps, workers=1)
@@ -1039,7 +1049,7 @@ class TestSweep:
 
     def test_run_warnings_reach_the_caller_at_any_worker_count(self, monkeypatch):
         # a run in a pool worker warns here as one in this process does
-        monkeypatch.setenv("BLOWUP_LAB_THREADS", "2")
+        usable_cpus(monkeypatch, 2)
         monkeypatch.setattr(simulator, "_sweep_one", _sweep_one_warning)
         grid = GridConfig(dr=0.05, horizon=30.0)
         eps = [0.5, 1.0, 0.35, 0.7]
@@ -1060,7 +1070,7 @@ class TestSweep:
                 pools.append((self._max_workers, set(self._processes or {})))
                 super().shutdown(*args, **kwargs)
 
-        monkeypatch.setenv("BLOWUP_LAB_THREADS", "2")
+        usable_cpus(monkeypatch, 2)
         monkeypatch.setattr(simulator, "ProcessPoolExecutor", SpyPool)
         monkeypatch.setattr(simulator, "_sweep_one", _sweep_one_tagged)
         grid = GridConfig(dr=0.05, horizon=30.0)
@@ -1095,7 +1105,7 @@ class TestSweep:
                 assert started_here.wait(10.0)
             return LifespanRecord(eps, 1.0 / eps, Detection.THRESHOLD)
 
-        monkeypatch.setenv("BLOWUP_LAB_THREADS", "2")
+        usable_cpus(monkeypatch, 2)
         monkeypatch.setattr(simulator, "ProcessPoolExecutor", ThreadPool)
         monkeypatch.setattr(simulator, "_sweep_one", fake_run)
         eps = [0.5, 1.0, 0.25, 0.7, 0.35, 0.9]
@@ -1117,7 +1127,7 @@ class TestSweep:
             runs.append(job[0].eps)
             return LifespanRecord(job[0].eps, 1.0, Detection.THRESHOLD)
 
-        monkeypatch.setenv("BLOWUP_LAB_THREADS", "8")
+        usable_cpus(monkeypatch, 8)
         monkeypatch.setattr(simulator, "ProcessPoolExecutor", ThreadPoolExecutor)
         monkeypatch.setattr(simulator, "_sweep_one", fake_run)
         eps = [1.0 - k / 400 for k in range(200)]
@@ -1137,7 +1147,7 @@ class TestSweep:
         monkeypatch.setitem(_failing, "dir", tmp_path)
         monkeypatch.setitem(_failing, "pid", os.getpid())
         monkeypatch.setitem(_failing, "side", side)
-        monkeypatch.setenv("BLOWUP_LAB_THREADS", "2")
+        usable_cpus(monkeypatch, 2)
         monkeypatch.setattr(simulator, "_sweep_one", _sweep_one_failing)
         eps = [1.0, 0.9, 0.8, 0.7, 0.6, 0.5]
         with pytest.raises(RuntimeError, match="failed"):
@@ -1147,13 +1157,12 @@ class TestSweep:
 
     def test_workers_count_usable_cpus(self, monkeypatch):
         # a CPU-pinned process counts the CPUs it may run on, not the host's
-        monkeypatch.delenv("BLOWUP_LAB_THREADS", raising=False)
         monkeypatch.setattr(simulator.os, "cpu_count", lambda: 8)
         monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
         assert simulator.sweep_workers(5) == 2
         assert simulator.sweep_workers(5, requested=4) == 2
-        monkeypatch.setenv("BLOWUP_LAB_THREADS", "4")
-        assert simulator.sweep_workers(5, requested=4) == 4
+        assert simulator.sweep_workers(5, requested=1) == 1
+        assert simulator.sweep_workers(1) == 1
 
 
 class TestPersistence:

@@ -151,7 +151,6 @@ PROBES = [
     ("iterate", {"j_max": 400}),
     ("classify", {"n": 1e300}),
     ("simulate", {"p": 10**400}),
-    ("verify", {"window": [50.0, 60.0]}),
     ("kernels", {"horizon": 1e-9}),
     ("sweep", {"eps_list": [1.0, 1.0, 1.0, 1.0], "dr": 0.05, "horizon": 40.0}),
 ]

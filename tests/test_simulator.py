@@ -16,7 +16,7 @@ import pytest
 from blowup_lab import simulator
 from blowup_lab.auxiliary import KernelQuadrature, sinhc
 from blowup_lab.damping import DampingProfile
-from blowup_lab.exponents import SystemParams
+from blowup_lab.exponents import SystemParams, strauss_exponent
 from blowup_lab.simulator import (
     CriticalStream,
     Detection,
@@ -505,57 +505,24 @@ class TestStepCalls:
             assert len(calls) + 1 == want, calls
 
 
-def _bump(x):
-    """The built-in data profile at R = 1, (1 - x^2)^4 on |x| < 1, even in x."""
-    x = np.abs(x)
-    return np.where(x < 1.0, (1.0 - np.minimum(x, 1.0) ** 2) ** 4, 0.0)
-
-
-def _bump_integral(x):
-    """The integral of the bump from 0 to x, odd in x."""
-    y = np.clip(x, -1.0, 1.0)
-    return y - 4.0 * y ** 3 / 3.0 + 6.0 * y ** 5 / 5.0 - 4.0 * y ** 7 / 7.0 + y ** 9 / 9.0
-
-
-def linear_free_wave(n, dr, data, t=5.0):
-    """The state at t of an undamped linear run on the whole grid: u and v are
-    free waves of their own data."""
-    grid = GridConfig(dr=dr, horizon=t, linear_mode=True, enforce_cone=False)
-    params = SystemParams(n, F(2), F(2), R=1.0, eps=1.0)
-    return run_until_blowup(params, (ZERO, ZERO), data, grid).state
-
-
 class TestExactSolutions:
     """The solver against closed-form free waves (linear mode, no damping, t = 5):
     second order in dr, with bounds C dr^2 a few percent above the measured sup
     errors, and n = 2 by self-convergence."""
 
-    @staticmethod
-    def exact(n, r, t, speed):
-        if n == 1:  # d'Alembert, with the speed's integral over [r - t, r + t]
-            return (0.5 * (_bump(r + t) + _bump(r - t))
-                    + 0.5 * speed * (_bump_integral(r + t) - _bump_integral(r - t)))
-        # n = 3, zero speed: (W(r + t) + W(r - t)) / (2r) with W(x) = x u0(|x|), and
-        # W'(t) at the origin, which vanishes once t > R
-        w = (r + t) * _bump(r + t) + (r - t) * _bump(r - t)
-        return np.divide(w, 2.0 * r, out=np.zeros_like(r), where=r > 0)
-
     @pytest.mark.parametrize("n,speed,c", [(1, 0.0, 2.6), (1, 1.0, 2.8), (3, 0.0, 0.4)],
                              ids=["n1", "n1-speed", "n3"])
-    def test_second_order_against_the_exact_solution(self, n, speed, c):
+    def test_second_order_against_the_exact_solution(self, free_wave_error, n, speed, c):
         # measured sup errors at dr 0.04 / 0.02 / 0.01: 3.97e-3 / 9.89e-4 / 2.47e-4 (n = 1),
         # 4.27e-3 / 1.07e-3 / 2.68e-4 (n = 1 with speeds), 6.12e-4 / 1.54e-4 / 3.86e-5 (n = 3)
-        data = InitialData(1.0, speed, 1.0, speed)
         errors = []
         for dr in (0.04, 0.02, 0.01):
-            state = linear_free_wave(n, dr, data)
-            exact = self.exact(n, state.r, state.t, speed)
-            errors.append(max(np.max(np.abs(state.u - exact)), np.max(np.abs(state.v - exact))))
+            errors.append(free_wave_error(n, dr, speed))
             assert errors[-1] <= c * dr ** 2, (dr, errors[-1])
         for coarse, fine in zip(errors, errors[1:]):
             assert 3.8 <= coarse / fine <= 4.2, errors
 
-    def test_second_order_self_convergence_at_n2(self):
+    def test_second_order_self_convergence_at_n2(self, linear_free_wave):
         # no elementary closed form: u on dr, dr/2 and dr/4 at the coarse nodes;
         # measured differences 1.21e-3 and 3.04e-4, a ratio of 3.98
         data = InitialData(1.0, 0.5, 1.0, 0.0)
@@ -643,42 +610,74 @@ class TestFunctionals:
         full = [w @ s.u_init, w @ s.v_init, w @ np.abs(s.u_init) ** 2.0, w @ np.abs(s.v_init) ** 3.0]
         assert np.allclose(row[1:5], full, rtol=1e-14, atol=0.0)
 
-    def test_asymmetric_ode_identity(self):
-        # the functional ODE pairs U'' with the |v|^p mass and V'' with |u|^q;
-        # an asymmetric configuration catches any label swap
-        params = SystemParams(1, F(3), F(2), R=1.0, eps=0.5)
-        data = InitialData(u0_amp=1.0, u1_amp=0.0, v0_amp=0.2, v1_amp=0.1)
-        _, tr = sampled_run(params, (ZERO, ZERO), data, GridConfig(dr=0.02, horizon=4.0))
-        rep = verify_identities(tr, (ZERO, ZERO), params, window=(0.5, 3.5))
-        assert rep.ode_residual_u < 5e-4
-        assert rep.ode_residual_v < 5e-4
+
+def step_identity_residual(params, profiles, data, grid, sources=("Nv", "Nu")):
+    """The largest residual of the scheme's identity for the space averages over
+    the levels k >= 1 of a run sampled at every step,
+
+        (1 + h_k) U_(k+1) - 2 U_k + (1 - h_k) U_(k-1) = dt^2 Nv_k,  h_k = b1(t_k) dt / 2,
+
+    relative to |U_k|, and its mirror for V with b2 and Nu; `sources` names the
+    trace fields paired with U and V."""
+    _, tr = sampled_run(params, profiles, data, grid)
+    worst = 0.0
+    for F_k, source, prof in zip((tr.U, tr.V), sources, profiles):
+        h = 0.5 * prof.b(tr.t[1:-1]) * grid.dt
+        res = ((1.0 + h) * F_k[2:] - 2.0 * F_k[1:-1] + (1.0 - h) * F_k[:-2]
+               - grid.dt ** 2 * getattr(tr, source)[1:-1])
+        worst = max(worst, float(np.max(np.abs(res) / np.abs(F_k[1:-1]))))
+    return worst
+
+
+STEP_IDENTITY_DATA = InitialData(u0_amp=1.0, u1_amp=0.3, v0_amp=0.7, v1_amp=0.2)
+
+
+class TestStepIdentity:
+    """The leapfrog's space averages obey the discrete form of U'' + b1 U' = int |v|^p
+    and V'' + b2 V' = int |u|^q exactly: the weighted sum of the discrete Laplacian
+    telescopes at n = 1 and 3 while the numerical support, one node per step, stays
+    negligible at the grid's end r = horizon + R + 0.5 (at n = 3 the residual reads
+    1.2e-15 at horizon 2, 1.6e-13 at horizon 4)."""
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("damping", [ZERO, POLY], ids=["zero", "poly"])
+    def test_exact_on_the_full_grid(self, n, damping):
+        # p != q and asymmetric data with speeds: measured 5.5e-16 to 1.2e-15, and
+        # 4.3e-5 to 7.1e-5 with the sources swapped, so a pairing error fails
+        params = SystemParams(n, F(3), F(2), R=1.0, eps=0.5)
+        grid = GridConfig(dr=0.025, horizon=2.0, enforce_cone=False)
+        case = (params, (damping, damping), STEP_IDENTITY_DATA, grid)
+        assert step_identity_residual(*case) <= 1e-12
+        assert step_identity_residual(*case, sources=("Nu", "Nv")) >= 1e-6
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the cone window zeroes the "
+                       "scheme's precursor at n = 3; the residual reads 4.9e-7 on (3, 3, 2) at "
+                       "dr 0.02 and 2.5e-7 on the critical benchmark's config at dr 0.0125")
+    def test_exact_under_the_cone_window_at_n3(self):
+        p0 = strauss_exponent(3)
+        misses = [
+            step_identity_residual(SystemParams(3, F(3), F(2), R=1.0, eps=0.5), (POLY, POLY),
+                                   STEP_IDENTITY_DATA, GridConfig(dr=0.02, horizon=3.0)),
+            step_identity_residual(SystemParams(3, p0, p0, R=1.0, eps=1.0), (POLY, POLY), BUMPS,
+                                   GridConfig(dr=0.0125, horizon=10.0)),
+        ]
+        assert max(misses) <= 1e-12, misses
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: at n = 2 the trapezoid sum of the "
+                       "Laplacian leaves pi (u0 - u1) at the origin; the residual reads 1.9e-6")
+    def test_exact_on_the_full_grid_at_n2(self):
+        params = SystemParams(2, F(3), F(2), R=1.0, eps=0.5)
+        grid = GridConfig(dr=0.025, horizon=2.0, enforce_cone=False)
+        assert step_identity_residual(params, (POLY, POLY), STEP_IDENTITY_DATA, grid) <= 1e-12
 
 
 class TestVerifyIdentities:
-    def test_linear_mode_residual_is_discretization_noise(self):
-        data = InitialData(1.0, 0.5, 1.0, 0.0)
-        grid = GridConfig(dr=0.02, horizon=3.0, linear_mode=True, enforce_cone=False)
-        _, tr = sampled_run(params1d(), (ZERO, ZERO), data, grid)
-        rep = verify_identities(tr, (ZERO, ZERO), params1d())
-        assert rep.ode_residual_u < 1e-6
-
     def test_frame_inequalities_on_blowup_run(self):
         grid = GridConfig(dr=0.04, horizon=20.0)
         _, tr = sampled_run(params1d(), (ZERO, ZERO), BUMPS, grid)
         rep = verify_identities(tr, (ZERO, ZERO), params1d())
         assert rep.inequalities_hold()
         assert rep.c1_fit > 0 and rep.k1_fit > 0
-
-    def test_residual_second_order_convergence(self):
-        params = SystemParams(2, F(3, 2), F(3, 2), R=1.0, eps=1.0)
-        resids = []
-        for dr in (0.04, 0.02):
-            grid = GridConfig(dr=dr, horizon=6.0)
-            _, tr = sampled_run(params, (ZERO, ZERO), BUMPS, grid)
-            rep = verify_identities(tr, (ZERO, ZERO), params, window=(1.0, 5.0))
-            resids.append(rep.ode_residual_u)
-        order = math.log2(resids[0] / resids[1])
-        assert order >= 1.8
 
     def test_lower_bound_fit_stable_in_eps(self):
         fits = []
@@ -693,18 +692,16 @@ class TestVerifyIdentities:
 
     def test_swap_mirrors_report(self):
         # p != q, eps != 1, n >= 2, two dampings and asymmetric data: the report of the
-        # swapped inputs is the report with (residual, slack, fit) of U and V exchanged,
-        # so neither component can take the other's exponent, source or damping
+        # swapped inputs is the report with (slack, fit) of U and V exchanged, so
+        # neither component can take the other's exponent, source or damping
         params, swapped = SystemParams(2, F(3), F(2), eps=0.7), SystemParams(2, F(2), F(3), eps=0.7)
         data = InitialData(u0_amp=1.0, u1_amp=0.3, v0_amp=0.5, v1_amp=0.0)
         _, tr = sampled_run(params, (ZERO, POLY), data, GridConfig(dr=0.05, horizon=3.0))
         mirror = FunctionalTrace(t=tr.t, U=tr.V, V=tr.U, Nu=tr.Nv, Nv=tr.Nu, sup=tr.sup)
-        rep = verify_identities(tr, (ZERO, POLY), params, window=(0.5, 2.5))
-        swap = verify_identities(mirror, (POLY, ZERO), swapped, window=(0.5, 2.5))
-        assert (swap.ode_residual_u, swap.iter1_slack_u, swap.k1_fit) == (
-            rep.ode_residual_v, rep.iter1_slack_v, rep.c1_fit)
-        assert (swap.ode_residual_v, swap.iter1_slack_v, swap.c1_fit) == (
-            rep.ode_residual_u, rep.iter1_slack_u, rep.k1_fit)
+        rep = verify_identities(tr, (ZERO, POLY), params)
+        swap = verify_identities(mirror, (POLY, ZERO), swapped)
+        assert (swap.iter1_slack_u, swap.k1_fit) == (rep.iter1_slack_v, rep.c1_fit)
+        assert (swap.iter1_slack_v, swap.c1_fit) == (rep.iter1_slack_u, rep.k1_fit)
         assert rep.c1_fit != rep.k1_fit and rep.iter1_slack_u != rep.iter1_slack_v
 
     def test_short_trace_rejected(self):
@@ -723,8 +720,6 @@ def _truncate(trace, k):
 
 @pytest.fixture(scope="module")
 def critical_run():
-    from blowup_lab.exponents import strauss_exponent
-
     p0 = strauss_exponent(3)
     params = SystemParams(3, p0, p0, R=1.0, eps=1.0)
     poly = DampingProfile.polynomial_tail(1.0, 2.0)

@@ -520,10 +520,7 @@ def cmd_verify(out: str, params, profiles, data, grid, critical, log_window, lam
     result = simulator.run_until_blowup(params, profiles, data, grid, observers)
     trace = sampler.trace()
     simulator.write_trace_csv(trace, os.path.join(out, "trace.csv"))
-    try:
-        report = simulator.verify_identities(trace, profiles, params)
-    except ValueError as exc:  # too few samples: a short horizon or an early blow-up
-        return [Check("trace-samples", False, str(exc))]
+    report = simulator.verify_identities(trace, profiles, params)
     leak = simulator.cone_leakage(result)
     checks = [
         Check("frame-inequalities", report.inequalities_hold(1e-9),

@@ -9,13 +9,15 @@ verification, blow-up detection and lifespan sweeps.
 Scheme: explicit leapfrog with the radial Laplacian u_rr + (n-1) u_r / r
 (n u_rr at the origin via the symmetric ghost node), time-centered damping
 solved pointwise, nonlinear sources at the current level, CFL <= 0.5.
-Finite propagation speed is enforced: only the cone prefix r <= t + R + 2 dr
-is stepped, sampled and searched for blow-up, and every node past it stays
-zero (the exact solution vanishes there; the scheme's own dispersive
-leakage would otherwise pollute the support cone).  A time level is one
-buffer of 2N slots, u_i at slot 2i and v_i at 2i+1: each step operation is
-one numpy pass over the window prefix for both components.  Each level is
-measured once, when it is made: |z|, then its sup norm, then the sources in
+Finite propagation speed is enforced: only the cone window r <= t + R + 2 dr
+is sampled and searched for blow-up, and every node past it stays +0.0 (the
+exact solution vanishes there; the scheme's own dispersive leakage would
+otherwise pollute the support cone).  A step runs on the window rounded up
+to a STEP_CHUNK-node chunk, so that its array views, a step plan, are built
+once per chunk and level buffer.  A time level is one buffer of 2N slots,
+u_i at slot 2i and v_i at 2i+1: each step operation is one numpy pass over
+the stepped prefix for both components.  Each level is measured once, on
+its window, when it is made: |z|, then its sup norm, then the sources in
 their own component's slots, |u|^q and |v|^p (one contiguous power when
 p = q, np.square for exponent 2); each update adds its partner's.  2 w is
 formed once per step for the Laplacian and the update; an undamped update
@@ -170,7 +172,8 @@ def check_run(params: SystemParams, data: InitialData, grid: GridConfig) -> None
 class GridState:
     """One radial solution snapshot (two time levels, t = 0 before the first
     `step`) plus grid metadata; u, v, u_prev and v_prev are strided views of
-    the interleaved levels.  Both are zero at every node past the window m."""
+    the interleaved levels.  Both levels and the sources are +0.0 at every node
+    past the cone window m, although a step runs on m rounded up to a chunk."""
 
     def __init__(self, params: SystemParams, profiles, data: InitialData, grid: GridConfig):
         check_run(params, data, grid)
@@ -197,8 +200,10 @@ class GridState:
         self._p, self._q = float(params.p), float(params.q)
         self._dr2 = dr ** 2
         self._two_dr_r = np.repeat(2.0 * dr * self.r, 2)
-        # work buffers of _laplacian, _advance and functionals
+        # work buffers of _laplacian, _advance and functionals, and the step plans
+        # over them, one per level buffer
         self._lap, self._work, self._tmp = (np.zeros_like(self._z) for _ in range(3))
+        self._plans = [None, None]
         # |u|^q, |v|^p of the current level in their own slots; zero past the window
         self._src = np.zeros_like(self._z)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -232,27 +237,24 @@ class GridState:
             _power(z_abs[0::2], self._q, src[0:k:2])
             _power(z_abs[1::2], self._p, src[1:k:2])
 
-    def _laplacian(self, k: int, two_z):
-        """Radial Laplacian of u and v at the nodes [0, k), k < r.size, into a
-        work buffer, given 2 z on [0, 2k): the operations of (u[2:] - 2 u[1:] +
+    def _laplacian(self, plan: "_StepPlan"):
+        """Radial Laplacian of u and v at the plan's nodes [0, k), k < r.size, into
+        its work buffer, given 2 z in plan.acc: the operations of (u[2:] - 2 u[1:] +
         u[:-2]) / dr^2 + (n-1) (u[2:] - u[:-2]) / (2 dr r) in order (no factor
         1 at n = 2), and n u_rr at the origin via the symmetric ghost node."""
-        n, dr2, z, j = self.params.n, self._dr2, self._z, 2 * k
-        out = self._lap[:j]
-        inner, tmp = out[2:], self._tmp[2:j]
-        np.subtract(z[4:j + 2], two_z[2:], out=inner)
-        np.add(inner, z[:j - 2], out=inner)
+        n, dr2, inner, tmp = self.params.n, self._dr2, plan.inner, plan.tmp
+        np.subtract(plan.right, plan.two_z, out=inner)
+        np.add(inner, plan.left, out=inner)
         np.divide(inner, dr2, out=inner)
         if n > 1:
-            np.subtract(z[4:j + 2], z[:j - 2], out=tmp)
+            np.subtract(plan.right, plan.left, out=tmp)
             if n > 2:
                 np.multiply(n - 1, tmp, out=tmp)
-            np.divide(tmp, self._two_dr_r[2:j], out=tmp)
+            np.divide(tmp, plan.two_dr_r, out=tmp)
             np.add(inner, tmp, out=inner)
-        z0, z1, z2, z3 = z[:4].tolist()
-        out[0] = n * 2.0 * (z2 - z0) / dr2
-        out[1] = n * 2.0 * (z3 - z1) / dr2
-        return out
+        z0, z1, z2, z3 = plan.head.tolist()
+        plan.lap[0] = n * 2.0 * (z2 - z0) / dr2
+        plan.lap[1] = n * 2.0 * (z3 - z1) / dr2
 
     def integral(self, f) -> float:
         """Trapezoid integral of f, given on the grid or on a prefix of it."""
@@ -277,24 +279,59 @@ def _power(x, e, out):
     return np.square(x, out=out) if e == 2.0 else np.power(x, e, out=out)
 
 
+#: the stepped extent grows in chunks of this many nodes, so one step plan serves
+#: the 2 * STEP_CHUNK steps a chunk lasts at CFL 0.5
+STEP_CHUNK = 64
+
+
+class _StepPlan:
+    """The array views one step reads and writes on the nodes [0, k) while a given
+    one of the two level buffers is current: z (the current level), new (the
+    level before it, overwritten), the sources, the work buffers and their
+    component slots (u at the even slots, v at the odd ones)."""
+
+    def __init__(self, state: GridState, k: int):
+        j, z = 2 * k, state._z
+        self.k = k
+        self.z, self.new, self.src = z[:j], state._z_prev[:j], state._src[:j]
+        self.acc, self.lap = state._work[:j], state._lap[:j]
+        # the Laplacian's interior nodes [1, k), their neighbours and 2 z at them
+        self.inner, self.tmp, self.two_z = self.lap[2:], state._tmp[2:j], self.acc[2:]
+        self.right, self.left, self.head = z[4:j + 2], z[:j - 2], z[:4]
+        self.two_dr_r = state._two_dr_r[2:j]
+        self.z_u, self.z_v = self.z[0::2], self.z[1::2]
+        self.new_u, self.new_v = self.new[0::2], self.new[1::2]
+        self.src_u, self.src_v = self.src[0::2], self.src[1::2]
+        self.acc_u, self.acc_v = self.acc[0::2], self.acc[1::2]
+        self.lap_u, self.lap_v = self.lap[0::2], self.lap[1::2]
+        self.ut, self.vt = state.ut_init[:k], state.vt_init[:k]
+
+
 def _advance(state: GridState, k: int, b1: float, b2: float) -> None:
-    """Write the next level on the nodes [0, k) into _z_prev; the old level
-    there was zero past k, as windows never shrink and the last node stays 0."""
-    dt, z, j = state.dt, state._z, 2 * k
-    new, src = state._z_prev[:j], state._src[:j]
-    acc = np.multiply(2.0, z[:j], out=state._work[:j])
-    lap = state._laplacian(k, acc)
-    u_slots, v_slots = slice(0, j, 2), slice(1, j, 2)
+    """Write the next level on the nodes [0, k) into _z_prev.  The old levels are
+    +0.0 past their windows, so past the old window plus one node the new level
+    reads only +0.0 inputs and comes out +0.0."""
+    # one plan per level buffer (every step swaps them), rebuilt when k moves
+    # to the next chunk, so at most two are alive
+    plans, parity = state._plans, state.step_index % 2
+    plan = plans[parity]
+    if plan is None or plan.k != k:
+        plan = plans[parity] = _StepPlan(state, k)
+    dt = state.dt
+    acc, new, lap = plan.acc, plan.new, plan.lap
+    np.multiply(2.0, plan.z, out=acc)
+    state._laplacian(plan)
     if state.step_index == 0:
         # second-order Taylor start from the PDE at t = 0
-        for b, sl, src_sl, w_t0 in ((b1, u_slots, v_slots, state.ut_init[:k]),
-                                    (b2, v_slots, u_slots, state.vt_init[:k])):
-            new[sl] = z[sl] + dt * w_t0 + 0.5 * dt * dt * (lap[sl] - b * w_t0 + src[src_sl])
+        for b, new_w, w, w_t0, lap_w, src_w in (
+                (b1, plan.new_u, plan.z_u, plan.ut, plan.lap_u, plan.src_v),
+                (b2, plan.new_v, plan.z_v, plan.vt, plan.lap_v, plan.src_u)):
+            new_w[...] = w + dt * w_t0 + 0.5 * dt * dt * (lap_w - b * w_t0 + src_w)
         return
     # (2 w - w_prev + half w_prev + dt^2 (lap + src)) / (1 + half), one
     # operation at a time in that order; w_prev is read before it is written
-    np.add(lap[u_slots], src[v_slots], out=lap[u_slots])
-    np.add(lap[v_slots], src[u_slots], out=lap[v_slots])
+    np.add(plan.lap_u, plan.src_v, out=plan.lap_u)
+    np.add(plan.lap_v, plan.src_u, out=plan.lap_v)
     np.multiply(dt * dt, lap, out=lap)
     np.subtract(acc, new, out=acc)
     if b1 == 0.0 and b2 == 0.0:
@@ -302,27 +339,34 @@ def _advance(state: GridState, k: int, b1: float, b2: float) -> None:
         np.add(acc, lap, out=new)
         return
     # a shared profile's b scales all 2k slots at once
-    halves = ([(0.5 * b1 * dt, slice(0, j))] if b2 is b1 else
-              [(0.5 * b1 * dt, u_slots), (0.5 * b2 * dt, v_slots)])
-    for half, sl in halves:
-        np.multiply(half, new[sl], out=new[sl])
+    halves = ([(0.5 * b1 * dt, new, acc)] if b2 is b1 else
+              [(0.5 * b1 * dt, plan.new_u, plan.acc_u), (0.5 * b2 * dt, plan.new_v, plan.acc_v)])
+    for half, new_w, _ in halves:
+        np.multiply(half, new_w, out=new_w)
     np.add(acc, new, out=acc)
     np.add(acc, lap, out=acc)
-    for half, sl in halves:
-        np.divide(acc[sl], 1.0 + half, out=new[sl])
+    for half, new_w, acc_w in halves:
+        np.divide(acc_w, 1.0 + half, out=new_w)
 
 
 def step(state: GridState) -> GridState:
-    """Advance one leapfrog step (mutates and returns the state), on the cone
-    window of the new level, and measure that level.  Non-finite values are
-    not an error here; blow-up detection is the caller's job.  Components
-    that share one damping profile object share one evaluation of b."""
+    """Advance one leapfrog step (mutates and returns the state) and measure the
+    new level on its cone window.  The step runs on the window rounded up to a
+    STEP_CHUNK-node chunk (at most the grid less its last node), and every node
+    past the window stays +0.0.  Non-finite values are not an error here;
+    blow-up detection is the caller's job.  Components that share one damping
+    profile object share one evaluation of b."""
     t_new = state.t + state.dt
     m_new = state._window(t_new)
+    k = min(-(-m_new // STEP_CHUNK) * STEP_CHUNK, state.r.size - 1)
     with np.errstate(over="ignore", invalid="ignore"):
         b1 = state.b1.b(state.t)
         b2 = b1 if state.b2 is state.b1 else state.b2.b(state.t)
-        _advance(state, min(m_new, state.r.size - 1), b1, b2)
+        _advance(state, k, b1, b2)
+        if k > m_new:
+            # the window grows at most one node a step: only node m_new, the old
+            # window when it did not grow, can hold the scheme's tail
+            state._z_prev[2 * m_new:2 * m_new + 2] = 0.0
         state._z_prev, state._z = state._z, state._z_prev
         state.t, state.m = t_new, m_new
         state.step_index += 1
@@ -426,9 +470,7 @@ def verify_identities(
     params: SystemParams,
 ) -> IdentityReport:
     """Check the frame inequalities and fit the nonlinearity lower-bound
-    constants on a sampled trace."""
-    if len(trace) < 5:
-        raise ValueError(f"trace too short for the frames: {len(trace)} samples")
+    constants on a sampled trace, minima over its samples (one or more)."""
     t = trace.t
     b1, b2 = profiles
     n, eps = params.n, params.eps

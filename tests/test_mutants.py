@@ -1,0 +1,150 @@
+"""Every solver oracle can fail: a table of source mutations of the simulator,
+each of which some oracle must kill.
+
+A row is (name, old, new): `old` must occur exactly once in simulator.py, so a
+refactor that moves the code fails the table loudly instead of testing
+nothing.  The mutated source is loaded as a fresh module and held to the
+oracles of tests/oracles.py; the unmutated source, loaded the same way, must
+pass all of them.  A row that no oracle kills is a finding: add an oracle,
+do not delete the row."""
+
+import sys
+import types
+from dataclasses import replace
+from fractions import Fraction as F
+from pathlib import Path
+
+import numpy as np
+import pytest
+from oracles import (
+    critical_stream_run,
+    free_wave_error,
+    reference_critical_report,
+    reference_levels,
+    sampled_run,
+    step_identity_residual,
+)
+
+from blowup_lab import simulator
+from blowup_lab.damping import DampingProfile
+from blowup_lab.exponents import SystemParams
+
+SOURCE = Path(simulator.__file__).read_text()
+ZERO = DampingProfile.zero()
+POLY = DampingProfile.polynomial_tail(1.0, 2.0)
+ROOT2 = 1.0 + 2.0 ** 0.5
+SPEEDS = simulator.InitialData(1.0, 0.3, 0.7, -0.2)
+
+MUTANTS = [
+    ("drop the (n-1)/(2 dr r) term",
+     "np.add(inner, tmp, out=inner)", "inner"),
+    ("n - 1 in place of n at the origin",
+     "plan.lap[0] = n * 2.0 * (z2 - z0) / dr2\n        plan.lap[1] = n * 2.0",
+     "plan.lap[0] = (n - 1) * 2.0 * (z2 - z0) / dr2\n        plan.lap[1] = (n - 1) * 2.0"),
+    ("the Taylor start without 1/2 dt^2",
+     " + 0.5 * dt * dt * (lap_w - b * w_t0 + src_w)", ""),
+    ("each component adding its own source",
+     "np.add(plan.lap_u, plan.src_v, out=plan.lap_u)\n    np.add(plan.lap_v, plan.src_u,",
+     "np.add(plan.lap_u, plan.src_u, out=plan.lap_u)\n    np.add(plan.lap_v, plan.src_v,"),
+    ("damping evaluated at the new level's time",
+     "b1 = state.b1.b(state.t)\n        b2 = b1 if state.b2 is state.b1 else state.b2.b(state.t)",
+     "b1 = state.b1.b(t_new)\n        b2 = b1 if state.b2 is state.b1 else state.b2.b(t_new)"),
+    ("p and q swapped in _measure",
+     "_power(z_abs[0::2], self._q, src[0:k:2])\n            _power(z_abs[1::2], self._p,",
+     "_power(z_abs[0::2], self._p, src[0:k:2])\n            _power(z_abs[1::2], self._q,"),
+    ("the critical stream's kick weight 1",
+     "kick = 0.5 * (t - self.t[", "kick = 1.0 * (t - self.t["),
+    ("_cumleft as a right-endpoint sum",
+     "np.cumsum(y[:-1] * np.diff(t))", "np.cumsum(y[1:] * np.diff(t))"),
+    ("drop the tail zeroing",
+     "state._z_prev[2 * m_new:2 * m_new + 2] = 0.0", "pass"),
+    ("key the plan without the buffer parity",
+     "state.step_index % 2", "0"),
+]
+
+
+def load(source: str, name: str = "blowup_lab._simulator_under_test") -> types.ModuleType:
+    """source executed as a fresh module; dataclasses look their module up while
+    the classes are made, so it is registered until then."""
+    module = types.ModuleType(name)
+    module.__file__ = simulator.__file__
+    sys.modules[name] = module
+    try:
+        exec(compile(source, simulator.__file__, "exec"), module.__dict__)
+    finally:
+        del sys.modules[name]
+    return module
+
+
+def windowed_levels(sim):
+    # n = 3, p != q, two profile objects and data with speeds: every level on the
+    # cone window against the full-grid reference, byte for byte, and +0.0 past it
+    params = SystemParams(3, F(3), F(2), R=1.0, eps=0.5)
+    profiles, grid = (POLY, replace(POLY)), simulator.GridConfig(dr=0.05, horizon=4.0)
+    state = sim.GridState(params, profiles, SPEEDS, grid)
+    ref = reference_levels(sim.GridState(params, profiles, SPEEDS, grid))
+    for _ in range(120):
+        t, u, v = next(ref)
+        assert state.t == t
+        assert state.u.tobytes() == u.tobytes() and state.v.tobytes() == v.tobytes()
+        assert not np.any(state._z[2 * state.m:]) and not np.any(state._src[2 * state.m:])
+        sim.step(state)
+
+
+def step_identity(sim):
+    # n = 2 on the full grid, with the origin term: about 1e-15 relative
+    params = SystemParams(2, F(3), F(2), R=1.0, eps=0.5)
+    grid = simulator.GridConfig(dr=0.025, horizon=2.0, enforce_cone=False)
+    assert step_identity_residual(params, (POLY, POLY), SPEEDS, grid, sim=sim) <= 1e-12
+
+
+def exact_free_waves(sim):
+    # d'Alembert at n = 1 with speeds and spherical means at n = 3 (TestExactSolutions)
+    assert free_wave_error(1, 0.04, 1.0, sim=sim) <= 2.8 * 0.04 ** 2
+    assert free_wave_error(3, 0.04, 0.0, sim=sim) <= 0.4 * 0.04 ** 2
+
+
+def critical_double_sum(sim):
+    # the streamed lower bounds against the direct O(S^2 K) sum
+    params = SystemParams(3, ROOT2, ROOT2, R=1.0, eps=1.0)
+    grid = simulator.GridConfig(dr=0.1, horizon=4.0, snapshot_every=5)
+    res, snapshots, stream = critical_stream_run(params, (POLY, POLY), SPEEDS, grid, 16, sim)
+    rep = sim.verify_critical_inequalities(stream)
+    ref = reference_critical_report(res, snapshots, 16)
+    assert np.array_equal(rep.weighted_u, ref["weighted_u"])
+    for name in ("rhs_u", "rhs_v"):
+        np.testing.assert_allclose(getattr(rep, name), ref[name], rtol=1e-13, atol=0.0)
+
+
+def frames_on_a_blowup_run(sim):
+    # the frame inequalities hold up to the terminal spike of a blow-up run
+    params = SystemParams(1, F(2), F(2), R=1.0, eps=1.0)
+    grid = simulator.GridConfig(dr=0.04, horizon=20.0)
+    res, tr = sampled_run(params, (ZERO, ZERO), simulator.InitialData(), grid, sim=sim)
+    assert res.record.detection is sim.Detection.THRESHOLD
+    assert sim.verify_identities(tr, (ZERO, ZERO), params).inequalities_hold()
+
+
+ORACLES = [windowed_levels, step_identity, exact_free_waves, critical_double_sum,
+           frames_on_a_blowup_run]
+
+
+def killed(sim) -> bool:
+    for oracle in ORACLES:
+        try:
+            oracle(sim)
+        except AssertionError:
+            return True
+    return False
+
+
+def test_the_lab_passes_every_oracle():
+    sim = load(SOURCE)
+    for oracle in ORACLES:
+        oracle(sim)
+
+
+@pytest.mark.parametrize("name,old,new", MUTANTS, ids=[row[0] for row in MUTANTS])
+def test_mutant_is_killed(name, old, new):
+    assert SOURCE.count(old) == 1, f"{name}: the mutated code moved"
+    assert killed(load(SOURCE.replace(old, new))), f"no oracle kills: {name}"

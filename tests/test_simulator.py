@@ -12,15 +12,21 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from oracles import (
+    critical_stream_run,
+    reference_critical_report,
+    reference_levels,
+    run_with_snapshots,
+    sampled_run,
+    step_identity_residual,
+)
 
 from blowup_lab import simulator
-from blowup_lab.auxiliary import KernelQuadrature, sinhc
 from blowup_lab.damping import DampingProfile
 from blowup_lab.exponents import SystemParams, strauss_exponent
 from blowup_lab.simulator import (
     CriticalStream,
     Detection,
-    FunctionalSampler,
     FunctionalTrace,
     GridConfig,
     InitialData,
@@ -43,14 +49,6 @@ BUMPS = InitialData(1.0, 0.0, 1.0, 0.0)
 
 def params1d(eps=1.0, p=F(2), q=F(2)):
     return SystemParams(1, p, q, R=1.0, eps=eps)
-
-
-def sampled_run(params, profiles, data, grid, *observers):
-    """A run with a FunctionalSampler at sample_every, then the given observers:
-    the result and the sampled trace."""
-    sampler = FunctionalSampler()
-    res = run_until_blowup(params, profiles, data, grid, [(grid.sample_every, sampler), *observers])
-    return res, sampler.trace()
 
 
 class TestInit:
@@ -105,52 +103,6 @@ class TestStep:
         assert cone_leakage(res) < 1e-12
 
 
-def reference_levels(state):
-    """Yield (t, u, v) at t = 0, dt, 2 dt, ... from a plain full-grid leapfrog:
-    every node is updated, then the nodes past r = t + R + 2 dr are zeroed."""
-    params, grid, r = state.params, state.grid, state.r
-    n, R, dr, dt = params.n, params.R, state.dr, state.dt
-    b1, b2 = state.b1, state.b2
-
-    def sources(u, v):
-        if grid.linear_mode:
-            return np.zeros_like(u), np.zeros_like(v)
-        return np.abs(v) ** float(params.p), np.abs(u) ** float(params.q)
-
-    def lap(u):
-        out = np.zeros_like(u)
-        out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dr ** 2
-        if n > 1:
-            out[1:-1] += (n - 1) * (u[2:] - u[:-2]) / (2.0 * dr * r[1:-1])
-        out[0] = n * 2.0 * (u[1] - u[0]) / dr ** 2
-        return out
-
-    def cone(t, u, v):
-        start = int(math.floor((t + R) / dr + 2.0)) + 1
-        if grid.enforce_cone and start < r.size:
-            u[start:] = 0.0
-            v[start:] = 0.0
-
-    u_prev, v_prev, ut, vt = state.u_init, state.v_init, state.ut_init, state.vt_init
-    yield 0.0, u_prev, v_prev
-    su, sv = sources(u_prev, v_prev)
-    u = u_prev + dt * ut + 0.5 * dt * dt * (lap(u_prev) - b1.b(0.0) * ut + su)
-    v = v_prev + dt * vt + 0.5 * dt * dt * (lap(v_prev) - b2.b(0.0) * vt + sv)
-    t = dt
-    cone(t, u, v)
-    while True:
-        yield t, u, v
-        with np.errstate(over="ignore", invalid="ignore"):
-            su, sv = sources(u, v)
-            h1, h2 = 0.5 * b1.b(t) * dt, 0.5 * b2.b(t) * dt
-            u_new = (2.0 * u - u_prev + h1 * u_prev + dt * dt * (lap(u) + su)) / (1.0 + h1)
-            v_new = (2.0 * v - v_prev + h2 * v_prev + dt * dt * (lap(v) + sv)) / (1.0 + h2)
-        u_new[-1] = v_new[-1] = 0.0
-        u_prev, u, v_prev, v = u, u_new, v, v_new
-        t += dt
-        cone(t, u, v)
-
-
 def reference_record(params, profiles, data, grid):
     """(t_blow, detection) of the full-grid reference, checked every step."""
     state = init_state(params, profiles, data, grid)
@@ -167,28 +119,6 @@ def reference_record(params, profiles, data, grid):
 
 POLY = DampingProfile.polynomial_tail(1.0, 2.0)
 ROOT2 = 1.0 + math.sqrt(2.0)
-
-
-def run_with_snapshots(params, profiles, data, grid, stream=None):
-    """A sampled run, its trace, and copies (t, u, v) of its fields at the snapshot
-    cadence, collected by an observer that then hands the state on to the critical
-    stream, if any."""
-    snapshots = []
-
-    def observe(state):
-        snapshots.append((state.t, state.u.copy(), state.v.copy()))
-        if stream is not None:
-            stream(state)
-
-    return (*sampled_run(params, profiles, data, grid, (grid.snapshot_every, observe)),
-            snapshots)
-
-
-def critical_stream_run(params, profiles, data, grid, quad_nodes=64):
-    """A run streamed through a CriticalStream: the run, copies of its snapshots and the stream."""
-    stream = CriticalStream(params, profiles, grid, quad_nodes=quad_nodes)
-    res, _, snapshots = run_with_snapshots(params, profiles, data, grid, stream)
-    return res, snapshots, stream
 
 
 class _CountingDamping:
@@ -234,6 +164,29 @@ class TestWindowedStep:
         grid = GridConfig(dr=0.04, horizon=2.0)
         state = self.assert_same_levels(params1d(eps=0.3), (POLY, POLY), grid, 300)
         assert state.m == state.r.size and state.u[-1] == 0.0 and state.v[-1] == 0.0
+
+    def test_chunk_cap_at_n3(self):
+        # the grid ends at rmax = 9.5 (239 nodes): the stepped extent runs through the
+        # chunks 64, 128 and 192 to the cap r.size - 1 = 238, and the window covers
+        # the whole grid after t = 8.44; every level matches the reference byte for
+        # byte, and both levels and the sources read +0.0 past the window, sign included
+        params = SystemParams(3, F(3), F(2), R=1.0, eps=0.3)
+        profiles, data = (POLY, replace(POLY)), InitialData(1.0, 0.3, 0.5, -0.2)
+        grid = GridConfig(dr=0.04, horizon=8.0)
+        state = init_state(params, profiles, data, grid)
+        ref = reference_levels(init_state(params, profiles, data, grid))
+        extents = []
+        for _ in range(500):
+            t, u, v = next(ref)
+            assert state.t == t
+            assert state.u.tobytes() == u.tobytes() and state.v.tobytes() == v.tobytes()
+            for buf in (state._z, state._z_prev, state._src):
+                past = buf[2 * state.m:]
+                assert not np.any(past) and not np.any(np.signbit(past))
+            step(state)
+            extents.append(state._plans[(state.step_index - 1) % 2].k)
+        assert state.r.size == 239 and state.m == state.r.size
+        assert sorted(set(extents)) == [64, 128, 192, 238]
 
     def test_cone_not_enforced(self):
         grid = GridConfig(dr=0.04, horizon=8.0, enforce_cone=False)
@@ -611,33 +564,16 @@ class TestFunctionals:
         assert np.allclose(row[1:5], full, rtol=1e-14, atol=0.0)
 
 
-def step_identity_residual(params, profiles, data, grid, sources=("Nv", "Nu")):
-    """The largest residual of the scheme's identity for the space averages over
-    the levels k >= 1 of a run sampled at every step,
-
-        (1 + h_k) U_(k+1) - 2 U_k + (1 - h_k) U_(k-1) = dt^2 Nv_k,  h_k = b1(t_k) dt / 2,
-
-    relative to |U_k|, and its mirror for V with b2 and Nu; `sources` names the
-    trace fields paired with U and V."""
-    _, tr = sampled_run(params, profiles, data, grid)
-    worst = 0.0
-    for F_k, source, prof in zip((tr.U, tr.V), sources, profiles):
-        h = 0.5 * prof.b(tr.t[1:-1]) * grid.dt
-        res = ((1.0 + h) * F_k[2:] - 2.0 * F_k[1:-1] + (1.0 - h) * F_k[:-2]
-               - grid.dt ** 2 * getattr(tr, source)[1:-1])
-        worst = max(worst, float(np.max(np.abs(res) / np.abs(F_k[1:-1]))))
-    return worst
-
-
 STEP_IDENTITY_DATA = InitialData(u0_amp=1.0, u1_amp=0.3, v0_amp=0.7, v1_amp=0.2)
 
 
 class TestStepIdentity:
     """The leapfrog's space averages obey the discrete form of U'' + b1 U' = int |v|^p
     and V'' + b2 V' = int |u|^q exactly: the weighted sum of the discrete Laplacian
-    telescopes at n = 1 and 3 while the numerical support, one node per step, stays
-    negligible at the grid's end r = horizon + R + 0.5 (at n = 3 the residual reads
-    1.2e-15 at horizon 2, 1.6e-13 at horizon 4)."""
+    telescopes at n = 1 and 3, and at n = 2 up to its origin term pi (u0 - u1), while
+    the numerical support, one node per step, stays negligible at the grid's end
+    r = horizon + R + 0.5 (at n = 3 the residual reads 1.2e-15 at horizon 2, 1.6e-13
+    at horizon 4)."""
 
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("damping", [ZERO, POLY], ids=["zero", "poly"])
@@ -663,12 +599,15 @@ class TestStepIdentity:
         ]
         assert max(misses) <= 1e-12, misses
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: at n = 2 the trapezoid sum of the "
-                       "Laplacian leaves pi (u0 - u1) at the origin; the residual reads 1.9e-6")
     def test_exact_on_the_full_grid_at_n2(self):
+        # measured 7.3e-16 with the origin term, 1.9e-6 without it and 5.5e-5 with
+        # the sources swapped
         params = SystemParams(2, F(3), F(2), R=1.0, eps=0.5)
         grid = GridConfig(dr=0.025, horizon=2.0, enforce_cone=False)
-        assert step_identity_residual(params, (POLY, POLY), STEP_IDENTITY_DATA, grid) <= 1e-12
+        case = (params, (POLY, POLY), STEP_IDENTITY_DATA, grid)
+        assert step_identity_residual(*case) <= 1e-12
+        assert step_identity_residual(*case, origin=False) >= 1e-6
+        assert step_identity_residual(*case, sources=("Nu", "Nv")) >= 1e-6
 
 
 class TestVerifyIdentities:
@@ -704,11 +643,14 @@ class TestVerifyIdentities:
         assert (swap.iter1_slack_v, swap.c1_fit) == (rep.iter1_slack_u, rep.k1_fit)
         assert rep.c1_fit != rep.k1_fit and rep.iter1_slack_u != rep.iter1_slack_v
 
-    def test_short_trace_rejected(self):
+    def test_one_sample_is_a_trace(self):
+        # at t = 0 both double integrals are 0: the slacks are U and V, and each
+        # fit is its source over eps^r at the data
         grid = GridConfig(dr=0.1, horizon=0.2)
-        _, tr = sampled_run(params1d(), (ZERO, ZERO), BUMPS, grid)
-        with pytest.raises(ValueError):
-            verify_identities(_truncate(tr, 3), (ZERO, ZERO), params1d())
+        _, tr = sampled_run(params1d(eps=0.5), (ZERO, ZERO), BUMPS, grid)
+        rep = verify_identities(_truncate(tr, 1), (ZERO, ZERO), params1d(eps=0.5))
+        assert (rep.iter1_slack_u, rep.iter1_slack_v) == (tr.U[0], tr.V[0])
+        assert (rep.k1_fit, rep.c1_fit) == (tr.Nv[0] / 0.5 ** 2.0, tr.Nu[0] / 0.5 ** 2.0)
 
 
 def _truncate(trace, k):
@@ -725,59 +667,6 @@ def critical_run():
     poly = DampingProfile.polynomial_tail(1.0, 2.0)
     grid = GridConfig(dr=0.025, horizon=12.0, snapshot_every=40)
     return params, *critical_stream_run(params, (poly, poly), BUMPS, grid)
-
-
-def reference_critical_report(result, snapshots, quad_nodes, linear=False):
-    """The critical report's fields by the direct double sum: at every checked t_j
-    the data terms, plus the kernel summed against the source of every snapshot
-    s_i <= t_j with the trapezoid weights of the prefix s_0..s_j, in O(S^2 K).
-    The weighted averages read the field as the stream does: Phi over the cone
-    window times the four weighted fields u W, v W, |u|^q W, |v|^p W. A linear
-    run has no source."""
-    state = result.state
-    params, W = state.params, state.weights
-    cfgs = simulator.critical_kernel_configs(params, (state.b1, state.b2), state.grid, 1.0,
-                                             quad_nodes)
-    s_times, u_snaps, v_snaps = (np.array(column) for column in zip(*snapshots))
-    d = np.diff(s_times)
-    half, mid = 0.5 * d, 0.5 * (d[1:] + d[:-1])
-    p, q = float(params.p), float(params.q)
-
-    def weighted_fields(quad, j):
-        m = state._window(s_times[j])
-        u, v = u_snaps[j], v_snaps[j]
-        z = np.stack([u * W, v * W, np.power(np.abs(u), q) * W, np.power(np.abs(v), p) * W],
-                     axis=1)
-        return quad.phi_mat[:, :m] @ z[:m]
-
-    def component(cfg, col, own, partner, power, init, init_t, profile):
-        quad = KernelQuadrature(cfg, params.n, state.r)
-        src = quad.phi_mat @ (np.abs(partner) ** power * W).T * (not linear)
-        d0, d1 = quad.phi_mat @ (W * init), quad.phi_mat @ (W * init_t)
-        lam, l1 = quad.lam, profile.l1
-        lhs, rhs = [], []
-        for j in range(1, s_times.size):
-            tc = s_times[j]
-            decay = quad.decay(tc)
-            lhs.append(float(decay @ weighted_fields(quad, j)[:, col]))
-            data0 = math.exp(-l1) * float((decay * np.cosh(lam * tc)) @ d0)
-            data1 = math.exp(-2.0 * l1) * tc * float((decay * sinhc(lam * tc)) @ d1)
-            sub = s_times[: j + 1]
-            kernel = decay[:, None] * sinhc(np.outer(lam, tc - sub))
-            inner = np.einsum("ki,ki->i", kernel, src[:, : j + 1])
-            trap_w = np.concatenate((half[:1], mid[: j - 1], half[j - 1 : j]))
-            source = math.exp(-2.0 * l1) * float(np.sum(trap_w * (tc - sub) * inner))
-            rhs.append(data0 + data1 + source)
-        return np.asarray(lhs), np.asarray(rhs)
-
-    u = component(cfgs[0], 0, u_snaps, v_snaps, p, state.u_init, state.ut_init, state.b1)
-    v = component(cfgs[1], 1, v_snaps, u_snaps, q, state.v_init, state.vt_init, state.b2)
-    (lhs_1, rhs_1), (lhs_2, rhs_2) = (u, v) if p >= q else (v, u)
-    t = s_times[1:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_ratio = np.where(t > 1.5, lhs_1 / np.log(2.0 * t / 3.0), math.nan)
-    return {"t_checked": t, "weighted_u": lhs_1, "weighted_v": lhs_2, "rhs_u": rhs_1,
-            "rhs_v": rhs_2, "log_ratio": log_ratio}
 
 
 def critical_peak_bytes(snapshot_every):

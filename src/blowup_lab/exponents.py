@@ -198,12 +198,3 @@ def lifespan_law(
             stacklevel=2,
         )
     return LifespanLaw(LawForm.POWER, -1 / quantity, note)  # exact for a Fraction quantity
-
-
-def single_equation_quantity(p: Scalar) -> Scalar:
-    """(1 + 1/p)/(p - 1), the single-equation analogue dominated by the
-    system curve (strictly, except at p = q)."""
-    if _is_exact(p):
-        p = Fraction(p)
-        return (1 + Fraction(1) / p) / (p - 1)
-    return (1 + 1.0 / p) / (p - 1.0)

@@ -385,25 +385,14 @@ def critical_closed_form(params: SystemParams, j: int) -> tuple[Fraction, Fracti
     return A * gain + 1 - A, B * gain - B
 
 
-def _pq(p: Scalar, q: Scalar):
-    """The product pq, exact when p, q are rational."""
-    exact = isinstance(p, (int, Fraction)) and isinstance(q, (int, Fraction))
-    return Fraction(p) * Fraction(q) if exact else float(p) * float(q)
-
-
 def geometric_weight_limit(p: Scalar, q: Scalar):
     """Limit S of the weight sums S_j = sum_{k<=j} k (pq)^(-k): pq/(pq-1)^2.
     Exact when p, q are rational."""
-    pq = _pq(p, q)
+    exact = isinstance(p, (int, Fraction)) and isinstance(q, (int, Fraction))
+    pq = Fraction(p) * Fraction(q) if exact else float(p) * float(q)
     if pq <= 1:
         raise ValueError(f"need pq > 1, got {pq}")
     return pq / (pq - 1) ** 2
-
-
-def geometric_weight_partial(p: Scalar, q: Scalar, j: int):
-    """Partial sum S_j; exact when p, q are rational."""
-    pq = _pq(p, q)
-    return sum(k * pq ** (-k) for k in range(1, j + 1))
 
 
 def critical_theta_m(params: SystemParams, consts: CriticalConstants) -> tuple[float, float]:

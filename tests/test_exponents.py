@@ -15,12 +15,16 @@ from blowup_lab.exponents import (
     compute_F,
     compute_G,
     lifespan_law,
-    single_equation_quantity,
     strauss_exponent,
 )
 
 rationals = st.fractions(min_value=F(33, 32), max_value=F(6), max_denominator=64)
 dims = st.integers(min_value=1, max_value=5)
+
+
+def single_equation_quantity(p: F) -> F:
+    """(1 + 1/p)/(p - 1), the single-equation analogue of the system curve."""
+    return (1 + 1 / p) / (p - 1)
 
 
 class TestComputeF:

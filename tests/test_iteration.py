@@ -15,7 +15,6 @@ from blowup_lab.iteration import (
     critical_step,
     derive_constants,
     geometric_weight_limit,
-    geometric_weight_partial,
     iterate_critical,
     iterate_subcritical,
     subcritical_base,
@@ -296,6 +295,12 @@ class TestCritical:
         for state in states:
             bound = critical_logC_lower_bound(params, consts, logc0, state.j)
             assert state.logC >= bound - 1e-9 * max(1.0, abs(bound))
+
+
+def geometric_weight_partial(p, q, j: int) -> F:
+    """The partial sum S_j = sum_{k<=j} k (pq)^(-k), exact for rational p, q."""
+    pq = F(p) * F(q)
+    return sum(k * pq ** -k for k in range(1, j + 1))
 
 
 class TestGeometricWeights:

@@ -47,8 +47,8 @@ MUTANTS = [
      "np.add(plan.lap_u, plan.src_v, out=plan.lap_u)\n    np.add(plan.lap_v, plan.src_u,",
      "np.add(plan.lap_u, plan.src_u, out=plan.lap_u)\n    np.add(plan.lap_v, plan.src_v,"),
     ("damping evaluated at the new level's time",
-     "b1 = state.b1.b(state.t)\n        b2 = b1 if state.b2 is state.b1 else state.b2.b(state.t)",
-     "b1 = state.b1.b(t_new)\n        b2 = b1 if state.b2 is state.b1 else state.b2.b(t_new)"),
+     "b1 = state.b1.b(state.t)\n    b2 = b1 if state.b2 is state.b1 else state.b2.b(state.t)",
+     "b1 = state.b1.b(t_new)\n    b2 = b1 if state.b2 is state.b1 else state.b2.b(t_new)"),
     ("p and q swapped in _measure",
      "_power(z_abs[0::2], self._q, src[0:k:2])\n            _power(z_abs[1::2], self._p,",
      "_power(z_abs[0::2], self._p, src[0:k:2])\n            _power(z_abs[1::2], self._q,"),
@@ -57,9 +57,11 @@ MUTANTS = [
     ("_cumleft as a right-endpoint sum",
      "np.cumsum(y[:-1] * np.diff(t))", "np.cumsum(y[1:] * np.diff(t))"),
     ("drop the tail zeroing",
-     "state._z_prev[2 * m_new:2 * m_new + 2] = 0.0", "pass"),
+     "z_new[j] = z_new[j + 1] = 0.0", "pass"),
     ("key the plan without the buffer parity",
      "state.step_index % 2", "0"),
+    ("the sup norm at the argmin of |z|",
+     "z_abs[z_abs.argmax()]", "z_abs[z_abs.argmin()]"),
 ]
 
 

@@ -450,7 +450,7 @@ class TestStepCalls:
     @pytest.mark.parametrize("damping", [ZERO, POLY], ids=["zero", "poly"])
     def test_call_budget_per_step(self, monkeypatch, n, p, budget, damping):
         # array calls of a step with its new level's measurement, for a shared profile
-        # and p = q; the sup norm's max() is a method no wrapper sees, so it counts as 1
+        # and p = q; the sup norm's argmax() is a method no wrapper sees, so it counts as 1
         params = SystemParams(n, p, p, R=1.0, eps=1.0)
         state = init_state(params, (damping, damping), BUMPS, GridConfig(dr=0.1, horizon=2.0))
         want = budget[damping is POLY]
@@ -530,12 +530,105 @@ class TestBlowupDetection:
         step(state)
         assert math.isnan(state.sup_norm())
 
+    def test_first_level_past_float_range_is_nonfinite(self):
+        # at the largest finite threshold no level can cross it: the sources
+        # overflow to +inf, and the run ends on the first level that carries it
+        grid = GridConfig(dr=0.1, horizon=40.0, threshold=sys.float_info.max)
+        res = run_until_blowup(params1d(eps=5.0), (ZERO, ZERO), BUMPS, grid)
+        state = res.state
+        level, before = state._z[:2 * state.m], state._z_prev[:2 * state.m]
+        assert res.record.detection is Detection.NONFINITE and res.record.t_blow == state.t
+        assert np.any(np.isposinf(level)) and not np.any(np.isnan(level))
+        assert np.all(np.isfinite(before))
+        assert state.sup_norm() == math.inf
+
     def test_determinism(self):
         grid = GridConfig(dr=0.05, horizon=5.0)
         a, tr_a = sampled_run(params1d(), (ZERO, ZERO), BUMPS, grid)
         b, tr_b = sampled_run(params1d(), (ZERO, ZERO), BUMPS, grid)
         assert np.array_equal(tr_a.U, tr_b.U)
         assert np.array_equal(a.state.u, b.state.u)
+
+
+class _FailingDamping(_CountingDamping):
+    """Stand-in damping profile whose b raises from its call number `after` on."""
+
+    def __init__(self, profile, after):
+        super().__init__(profile)
+        self.after = after
+
+    def b(self, t):
+        if self.calls == self.after:
+            raise RuntimeError("damping failed")
+        return super().b(t)
+
+
+class TestSupNorm:
+    """The sup norm is |z| at its argmax, taken when a level is made: the same
+    float as the max of |z| over the level's window, NaN first."""
+
+    @pytest.mark.parametrize("slots", [
+        {4: 5.0, 10: math.nan},
+        {0: math.nan, 4: 5.0},
+        {4: -math.inf, 10: 5.0},
+        {4: math.inf, 10: -math.nan},
+        {},
+    ], ids=["nan-after-max", "nan-at-0", "inf", "nan-after-inf", "zeros"])
+    def test_equals_the_max_of_abs(self, slots):
+        state = init_state(params1d(), (ZERO, ZERO), InitialData.zero(), GridConfig(dr=0.1, horizon=2.0))
+        level = state._z[:2 * state.m]
+        assert level.size > 10 and not np.any(level)
+        for i, x in slots.items():
+            level[i] = x
+        with np.errstate(over="ignore", invalid="ignore"):
+            state._measure()
+        want = float(np.max(np.abs(state._z[:2 * state.m])))
+        assert np.float64(state.sup_norm()).tobytes() == np.float64(want).tobytes()
+        assert type(state.sup_norm()) is float
+
+    def test_equals_the_max_of_abs_along_a_run(self):
+        # every level of a blow-up run, up to its overflow
+        grid = GridConfig(dr=0.1, horizon=40.0, threshold=sys.float_info.max)
+        seen = []
+
+        def observe(state):
+            want = float(np.max(np.abs(state._z[:2 * state.m])))
+            seen.append(np.float64(state.sup_norm()).tobytes() == np.float64(want).tobytes())
+        res = run_until_blowup(params1d(eps=5.0), (POLY, POLY), BUMPS, grid, [(1, observe)])
+        assert res.record.detection is Detection.NONFINITE
+        assert len(seen) == res.state.step_index + 1 and all(seen)
+
+    @pytest.mark.parametrize("outer", [{}, {"over": "raise", "invalid": "raise"},
+                                       {"over": "warn", "divide": "raise"}],
+                             ids=["default", "raise", "mixed"])
+    def test_step_and_run_restore_the_error_state(self, outer):
+        grid = GridConfig(dr=0.1, horizon=3.0)
+        with np.errstate(**outer):
+            before = np.geterr()
+            state = init_state(params1d(), (POLY, POLY), BUMPS, grid)
+            step(state)
+            assert np.geterr() == before
+            run_until_blowup(params1d(), (POLY, POLY), BUMPS, grid)
+            assert np.geterr() == before
+
+            def failing(state):
+                if state.step_index == 3:
+                    raise RuntimeError("observer failed")
+            with pytest.raises(RuntimeError, match="observer failed"):
+                run_until_blowup(params1d(), (POLY, POLY), BUMPS, grid, [(1, failing)])
+            assert np.geterr() == before
+            # a raise inside the step itself
+            with pytest.raises(RuntimeError, match="damping failed"):
+                run_until_blowup(params1d(), (_FailingDamping(POLY, 3),) * 2, BUMPS, grid)
+            assert np.geterr() == before
+
+    def test_step_silences_overflow_for_direct_callers(self):
+        state = init_state(params1d(), (POLY, POLY), BUMPS, GridConfig(dr=0.1, horizon=2.0))
+        state._z[:2 * state.m] *= 1e200
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(3):
+                step(state)
+        assert math.isinf(state.sup_norm()) or math.isnan(state.sup_norm())
 
 
 class TestFunctionals:

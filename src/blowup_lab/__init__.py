@@ -1,24 +1,2 @@
 """blowup_lab: numerical laboratory for blow-up of weakly coupled damped
 wave systems with scattering-producing damping."""
-
-from blowup_lab.exponents import (
-    SystemParams,
-    RegionTag,
-    classify,
-    compute_F,
-    compute_G,
-    lifespan_law,
-    strauss_exponent,
-)
-
-__all__ = [
-    "SystemParams",
-    "RegionTag",
-    "classify",
-    "compute_F",
-    "compute_G",
-    "lifespan_law",
-    "strauss_exponent",
-]
-
-__version__ = "0.1.0"

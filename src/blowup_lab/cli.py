@@ -103,7 +103,6 @@ def _is_int(value) -> bool:  # an integral float such as 3.0 counts
 
 _real = _json(_is_number, "a number", float)
 _positive = _json(lambda v: _is_number(v) and 0 < v < math.inf, "finite and positive", float)
-_int = _json(_is_int, "an integer", int)
 _whole = _json(lambda v: _is_int(v) and v >= 1, "a whole number >= 1", int)
 _bool = _json(lambda v: isinstance(v, bool), "true or false")
 _str = _json(lambda v: isinstance(v, str), "a string")
@@ -207,8 +206,6 @@ _GRID = {
     "CFL": (_real, _FIELD),
     "horizon": (_real, _FIELD),
     "threshold": (_real, _FIELD),
-    "sample_every": (_int, _FIELD),
-    "snapshot_every": (lambda v: None if v is None else _int(v), _FIELD),
     "linear_mode": (_bool, _FIELD),
     "enforce_cone": (_bool, _FIELD),
 }
@@ -242,6 +239,7 @@ _QUADRATURE = {  # the kernels' lambda quadrature, in kernels and the critical v
     "quad_nodes": (_whole, auxiliary.KernelConfig.quad_nodes),
 }
 _SIMULATION = {**_PARAMS, **_GRID, **_PROFILES, **_RUN_DATA}
+_SAMPLING = {"sample_every": (_whole, 1)}  # the trace's cadence, in simulate and verify
 
 SCHEMAS = {
     "classify": {**_PARAMS, "speeds": (_flags, (False, False))},
@@ -265,7 +263,7 @@ SCHEMAS = {
         "lambdas": (_list_of(_positive), [0.5, 1.0, 2.0]),
         "horizon": (_positive, 10.0),
     },
-    "simulate": _SIMULATION,
+    "simulate": {**_SIMULATION, **_SAMPLING},
     "sweep": {
         **_SIMULATION,
         "eps_list": (_list_of(_real), ...),
@@ -273,7 +271,8 @@ SCHEMAS = {
         "workers": (_whole, None),
     },
     "verify": {
-        **_SIMULATION, **_QUADRATURE,
+        **_SIMULATION, **_SAMPLING, **_QUADRATURE,
+        "snapshot_every": (lambda v: None if v is None else _whole(v), None),
         "critical": (_bool, False),
         "log_window": (_pair, None),
     },
@@ -331,8 +330,8 @@ def _require_kernels(n, lambda0, R, quad_nodes, orders, t_max, t_points, x_point
                              f"exceeds the budget of {auxiliary.MAX_NODES} nodes")
 
 
-def _require_run(params, profiles, data, grid, eps_list=None, critical=False, lambda0=None,
-                 quad_nodes=None, **_):
+def _require_run(params, profiles, data, grid, eps_list=None, critical=False,
+                 snapshot_every=None, lambda0=None, quad_nodes=None, **_):
     """simulate, sweep and verify: every run can start, and a critical verify's kernels."""
     from blowup_lab import simulator
     if eps_list is None:
@@ -340,7 +339,8 @@ def _require_run(params, profiles, data, grid, eps_list=None, critical=False, la
     else:
         simulator.check_sweep(params, data, grid, eps_list)
     if critical:
-        simulator.critical_kernel_configs(params, profiles, grid, lambda0, quad_nodes)
+        simulator.critical_kernel_configs(params, profiles, grid, snapshot_every, lambda0,
+                                          quad_nodes)
 
 
 _REQUIRE = {
@@ -463,11 +463,10 @@ def cmd_kernels(out: str, n, lambda0, R, quad_nodes, orders, t_max, t_points, x_
     return checks
 
 
-def cmd_simulate(out: str, params, profiles, data, grid) -> list[Check]:
+def cmd_simulate(out: str, params, profiles, data, grid, sample_every) -> list[Check]:
     from blowup_lab import simulator
     sampler = simulator.FunctionalSampler()
-    result = simulator.run_until_blowup(params, profiles, data, grid,
-                                        [(grid.sample_every, sampler)])
+    result = simulator.run_until_blowup(params, profiles, data, grid, [(sample_every, sampler)])
     tr = sampler.trace()
     simulator.write_trace_csv(tr, os.path.join(out, "trace.csv"))
     simulator.write_records_csv([result.record], grid, os.path.join(out, "run_record.csv"))
@@ -509,25 +508,24 @@ def cmd_sweep(out: str, params, profiles, data, grid, eps_list, slope_rtol,
     ]
 
 
-def cmd_verify(out: str, params, profiles, data, grid, critical, log_window, lambda0,
-               quad_nodes) -> list[Check]:
+def cmd_verify(out: str, params, profiles, data, grid, sample_every, snapshot_every, critical,
+               log_window, lambda0, quad_nodes) -> list[Check]:
     from blowup_lab import simulator
     sampler = simulator.FunctionalSampler()
-    observers = [(grid.sample_every, sampler)]
+    observers = [(sample_every, sampler)]
     if critical:
-        stream = simulator.CriticalStream(params, profiles, grid, lambda0, quad_nodes)
-        observers.append((grid.snapshot_every, stream))
-    result = simulator.run_until_blowup(params, profiles, data, grid, observers)
+        stream = simulator.CriticalStream(params, profiles, grid, snapshot_every, lambda0,
+                                          quad_nodes)
+        observers.append((snapshot_every, stream))
+    simulator.run_until_blowup(params, profiles, data, grid, observers)
     trace = sampler.trace()
     simulator.write_trace_csv(trace, os.path.join(out, "trace.csv"))
     report = simulator.verify_identities(trace, profiles, params)
-    leak = simulator.cone_leakage(result)
     checks = [
         Check("frame-inequalities", report.inequalities_hold(1e-9),
               f"slacks=({report.iter1_slack_u:.3g},{report.iter1_slack_v:.3g})"),
         Check("lower-bound-fits-positive", report.c1_fit > 0 and report.k1_fit > 0,
               f"C1={report.c1_fit:.4g} K1={report.k1_fit:.4g}"),
-        Check("cone-containment", leak < 1e-12, f"leakage={leak:.3g}"),
     ]
     if critical:
         log_window = log_window or (5.0, grid.horizon)

@@ -11,19 +11,20 @@ Scheme: explicit leapfrog with the radial Laplacian u_rr + (n-1) u_r / r
 solved pointwise, nonlinear sources at the current level, CFL <= 0.5.
 Finite propagation speed is enforced: only the cone window r <= t + R + 2 dr
 is sampled and searched for blow-up, and every node past it stays +0.0 (the
-exact solution vanishes there; the scheme's own dispersive leakage would
-otherwise pollute the support cone).  A step runs on the window rounded up
-to a STEP_CHUNK-node chunk, so that its array views, a step plan, are built
-once per chunk and level buffer.  A time level is one buffer of 2N slots,
-u_i at slot 2i and v_i at 2i+1: each step operation is one numpy pass over
-the stepped prefix for both components.  Each level is measured once, on
+exact solution vanishes there; the zeroing drops the scheme's own dispersive
+tail, so no leakage is left past the window to check).  A step runs on the
+window rounded up to a STEP_CHUNK-node chunk, so that its array views, a step
+plan, are built once per chunk and level buffer.  A time level is one buffer
+of 2N slots, u_i at slot 2i and v_i at 2i+1: each step operation is one numpy
+pass over the stepped prefix for both components.  Each level is measured once, on
 its window, when it is made: |z|, then its sup norm (|z| at its argmax),
 then the sources in their own component's slots, |u|^q and |v|^p (one
 contiguous power when p = q, np.square for exponent 2); each update adds
 its partner's.  2 w is formed once per step for the Laplacian and the
 update; an undamped update skips + 0 w_prev and / 1, exact identities
 there.  Functional sampling and the critical verifier read a run as
-observers of run_until_blowup.
+observers of run_until_blowup, each at the cadence of its own (every,
+observer) pair; GridConfig holds no cadence.
 """
 
 from __future__ import annotations
@@ -66,10 +67,6 @@ class InitialData:
         if not all(map(math.isfinite, (self.u0_amp, self.u1_amp, self.v0_amp, self.v1_amp))):
             raise ValueError(f"data amplitudes must be finite, got {self}")
 
-    @classmethod
-    def zero(cls) -> "InitialData":
-        return cls(0.0, 0.0, 0.0, 0.0)
-
     def speed_flags(self) -> tuple[bool, bool]:
         return self.u1_amp != 0.0, self.v1_amp != 0.0
 
@@ -80,8 +77,6 @@ class GridConfig:
     cfl: float = 0.5
     horizon: float = 10.0
     threshold: float = 1e10
-    sample_every: int = 1
-    snapshot_every: int | None = None
     linear_mode: bool = False
     enforce_cone: bool = True
 
@@ -96,10 +91,6 @@ class GridConfig:
             raise ValueError(f"CFL must lie in (0, 0.5] and dt = CFL * dr above 0, got {self.cfl}")
         if self.horizon <= 0 or self.threshold <= 0:
             raise ValueError("horizon and threshold must be positive")
-        if self.sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
-        if self.snapshot_every is not None and self.snapshot_every < 1:
-            raise ValueError("snapshot_every must be >= 1")
 
     @property
     def dt(self) -> float:
@@ -498,13 +489,6 @@ def verify_identities(
     return IdentityReport(slack_u, slack_v, c1, k1)
 
 
-def cone_leakage(result: RunResult) -> float:
-    """Sup of |u|, |v| outside r <= t + R + 2 dr at the final state."""
-    state = result.state
-    outside = state.r > state.t + state.params.R + 2.0 * state.dr
-    return float(np.max(np.abs(state._z.reshape(-1, 2)[outside]), initial=0.0))
-
-
 @dataclass(frozen=True)
 class CriticalReport:
     """Sampled check of the kernel-weighted integral inequalities and of the
@@ -527,17 +511,18 @@ class CriticalReport:
         return self.t_checked.size > 0 and all(np.all(w >= b * (1.0 - rtol) - 1e-12) for w, b in pairs)
 
 
-def critical_kernel_configs(params: SystemParams, profiles, grid: GridConfig, lambda0: float,
-                            quad_nodes: int):
+def critical_kernel_configs(params: SystemParams, profiles, grid: GridConfig,
+                            snapshot_every: int | None, lambda0: float, quad_nodes: int):
     """Kernel configs of the critical-case functionals of u and v, after checking
-    the hypotheses of the critical-case machinery: n >= 2, C^1 damping, snapshots,
-    admissible kernel orders, the Phi values of the quadrature over the grid and
-    the streamed work, snapshots x nodes x quad_nodes per distinct quadrature."""
+    the hypotheses of the critical-case machinery: n >= 2, C^1 damping, snapshots
+    every snapshot_every >= 1 steps, admissible kernel orders, the Phi values of the
+    quadrature over the grid and the streamed work, snapshots x nodes x quad_nodes
+    per distinct quadrature."""
     if params.n < 2:
         raise ValueError("critical-case machinery requires n >= 2")
     if any(prof.kind == "tabulated" for prof in profiles):
         raise ValueError("critical-case verifiers require C^1 damping (zero/poly kinds)")
-    if grid.snapshot_every is None:
+    if snapshot_every is None or snapshot_every < 1:
         raise ValueError("critical verification needs snapshots; set snapshot_every")
     orders = critical_kernel_orders(params.n, params.p, params.q)
     cfgs = tuple(KernelConfig(lambda0, params.R, r, quad_nodes) for r in orders)
@@ -545,7 +530,7 @@ def critical_kernel_configs(params: SystemParams, profiles, grid: GridConfig, la
     nodes = extent / grid.dr + 1.0
     for cfg in cfgs:
         check_kernel_config(cfg, params.n, nodes, extent)
-    shots = grid.n_steps // grid.snapshot_every + 1
+    shots = grid.n_steps // snapshot_every + 1
     work = shots * nodes * quad_nodes * len(set(cfgs))
     if not work <= MAX_STREAM_WORK:
         raise ValueError(f"the critical verifier's work {work:.4g} exceeds the budget of "
@@ -554,8 +539,9 @@ def critical_kernel_configs(params: SystemParams, profiles, grid: GridConfig, la
 
 
 class CriticalStream:
-    """The critical verifier's state along one run, built before it: pass the stream
-    to run_until_blowup as the observer (snapshot_every, stream), then call
+    """The critical verifier's state along one run, built before it for snapshots
+    every snapshot_every steps: pass the stream to run_until_blowup as the observer
+    (snapshot_every, stream), with the same cadence, then call
     verify_critical_inequalities(stream).
 
     The kernel (t-s) sinhc(lambda (t-s)) solves y'' = lambda^2 y, so per lambda node
@@ -566,10 +552,11 @@ class CriticalStream:
     u W, v W, |u|^q W and |v|^p W on the cone window m (the fields vanish past it).
     """
 
-    def __init__(self, params: SystemParams, profiles, grid: GridConfig,
+    def __init__(self, params: SystemParams, profiles, grid: GridConfig, snapshot_every: int,
                  lambda0: float = KernelConfig.lambda0,
                  quad_nodes: int = KernelConfig.quad_nodes):
-        cfg_u, cfg_v = critical_kernel_configs(params, profiles, grid, lambda0, quad_nodes)
+        cfg_u, cfg_v = critical_kernel_configs(params, profiles, grid, snapshot_every, lambda0,
+                                               quad_nodes)
         r = _radii(params, grid)
         quad_u = KernelQuadrature(cfg_u, params.n, r)
         # equal orders (p = q) give equal configs: build the quadrature once

@@ -10,18 +10,18 @@ from fractions import Fraction
 import numpy as np
 
 from blowup_lab import simulator
-from blowup_lab.auxiliary import KernelQuadrature, sinhc
+from blowup_lab.auxiliary import KernelConfig, KernelQuadrature, critical_kernel_orders, sinhc
 from blowup_lab.damping import DampingProfile
 from blowup_lab.exponents import SystemParams
 from blowup_lab.simulator import GridConfig, InitialData
 
 
-def sampled_run(params, profiles, data, grid, *observers, sim=simulator):
-    """A run of sim with a FunctionalSampler at sample_every, then the given
-    observers: the result and the sampled trace."""
+def sampled_run(params, profiles, data, grid, *observers, sample_every=1, sim=simulator):
+    """A run of sim with a FunctionalSampler every sample_every steps, then the
+    given observers: the result and the sampled trace."""
     sampler = sim.FunctionalSampler()
     res = sim.run_until_blowup(params, profiles, data, grid,
-                               [(grid.sample_every, sampler), *observers])
+                               [(sample_every, sampler), *observers])
     return res, sampler.trace()
 
 
@@ -71,10 +71,11 @@ def reference_levels(state):
         cone(t, u, v)
 
 
-def run_with_snapshots(params, profiles, data, grid, stream=None, sim=simulator):
-    """A sampled run, its trace, and copies (t, u, v) of its fields at the snapshot
-    cadence, collected by an observer that then hands the state on to the critical
-    stream, if any."""
+def run_with_snapshots(params, profiles, data, grid, snapshot_every, stream=None,
+                       sample_every=1, sim=simulator):
+    """A sampled run, its trace, and copies (t, u, v) of its fields every
+    snapshot_every steps, collected by an observer that then hands the state on to
+    the critical stream, if any."""
     snapshots = []
 
     def observe(state):
@@ -82,14 +83,18 @@ def run_with_snapshots(params, profiles, data, grid, stream=None, sim=simulator)
         if stream is not None:
             stream(state)
 
-    return (*sampled_run(params, profiles, data, grid, (grid.snapshot_every, observe), sim=sim),
+    return (*sampled_run(params, profiles, data, grid, (snapshot_every, observe),
+                         sample_every=sample_every, sim=sim),
             snapshots)
 
 
-def critical_stream_run(params, profiles, data, grid, quad_nodes=64, sim=simulator):
-    """A run streamed through a CriticalStream: the run, copies of its snapshots and the stream."""
-    stream = sim.CriticalStream(params, profiles, grid, quad_nodes=quad_nodes)
-    res, _, snapshots = run_with_snapshots(params, profiles, data, grid, stream, sim)
+def critical_stream_run(params, profiles, data, grid, snapshot_every, quad_nodes=64,
+                        sample_every=1, sim=simulator):
+    """A run streamed through a CriticalStream every snapshot_every steps: the run,
+    copies of its snapshots and the stream."""
+    stream = sim.CriticalStream(params, profiles, grid, snapshot_every, quad_nodes=quad_nodes)
+    res, _, snapshots = run_with_snapshots(params, profiles, data, grid, snapshot_every, stream,
+                                           sample_every, sim)
     return res, snapshots, stream
 
 
@@ -129,8 +134,8 @@ def reference_critical_report(result, snapshots, quad_nodes, linear=False):
     run has no source."""
     state = result.state
     params, W = state.params, state.weights
-    cfgs = simulator.critical_kernel_configs(params, (state.b1, state.b2), state.grid, 1.0,
-                                             quad_nodes)
+    cfgs = [KernelConfig(1.0, params.R, r, quad_nodes)
+            for r in critical_kernel_orders(params.n, params.p, params.q)]
     s_times, u_snaps, v_snaps = (np.array(column) for column in zip(*snapshots))
     d = np.diff(s_times)
     half, mid = 0.5 * d, 0.5 * (d[1:] + d[:-1])

@@ -109,8 +109,9 @@ def exact_free_waves(sim):
 def critical_double_sum(sim):
     # the streamed lower bounds against the direct O(S^2 K) sum
     params = SystemParams(3, ROOT2, ROOT2, R=1.0, eps=1.0)
-    grid = simulator.GridConfig(dr=0.1, horizon=4.0, snapshot_every=5)
-    res, snapshots, stream = critical_stream_run(params, (POLY, POLY), SPEEDS, grid, 16, sim)
+    grid = simulator.GridConfig(dr=0.1, horizon=4.0)
+    res, snapshots, stream = critical_stream_run(params, (POLY, POLY), SPEEDS, grid, 5, 16,
+                                                 sim=sim)
     rep = sim.verify_critical_inequalities(stream)
     ref = reference_critical_report(res, snapshots, 16)
     assert np.array_equal(rep.weighted_u, ref["weighted_u"])

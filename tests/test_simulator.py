@@ -31,7 +31,6 @@ from blowup_lab.simulator import (
     GridConfig,
     InitialData,
     LifespanRecord,
-    cone_leakage,
     fit_power_law,
     init_state,
     lifespan_sweep,
@@ -53,7 +52,7 @@ def params1d(eps=1.0, p=F(2), q=F(2)):
 
 class TestInit:
     def test_zero_data_zero_state(self):
-        state = init_state(params1d(), (ZERO, ZERO), InitialData.zero(), GridConfig(horizon=2.0))
+        state = init_state(params1d(), (ZERO, ZERO), InitialData(0.0, 0.0, 0.0, 0.0), GridConfig(horizon=2.0))
         assert np.all(state.u == 0.0) and np.all(state.v == 0.0)
 
     def test_one_sided_bump(self):
@@ -72,17 +71,16 @@ class TestInit:
             GridConfig(cfl=0.9)
 
     @pytest.mark.parametrize("bad", [
-        {"dr": math.nan}, {"horizon": math.inf}, {"threshold": math.inf},
-        {"dr": math.inf}, {"snapshot_every": 0},
+        {"dr": math.nan}, {"horizon": math.inf}, {"threshold": math.inf}, {"dr": math.inf},
     ])
-    def test_nonfinite_lengths_and_zero_cadence_rejected(self, bad):
+    def test_nonfinite_lengths_rejected(self, bad):
         with pytest.raises(ValueError):
             GridConfig(**bad)
 
 
 class TestStep:
     def test_zero_state_stays_zero(self):
-        state = init_state(params1d(), (ZERO, ZERO), InitialData.zero(), GridConfig(horizon=1.0))
+        state = init_state(params1d(), (ZERO, ZERO), InitialData(0.0, 0.0, 0.0, 0.0), GridConfig(horizon=1.0))
         for _ in range(50):
             step(state)
         assert np.all(state.u == 0.0) and np.all(state.v == 0.0)
@@ -98,9 +96,12 @@ class TestStep:
         assert err < 1e-6
 
     def test_cone_containment_enforced(self):
+        # every slot past the window is +0.0, bit for bit, in both levels and the sources
         grid = GridConfig(dr=0.02, horizon=3.0, enforce_cone=True)
-        res = run_until_blowup(params1d(), (ZERO, ZERO), BUMPS, grid)
-        assert cone_leakage(res) < 1e-12
+        state = run_until_blowup(params1d(), (ZERO, ZERO), BUMPS, grid).state
+        assert state.m < state.r.size
+        for buf in (state._z, state._z_prev, state._src):
+            assert not buf[2 * state.m:].view(np.uint64).any()
 
 
 def reference_record(params, profiles, data, grid):
@@ -366,10 +367,11 @@ class TestInterleavedLayout:
         # bit for bit: each strided slot reads its own exponent and its partner's source
         data = InitialData(1.0, 0.3, 0.5, -0.2)
         swapped = InitialData(data.v0_amp, data.v1_amp, data.u0_amp, data.u1_amp)
-        grid = GridConfig(dr=0.05, horizon=6.0, snapshot_every=40)
-        a, tr_a, snaps_a = run_with_snapshots(SystemParams(n, p, q, eps=2.0), profiles, data, grid)
+        grid = GridConfig(dr=0.05, horizon=6.0)
+        a, tr_a, snaps_a = run_with_snapshots(SystemParams(n, p, q, eps=2.0), profiles, data, grid,
+                                              40)
         b, tr_b, snaps_b = run_with_snapshots(SystemParams(n, q, p, eps=2.0), profiles[::-1],
-                                              swapped, grid)
+                                              swapped, grid, 40)
         assert (a.record.t_blow, a.record.detection) == (b.record.t_blow, b.record.detection)
         for x, y in ((tr_a.U, tr_b.V), (tr_a.V, tr_b.U), (tr_a.Nu, tr_b.Nv),
                      (tr_a.Nv, tr_b.Nu), (tr_a.sup, tr_b.sup), (tr_a.t, tr_b.t)):
@@ -486,7 +488,7 @@ class TestExactSolutions:
 
 class TestBlowupDetection:
     def test_zero_data_survives(self):
-        res = run_until_blowup(params1d(), (ZERO, ZERO), InitialData.zero(), GridConfig(horizon=1.5))
+        res = run_until_blowup(params1d(), (ZERO, ZERO), InitialData(0.0, 0.0, 0.0, 0.0), GridConfig(horizon=1.5))
         assert res.record.detection is Detection.SURVIVED
         assert res.record.t_blow == 1.5
 
@@ -575,7 +577,7 @@ class TestSupNorm:
         {},
     ], ids=["nan-after-max", "nan-at-0", "inf", "nan-after-inf", "zeros"])
     def test_equals_the_max_of_abs(self, slots):
-        state = init_state(params1d(), (ZERO, ZERO), InitialData.zero(), GridConfig(dr=0.1, horizon=2.0))
+        state = init_state(params1d(), (ZERO, ZERO), InitialData(0.0, 0.0, 0.0, 0.0), GridConfig(dr=0.1, horizon=2.0))
         level = state._z[:2 * state.m]
         assert level.size > 10 and not np.any(level)
         for i, x in slots.items():
@@ -758,8 +760,8 @@ def critical_run():
     p0 = strauss_exponent(3)
     params = SystemParams(3, p0, p0, R=1.0, eps=1.0)
     poly = DampingProfile.polynomial_tail(1.0, 2.0)
-    grid = GridConfig(dr=0.025, horizon=12.0, snapshot_every=40)
-    return params, *critical_stream_run(params, (poly, poly), BUMPS, grid)
+    grid = GridConfig(dr=0.025, horizon=12.0)
+    return params, *critical_stream_run(params, (poly, poly), BUMPS, grid, 40)
 
 
 def critical_peak_bytes(snapshot_every):
@@ -767,10 +769,10 @@ def critical_peak_bytes(snapshot_every):
     p0 = 1.0 + math.sqrt(2.0)
     params = SystemParams(3, p0, p0, R=1.0, eps=1.0)
     poly = DampingProfile.polynomial_tail(1.0, 2.0)
-    grid = GridConfig(dr=0.025, horizon=12.0, snapshot_every=snapshot_every)
+    grid = GridConfig(dr=0.025, horizon=12.0)
     tracemalloc.start()
     try:
-        stream = CriticalStream(params, (poly, poly), grid)
+        stream = CriticalStream(params, (poly, poly), grid, snapshot_every)
         run_until_blowup(params, (poly, poly), BUMPS, grid, [(snapshot_every, stream)])
         rep = verify_critical_inequalities(stream, log_window=(5.0, 12.0))
         peak = tracemalloc.get_traced_memory()[1]
@@ -796,21 +798,23 @@ class TestCriticalVerifier:
 
     def test_rejects_low_dimension(self, no_run):
         with pytest.raises(ValueError, match="n >= 2"):
-            critical_stream_run(params1d(), (ZERO, ZERO), BUMPS,
-                                GridConfig(dr=0.1, horizon=1.0, snapshot_every=5))
+            critical_stream_run(params1d(), (ZERO, ZERO), BUMPS, GridConfig(dr=0.1, horizon=1.0), 5)
 
     def test_rejects_tabulated_damping(self, no_run):
         ts = np.linspace(0.0, 10.0, 50)
         tab = DampingProfile.tabulated(ts, np.exp(-ts))
         params = SystemParams(2, F(2), F(2), R=1.0, eps=0.1)
         with pytest.raises(ValueError, match="C\\^1 damping"):
-            critical_stream_run(params, (tab, tab), BUMPS,
-                                GridConfig(dr=0.1, horizon=1.0, snapshot_every=5))
+            critical_stream_run(params, (tab, tab), BUMPS, GridConfig(dr=0.1, horizon=1.0), 5)
 
-    def test_requires_snapshots(self, no_run):
+    @pytest.mark.parametrize("cadence", [None, 0, -1])
+    def test_requires_snapshots(self, cadence):
         params = SystemParams(2, F(2), F(2), R=1.0, eps=0.1)
-        with pytest.raises(ValueError, match="snapshot_every"):
-            critical_stream_run(params, (ZERO, ZERO), BUMPS, GridConfig(dr=0.1, horizon=1.0))
+        grid = GridConfig(dr=0.1, horizon=1.0)
+        with pytest.raises(ValueError, match="needs snapshots; set snapshot_every"):
+            simulator.critical_kernel_configs(params, (ZERO, ZERO), grid, cadence, 1.0, 64)
+        with pytest.raises(ValueError, match="needs snapshots; set snapshot_every"):
+            CriticalStream(params, (ZERO, ZERO), grid, cadence)
 
     def test_peak_memory_does_not_grow_with_snapshots(self):
         # 25 against 193 snapshots: stored copies of u and v would add about 3.7 MB; the
@@ -823,16 +827,17 @@ class TestCriticalVerifier:
         # distinct kernel orders; swapping p with q, the u-data with the v-data and
         # the two damping profiles must give the same report, field for field
         slow = DampingProfile.polynomial_tail(0.5, 3.0)
-        grid = GridConfig(dr=0.04, horizon=8.0, snapshot_every=15, sample_every=15)
+        grid = GridConfig(dr=0.04, horizon=8.0)
         params = SystemParams(3, F(7, 2), F(2), R=1.0, eps=1.0)
         *_, stream = critical_stream_run(params, (POLY, slow), InitialData(1.0, 0.3, 0.7, 0.2),
-                                         grid)
+                                         grid, 15, sample_every=15)
         rep = verify_critical_inequalities(stream, log_window=(5.0, 8.0))
         assert rep.bounds_hold() and rep.log_ratio_min > 0
 
         params_sw = SystemParams(3, F(2), F(7, 2), R=1.0, eps=1.0)
         *_, stream_sw = critical_stream_run(params_sw, (slow, POLY),
-                                            InitialData(0.7, 0.2, 1.0, 0.3), grid)
+                                            InitialData(0.7, 0.2, 1.0, 0.3), grid, 15,
+                                            sample_every=15)
         rep_sw = verify_critical_inequalities(stream_sw, log_window=(5.0, 8.0))
         assert rep_sw.bounds_hold()
         for f in fields(rep):
@@ -852,16 +857,15 @@ class TestCriticalVerifier:
         monkeypatch.setattr(simulator, "KernelQuadrature", CountingQuadrature)
         params = SystemParams(3, p, q, R=1.0, eps=1.0)
         *_, stream = critical_stream_run(params, (POLY, POLY), BUMPS,
-                                         GridConfig(dr=0.1, horizon=4.0, snapshot_every=10),
-                                         quad_nodes=16)
+                                         GridConfig(dr=0.1, horizon=4.0), 10, quad_nodes=16)
         rep = verify_critical_inequalities(stream, log_window=(2.0, 4.0))
         assert len(built) == builds
         assert rep.t_checked.size > 0
 
     def test_zero_data_bounds_trivially(self):
         params = SystemParams(2, F(2), F(2), R=1.0, eps=1.0)
-        *_, stream = critical_stream_run(params, (ZERO, ZERO), InitialData.zero(),
-                                         GridConfig(dr=0.1, horizon=2.0, snapshot_every=5))
+        *_, stream = critical_stream_run(params, (ZERO, ZERO), InitialData(0.0, 0.0, 0.0, 0.0),
+                                         GridConfig(dr=0.1, horizon=2.0), 5)
         rep = verify_critical_inequalities(stream, log_window=(1.6, 2.0))
         assert np.all(rep.weighted_u == 0.0) and np.all(rep.rhs_u == 0.0)
         assert rep.bounds_hold()
@@ -869,8 +873,8 @@ class TestCriticalVerifier:
     def test_linear_run_bound_has_no_source(self):
         # the stream reads the run's own sources, which a linear run does not have
         params = SystemParams(3, ROOT2, ROOT2, R=1.0, eps=1.0)
-        grid = GridConfig(dr=0.05, horizon=8.0, snapshot_every=20, linear_mode=True)
-        res, snapshots, stream = critical_stream_run(params, (POLY, POLY), BUMPS, grid)
+        grid = GridConfig(dr=0.05, horizon=8.0, linear_mode=True)
+        res, snapshots, stream = critical_stream_run(params, (POLY, POLY), BUMPS, grid, 20)
         rep = verify_critical_inequalities(stream)
         ref = reference_critical_report(res, snapshots, 64, linear=True)
         assert np.array_equal(rep.weighted_u, ref["weighted_u"])
@@ -891,17 +895,17 @@ class TestCriticalVerifier:
             quad_nodes = 16
             res, snapshots, stream = critical_stream_run(
                 params, (POLY, slow), InitialData(1.0, 0.3, 0.7, 0.2),
-                GridConfig(dr=0.04, horizon=8.0, snapshot_every=15, sample_every=15), quad_nodes)
+                GridConfig(dr=0.04, horizon=8.0), 15, quad_nodes, sample_every=15)
         elif case == "undamped":
             params = SystemParams(3, ROOT2, ROOT2, R=1.0, eps=1.0)
             res, snapshots, stream = critical_stream_run(
-                params, (ZERO, ZERO), BUMPS, GridConfig(dr=0.05, horizon=8.0, snapshot_every=8))
+                params, (ZERO, ZERO), BUMPS, GridConfig(dr=0.05, horizon=8.0), 8)
         else:  # a survived run with 601 snapshots
             params = SystemParams(2, F(3, 2), F(2), R=1.0, eps=0.001)
             quad_nodes = 16
             res, snapshots, stream = critical_stream_run(
                 params, (POLY, POLY), BUMPS,
-                GridConfig(dr=0.2, horizon=60.0, snapshot_every=1, sample_every=10), quad_nodes)
+                GridConfig(dr=0.2, horizon=60.0), 1, quad_nodes, sample_every=10)
             assert len(snapshots) == 601
         rep = verify_critical_inequalities(stream)
         ref = reference_critical_report(res, snapshots, quad_nodes)

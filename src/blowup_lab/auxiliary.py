@@ -407,25 +407,40 @@ class FundamentalReport:
 
 
 #: the identity checks' difference step in s (scaled by min(1, 1/lambda), so
-#: its O((lambda delta)^2) error stays put) and the (v) re-solves' RK4 step
+#: its O((lambda delta)^2) error stays put) and the node spacing of (v)'s grid
 IDENTITY_DELTA, IDENTITY_STEP = 5e-4, 1e-4
 
 
-def _resolve_y2_at(profile, lam, s_start, t_end, h):
-    """y2(t_end) of the pair started at s_start, on nodes about h apart."""
-    nodes = max(2, int(round((t_end - s_start) / h)) + 1)
-    return _pair_at_end(profile, lam, s_start, np.linspace(s_start, t_end, nodes))[0, 1]
+def _y2_at_end(profile, lam, starts, t_grid) -> list[float]:
+    """y2(t_grid[-1], s') of the pair started at each s' in [t_grid[0], t_grid[-1]]: one RK4
+    step from s' to the first node at or past it, then that node's last-node product over
+    t_grid's own nodes, so a kink of b at a node stays at a step end. Starts that reach one
+    node share its product; a start that reaches the last node needs none."""
+    starts = np.asarray(starts, dtype=float)
+    nodes = np.searchsorted(t_grid, starts)
+    ends = t_grid[nodes]
+    h = ends - starts
+    q = _step_increments(lam * lam, h, *(profile.b(tt) for tt in (starts, starts + 0.5 * h, ends)))
+    last = t_grid.size - 1
+    suffix = {j: _pair_at_end(profile, lam, t_grid[j], t_grid[j:]) if j < last else np.eye(2)
+              for j in dict.fromkeys(nodes.tolist())}
+    return [float(suffix[j][0, 0] * q[0, 1, i] + suffix[j][0, 1] * (1.0 + q[1, 1, i]))
+            for i, j in enumerate(nodes.tolist())]
 
 
-def _identity_residual(profile, lam, s, t, y1, y2, h):
+def _identity_residual(profile, lam, s, t, y1, y2, t_grid=None):
     """Relative residual of the boundary identity y1(t, s) = b(s) y2(t, s) - d/ds y2(t, s):
     d/ds y2 by a one-sided second-order difference of step d, forward (d > 0) from s < t and
-    back (d < 0) from s = t, y2 re-solved on steps about h; NaN if s + 2d leaves [0, t)."""
+    back (d < 0) from s = t, y2 re-solved from s + d and s + 2d on the nodes of t_grid, which
+    ends at t (by default nodes about IDENTITY_STEP apart from s + 2d); NaN if s + 2d leaves
+    [0, t)."""
     d = IDENTITY_DELTA * min(1.0, 1.0 / lam) * (1.0 if s < t else -1.0)
     if not 0.0 <= s + 2.0 * d < t:
         return math.nan
-    y2_d = _resolve_y2_at(profile, lam, s + d, t, h)
-    y2_2d = _resolve_y2_at(profile, lam, s + 2.0 * d, t, h)
+    if t_grid is None:
+        nodes = max(2, int(round((t - s - 2.0 * d) / IDENTITY_STEP)) + 1)
+        t_grid = np.linspace(s + 2.0 * d, t, nodes)
+    y2_d, y2_2d = _y2_at_end(profile, lam, (s + d, s + 2.0 * d), t_grid)
     ds_y2 = (-3.0 * y2 + 4.0 * y2_d - y2_2d) / (2.0 * d)
     rhs = profile.b(s) * y2 - ds_y2
     return float(abs(y1 - rhs) / max(abs(y1), 1.0))
@@ -434,7 +449,7 @@ def _identity_residual(profile, lam, s, t, y1, y2, h):
 def fundamental_identity_v(profile: DampingProfile, lam: float, t: float) -> float:
     """Residual of item (v), d/ds y2(t, s) = -1 at s = t: the boundary identity
     where y1 = 1 and y2 = 0."""
-    return _identity_residual(profile, lam, t, t, 1.0, 0.0, IDENTITY_STEP)
+    return _identity_residual(profile, lam, t, t, 1.0, 0.0)
 
 
 def _slack_min(y, env):
@@ -452,5 +467,5 @@ def verify_fundamental_bounds(pair: FundamentalPair, profile: DampingProfile) ->
     slack_min2 = _slack_min(pair.y2, math.exp(-2.0 * l1) * tau * sinhc(pair.lam * tau))
     del tau  # the re-solves below need the memory
     id4 = _identity_residual(profile, pair.lam, pair.s, float(pair.t[-1]), pair.y1[-1],
-                             pair.y2[-1], float(np.max(np.diff(pair.t))))
+                             pair.y2[-1], pair.t)
     return FundamentalReport(slack1_min=slack_min1, slack2_min=slack_min2, identity4_residual=id4)

@@ -26,6 +26,7 @@ from blowup_lab.auxiliary import (
     sphere_area,
     verify_fundamental_bounds,
 )
+from blowup_lab.cli import _modal_nodes
 from blowup_lab.damping import DampingProfile
 
 
@@ -478,11 +479,16 @@ def _record_starts(monkeypatch):
     return starts, full_starts
 
 
-def _tabulated_kink_report():
-    """The (iv) report of a table whose b jumps to 0 past t = 4, at lambda = 1 on the
-    kernels modal grid of horizon 10 (step 1e-3)."""
+def _kernels_grid(lam, horizon):
+    """The kernels command's modal grid at one lambda."""
+    return np.linspace(0.0, horizon, _modal_nodes(lam, horizon))
+
+
+def _tabulated_kink_report(lam=1.0, horizon=10.0):
+    """The report of a table whose b jumps to 0 past t = 4 and whose kinks are nodes of
+    the kernels modal grid."""
     prof = _PROFILES["tabulated"]
-    pair = solve_fundamental_pair(prof, 1.0, 0.0, np.linspace(0.0, 10.0, 10001))
+    pair = solve_fundamental_pair(prof, lam, 0.0, _kernels_grid(lam, horizon))
     return verify_fundamental_bounds(pair, prof)
 
 
@@ -573,22 +579,39 @@ class TestFundamentalPair:
 
     @pytest.mark.parametrize("name", ["zero", "poly", "tabulated"])
     def test_resolve_integrates_y2_alone(self, name, monkeypatch):
-        # every re-solve of y2(t, s) is a last-node product and none a full solve, so a
-        # wrapper of it sees every re-solve: 2 per identity (iv), 2 per identity (v)
+        # every re-solve of y2(t, s) is one short RK4 step and a last-node product on the
+        # main grid's nodes, and none a full solve: (iv) on the kernels grid (2 delta <= h)
+        # shares one product from the pair's node 1, and (v) makes at most two on its own
+        # grid from t - 2 delta, which its far start needs no short step to reach
         prof = _PROFILES[name]
         lam, delta = 1.3, auxiliary.IDENTITY_DELTA * (1.0 / 1.3)  # the step at lambda > 1
         pair = solve_fundamental_pair(prof, lam, 0.0, np.linspace(0.0, 3.0, 3001))
         starts, full_starts = _record_starts(monkeypatch)
         verify_fundamental_bounds(pair, prof)
-        assert starts and starts == [delta, 2.0 * delta]
+        assert starts == [pair.t[1]]
         fundamental_identity_v(prof, lam, 2.0)
-        assert starts[2:] == [2.0 - delta, 2.0 - 2.0 * delta]
+        assert len(starts) == 3 and 2.0 - delta <= starts[1] < 2.0 - delta + 1e-4
+        assert starts[2] == 2.0 - 2.0 * delta
         assert not full_starts
-        want = solve_fundamental_pair(prof, lam, 0.5, np.linspace(0.5, 3.0, 2501)).y2[-1]
-        assert auxiliary._resolve_y2_at(prof, lam, 0.5, 3.0, 1e-3).tobytes() == want.tobytes()
-        for bad_lam, h in ((0.0, 1e-3), (-1.0, 1e-3), (200.0, 1e-3)):
+        # a start on a node takes no step: its y2 is the suffix product's, bit for bit
+        want = solve_fundamental_pair(prof, lam, pair.t[500], pair.t[500:]).y2[-1]
+        got = auxiliary._y2_at_end(prof, lam, [pair.t[500]], pair.t)
+        assert got == [want]
+        for bad_lam in (0.0, -1.0, 200.0):  # lambda h = 0.2 > 0.1 at 200
             with pytest.raises(ValueError):
-                auxiliary._resolve_y2_at(prof, bad_lam, 0.5, 3.0, h)
+                auxiliary._y2_at_end(prof, bad_lam, [0.5], pair.t)
+
+    def test_fine_grid_starts_take_their_own_products(self, monkeypatch):
+        # on steps below delta, s + delta and s + 2 delta reach different nodes: one short
+        # step and one product each, from the first node at or past the start
+        prof = _PROFILES["tabulated"]
+        delta, grid = auxiliary.IDENTITY_DELTA, np.linspace(0.0, 10.0, 100001)
+        pair = solve_fundamental_pair(prof, 1.0, 0.0, grid)
+        starts, full_starts = _record_starts(monkeypatch)
+        report = verify_fundamental_bounds(pair, prof)
+        assert starts == [grid[grid >= delta][0], grid[grid >= 2.0 * delta][0]]
+        assert starts[0] < starts[1] and not full_starts
+        assert report.identity4_residual <= auxiliary.IDENTITY_TOL and report.ok()
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(name=st.sampled_from(sorted(_PROFILES)),
@@ -646,14 +669,16 @@ class TestFundamentalPair:
     def test_identity_v_before_its_stencil_fits(self, monkeypatch):
         # at t = 7e-4 < 2 delta the back stencil t - 2 delta < 0 leaves the domain of b:
         # the residual is NaN, as identity (iv) is there, and nothing is re-solved; at
-        # t = 2 delta the stencil fits, and the re-solves start at t - delta and 0
+        # t = 2 delta the stencil fits, and the products start at the first node of the
+        # grid from 0 to t at or past t - delta, and at 0
         poly = DampingProfile.polynomial_tail(1.0, 2.0)
         delta = auxiliary.IDENTITY_DELTA
         starts, full_starts = _record_starts(monkeypatch)
         assert math.isnan(fundamental_identity_v(poly, 1.0, 7e-4))
         assert starts == []
         assert fundamental_identity_v(poly, 1.0, 2.0 * delta) <= auxiliary.IDENTITY_TOL
-        assert starts and starts == [delta, 0.0]
+        grid = np.linspace(0.0, 2.0 * delta, 11)
+        assert starts == [grid[grid >= delta][0], 0.0]
         assert not full_starts
 
     def test_tabulated_bounds_hold(self):
@@ -661,10 +686,22 @@ class TestFundamentalPair:
         report = _tabulated_kink_report()
         assert report.slack1_min >= 0.0 and report.slack2_min >= 0.0
 
-    @pytest.mark.xfail(strict=True, reason="the re-solves' grids, offset by delta from the "
-                       "main one, put the table's kinks mid-step: the residual reads 0.196")
-    def test_tabulated_identity_iv_where_the_bounds_hold(self):
-        assert _tabulated_kink_report().identity4_residual <= auxiliary.IDENTITY_TOL
+    @pytest.mark.parametrize("horizon", [2.0, 10.0])
+    @pytest.mark.parametrize("lam", [0.05, 0.5, 1.0, 2.0, 5.0, 40.0])
+    def test_tabulated_identity_iv_where_the_bounds_hold(self, lam, horizon):
+        # the re-solves step on the main grid's nodes, so the table's kinks stay at step
+        # ends: at most 4.1e-7 here (2.7e-8 at lambda = 1, horizon 10), where re-solves on
+        # grids offset by delta read 1.3e-6 to 0.54 (0.196)
+        report = _tabulated_kink_report(lam, horizon)
+        assert report.identity4_residual <= auxiliary.IDENTITY_TOL and report.ok()
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    def test_identity_iv_fails_against_another_damping(self, lam):
+        # the re-solves share the main grid's nodes but not its pair: an undamped pair
+        # checked against poly misses (iv) by 2.8e3, 1.3e3 and 1.2e3
+        pair = solve_fundamental_pair(DampingProfile.zero(), lam, 0.0, _kernels_grid(lam, 10.0))
+        report = verify_fundamental_bounds(pair, DampingProfile.polynomial_tail(1.0, 2.0))
+        assert report.identity4_residual > 1e3 and not report.ok()
 
     def test_overflow_is_a_quiet_violation(self):
         # at lambda = 400 the pair passes float range before t = 2

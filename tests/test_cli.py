@@ -428,6 +428,18 @@ class TestKernels:
         assert abs(values["A0"] / 2.3810728033732445 - 1.0) < 1e-13
         assert math.isnan(values["B2"])
 
+    def test_tabulated_kinks_pass_the_pair_check(self, tmp_path):
+        # the table's kinks at t = 1 and 4 are nodes of every lambda's modal grid, and the
+        # identity re-solves step on those nodes: re-solves on grids offset by delta read
+        # all three default lambdas as violated
+        table = tmp_path / "table.csv"
+        table.write_text("t,b\n0,1.5\n1,0.2\n4,0.6\n")
+        cfg = {"n": 3, "orders": [0.5], "t_max": 10, "t_points": 4,
+               "damping": {"kind": "tabulated", "csv": str(table)}}
+        code, out = run_cli(tmp_path, "kernels", cfg)
+        assert code == 0
+        assert "CHECK fundamental-pair-bounds: PASS" in (out / "summary.txt").read_text()
+
     def test_large_lambda_runs(self, tmp_path, capsys):
         # the identity checks' difference step shrinks like 1/lambda, so every lambda
         # within the modal grid budget runs (the contract test's RUNS); at 400 the pair

@@ -1,12 +1,12 @@
-"""Every solver oracle can fail: a table of source mutations of the simulator,
-each of which some oracle must kill.
+"""Every solver oracle can fail: tables of source mutations of the simulator and
+of the modal solver in auxiliary, each of which some oracle must kill.
 
-A row is (name, old, new): `old` must occur exactly once in simulator.py, so a
-refactor that moves the code fails the table loudly instead of testing
-nothing.  The mutated source is loaded as a fresh module and held to the
-oracles of tests/oracles.py; the unmutated source, loaded the same way, must
-pass all of them.  A row that no oracle kills is a finding: add an oracle,
-do not delete the row."""
+A row is (name, old, new): `old` must occur exactly once in the module's source,
+so a refactor that moves the code fails the table loudly instead of testing
+nothing.  The mutated source is loaded as a fresh module and held to its
+table's oracles (the simulator's from tests/oracles.py); the unmutated source,
+loaded the same way, must pass all of them.  A row that no oracle kills is a
+finding: add an oracle, do not delete the row."""
 
 import sys
 import types
@@ -25,11 +25,13 @@ from oracles import (
     step_identity_residual,
 )
 
-from blowup_lab import simulator
+from blowup_lab import auxiliary, simulator
+from blowup_lab.cli import _modal_nodes
 from blowup_lab.damping import DampingProfile
 from blowup_lab.exponents import SystemParams
 
 SOURCE = Path(simulator.__file__).read_text()
+AUX_SOURCE = Path(auxiliary.__file__).read_text()
 ZERO = DampingProfile.zero()
 POLY = DampingProfile.polynomial_tail(1.0, 2.0)
 ROOT2 = 1.0 + 2.0 ** 0.5
@@ -65,17 +67,18 @@ MUTANTS = [
 ]
 
 
-def load(source: str, name: str = "blowup_lab._simulator_under_test") -> types.ModuleType:
-    """source executed as a fresh module; dataclasses look their module up while
-    the classes are made, so it is registered until then."""
-    module = types.ModuleType(name)
-    module.__file__ = simulator.__file__
-    sys.modules[name] = module
+def load(source: str, module: types.ModuleType = simulator) -> types.ModuleType:
+    """source executed as a fresh copy of module; dataclasses look their module up
+    while the classes are made, so it is registered until then."""
+    name = f"{module.__name__}_under_test"
+    fresh = types.ModuleType(name)
+    fresh.__file__ = module.__file__
+    sys.modules[name] = fresh
     try:
-        exec(compile(source, simulator.__file__, "exec"), module.__dict__)
+        exec(compile(source, module.__file__, "exec"), fresh.__dict__)
     finally:
         del sys.modules[name]
-    return module
+    return fresh
 
 
 def windowed_levels(sim):
@@ -132,10 +135,72 @@ ORACLES = [windowed_levels, step_identity, exact_free_waves, critical_double_sum
            frames_on_a_blowup_run]
 
 
-def killed(sim) -> bool:
-    for oracle in ORACLES:
+AUX_MUTANTS = [
+    ("the first short step dropped",
+     "float(suffix[j][0, 0] * q[0, 1, i] + suffix[j][0, 1] * (1.0 + q[1, 1, i]))",
+     "float(suffix[j][0, 1])"),
+    ("the suffix from the node after",
+     "nodes = np.searchsorted(t_grid, starts)", "nodes = np.searchsorted(t_grid, starts) + 1"),
+    ("the suffix from the node before",
+     "nodes = np.searchsorted(t_grid, starts)", "nodes = np.searchsorted(t_grid, starts) - 1"),
+    ("delta without its 1/lambda scale",
+     "IDENTITY_DELTA * min(1.0, 1.0 / lam)", "IDENTITY_DELTA"),
+    ("the short step's b held at its start",
+     "(starts, starts + 0.5 * h, ends)", "(starts, starts, starts)"),
+]
+
+
+def kernels_grid(lam, horizon):
+    """The kernels command's modal grid at one lambda."""
+    return np.linspace(0.0, horizon, _modal_nodes(lam, horizon))
+
+
+def suffix_nodes(aux):
+    # each re-solve's product starts at the first main-grid node at or past its start:
+    # node 1 for both (iv) starts on the kernels grid (2 delta <= h), and two nodes on a
+    # grid of step delta / 5.  First in the table: a suffix from a node off either end
+    # of a grid raises in the other oracles
+    starts, solve, delta = [], aux._pair_at_end, auxiliary.IDENTITY_DELTA
+    aux._pair_at_end = lambda profile, lam, s, t_grid: starts.append(s) or solve(
+        profile, lam, s, t_grid)
+    try:
+        for grid in (kernels_grid(1.0, 2.0), np.linspace(0.0, 2.0, 20001)):
+            starts.clear()
+            aux.verify_fundamental_bounds(aux.solve_fundamental_pair(POLY, 1.0, 0.0, grid), POLY)
+            assert starts == list(dict.fromkeys(grid[grid >= x][0] for x in (delta, 2 * delta)))
+    finally:
+        aux._pair_at_end = solve
+
+
+def modal_identities(aux):
+    # (iv) and (v) on the poly profile, where the difference step shrinks like 1/lambda
+    # past 1: both about 1e-7 or less at every lambda
+    for lam in (0.05, 1.0, 40.0):
+        pair = aux.solve_fundamental_pair(POLY, lam, 0.0, kernels_grid(lam, 2.0))
+        assert aux.verify_fundamental_bounds(pair, POLY).ok()
+        assert aux.fundamental_identity_v(POLY, lam, 2.0) <= auxiliary.IDENTITY_TOL
+
+
+def modal_kinks(aux):
+    # a table whose kinks are nodes of the kernels grid: (iv) reads 2.7e-8 at lambda = 1
+    table = DampingProfile.tabulated([0.0, 1.0, 4.0], [1.5, 0.2, 0.6])
+    pair = aux.solve_fundamental_pair(table, 1.0, 0.0, kernels_grid(1.0, 10.0))
+    assert aux.verify_fundamental_bounds(pair, table).ok()
+
+
+def modal_check_fails(aux):
+    # an undamped pair checked against poly misses (iv) by 1.3e3 at lambda = 1
+    pair = aux.solve_fundamental_pair(ZERO, 1.0, 0.0, kernels_grid(1.0, 10.0))
+    assert not aux.verify_fundamental_bounds(pair, POLY).ok()
+
+
+MODAL_ORACLES = [suffix_nodes, modal_identities, modal_kinks, modal_check_fails]
+
+
+def killed(module, oracles=ORACLES) -> bool:
+    for oracle in oracles:
         try:
-            oracle(sim)
+            oracle(module)
         except AssertionError:
             return True
     return False
@@ -147,7 +212,20 @@ def test_the_lab_passes_every_oracle():
         oracle(sim)
 
 
+def test_the_modal_solver_passes_every_oracle():
+    aux = load(AUX_SOURCE, auxiliary)
+    for oracle in MODAL_ORACLES:
+        oracle(aux)
+
+
 @pytest.mark.parametrize("name,old,new", MUTANTS, ids=[row[0] for row in MUTANTS])
 def test_mutant_is_killed(name, old, new):
     assert SOURCE.count(old) == 1, f"{name}: the mutated code moved"
     assert killed(load(SOURCE.replace(old, new))), f"no oracle kills: {name}"
+
+
+@pytest.mark.parametrize("name,old,new", AUX_MUTANTS, ids=[row[0] for row in AUX_MUTANTS])
+def test_modal_mutant_is_killed(name, old, new):
+    assert AUX_SOURCE.count(old) == 1, f"{name}: the mutated code moved"
+    assert killed(load(AUX_SOURCE.replace(old, new), auxiliary), MODAL_ORACLES), \
+        f"no oracle kills: {name}"

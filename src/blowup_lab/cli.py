@@ -300,12 +300,16 @@ def _require_iterate(params, j_max, scheme, constants, low_dim, speed_integrals,
 
 
 def _modal_nodes(lam: float, horizon: float) -> int:
-    """Nodes of the kernels' modal RK4 grid at one lambda (step min(1e-3, 0.05/lambda)).
+    """Nodes of the kernels' modal RK4 grid at one lambda: step min(1e-3, 0.05/lambda),
+    or finer where RK4's relative error over the horizon, about (lambda h)^4 lambda
+    horizon / 120, would pass half of IDENTITY_TOL (past lambda = 20 at horizon 10).
 
     The step count is capped at the budget, so a ratio that overflows to inf still
     gives an int, and one past the budget.
     """
-    steps = horizon / min(1e-3, 0.05 / lam)
+    lam_t = lam * horizon
+    steps = max(horizon / min(1e-3, 0.05 / lam),
+                lam_t * (lam_t / (60.0 * auxiliary.IDENTITY_TOL)) ** 0.25)
     return max(1, round(min(steps, auxiliary.MAX_NODES))) + 1
 
 

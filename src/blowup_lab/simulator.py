@@ -15,12 +15,16 @@ exact solution vanishes there; the zeroing drops the scheme's own dispersive
 tail, so no leakage is left past the window to check).  A step runs on the
 window rounded up to a STEP_CHUNK-node chunk, so that its array views, a step
 plan, are built once per chunk and level buffer.  A time level is one buffer
-of 2N slots, u_i at slot 2i and v_i at 2i+1: each step operation is one numpy
-pass over the stepped prefix for both components.  Each level is measured once, on
-its window, when it is made: |z|, then its sup norm (|z| at its argmax),
-then the sources in their own component's slots, |u|^q and |v|^p (one
-contiguous power when p = q, np.square for exponent 2); each update adds
-its partner's.  2 w is formed once per step for the Laplacian and the
+of c N slots, with c the component stride.  A coupled run has c = 2, u_i at slot
+2i and v_i at 2i+1: each step operation is one numpy pass over the stepped prefix
+for both components.  A symmetric run, p = q as floats, one shared damping profile
+object and u-data byte-equal to the v-data, is the single equation
+u_tt - lap(u) + b u_t = |u|^p: v repeats u bit for bit, so it has c = 1, one slot
+per node that u and v both read, and each step does the work of one component.
+Each level is measured once, on its window, when it is made: |z|, then its sup
+norm (|z| at its argmax), then the sources in their own component's slots,
+|u|^q and |v|^p (one contiguous power when p = q, np.square for exponent 2);
+each update adds its partner's.  2 w is formed once per step for the Laplacian and the
 update; an undamped update skips + 0 w_prev and / 1, exact identities
 there.  Functional sampling and the critical verifier read a run as
 observers of run_until_blowup, each at the cadence of its own (every,
@@ -163,9 +167,12 @@ def check_run(params: SystemParams, data: InitialData, grid: GridConfig) -> None
 
 class GridState:
     """One radial solution snapshot (two time levels, t = 0 before the first
-    `step`) plus grid metadata; u, v, u_prev and v_prev are strided views of
-    the interleaved levels.  Both levels and the sources are +0.0 at every node
-    past the cone window m, although a step runs on m rounded up to a chunk."""
+    `step`) plus grid metadata; u, v, u_prev and v_prev are views of the levels
+    with the component stride _c: strided views of interleaved levels when
+    _c = 2, and on a symmetric run (_c = 1, see the module docstring) u and v
+    are the same view of one level, as are u_prev and v_prev.  Both levels and
+    the sources are +0.0 at every node past the cone window m, although a step
+    runs on m rounded up to a chunk."""
 
     def __init__(self, params: SystemParams, profiles, data: InitialData, grid: GridConfig):
         check_run(params, data, grid)
@@ -184,14 +191,19 @@ class GridState:
         self.u_init, self.ut_init, self.v_init, self.vt_init = (
             params.eps * amp * bump for amp in (data.u0_amp, data.u1_amp, data.v0_amp, data.v1_amp))
 
+        self._p, self._q = float(params.p), float(params.q)
+        # bytes, not ==: +0.0 and -0.0 amplitudes compare equal
+        symmetric = (self._p == self._q and self.b2 is self.b1
+                     and self.u_init.tobytes() == self.v_init.tobytes()
+                     and self.ut_init.tobytes() == self.vt_init.tobytes())
+        c = self._c = 1 if symmetric else 2
         # `step` writes the new level into _z_prev
-        self._z, self._z_prev = np.zeros(2 * self.r.size), np.zeros(2 * self.r.size)
+        self._z, self._z_prev = np.zeros(c * self.r.size), np.zeros(c * self.r.size)
         self.u[:], self.v[:] = self.u_init, self.v_init
         self.t, self.step_index = 0.0, 0
         self.m = self._window(0.0)
-        self._p, self._q = float(params.p), float(params.q)
         self._dr2 = dr ** 2
-        self._two_dr_r = np.repeat(2.0 * dr * self.r, 2)
+        self._two_dr_r = np.repeat(2.0 * dr * self.r, c)
         # work buffers of _laplacian, _advance and functionals, and the step plans
         # over them, one per level buffer
         self._lap, self._work, self._tmp = (np.zeros_like(self._z) for _ in range(3))
@@ -201,10 +213,10 @@ class GridState:
         with np.errstate(over="ignore", invalid="ignore"):
             self._measure()
 
-    u = property(lambda self: self._z[0::2])
-    v = property(lambda self: self._z[1::2])
-    u_prev = property(lambda self: self._z_prev[0::2])
-    v_prev = property(lambda self: self._z_prev[1::2])
+    u = property(lambda self: self._z[0::self._c])
+    v = property(lambda self: self._z[self._c - 1::self._c])
+    u_prev = property(lambda self: self._z_prev[0::self._c])
+    v_prev = property(lambda self: self._z_prev[self._c - 1::self._c])
 
     def _window(self, t: float) -> int:
         """Length of the grid prefix that can be nonzero at time t: the exact
@@ -218,8 +230,8 @@ class GridState:
         buffer (the next step writes it after reading the sources), the sup norm
         (|z| at its argmax, the first NaN if there is one: the float max gives),
         and outside linear mode the sources, |u|^q at the u slots and |v|^p at
-        the v slots."""
-        k, src = 2 * self.m, self._src
+        the v slots (one slot for both when _c = 1)."""
+        k, src = self._c * self.m, self._src
         z_abs = np.abs(self._z[:k], out=self._lap[:k])
         self._sup = float(z_abs[z_abs.argmax()])
         if self.grid.linear_mode:
@@ -245,9 +257,9 @@ class GridState:
                 np.multiply(n - 1, tmp, out=tmp)
             np.divide(tmp, plan.two_dr_r, out=tmp)
             np.add(inner, tmp, out=inner)
-        z0, z1, z2, z3 = plan.head.tolist()
-        plan.lap[0] = n * 2.0 * (z2 - z0) / dr2
-        plan.lap[1] = n * 2.0 * (z3 - z1) / dr2
+        z, c = plan.head.tolist(), plan.c
+        for i in range(c):
+            plan.lap[i] = n * 2.0 * (z[c + i] - z[i]) / dr2
 
     def integral(self, f) -> float:
         """Trapezoid integral of f, given on the grid or on a prefix of it."""
@@ -255,9 +267,10 @@ class GridState:
 
     def functionals(self) -> tuple[float, float, float, float, float]:
         # U, V, Nu, Nv; a contiguous copy keeps the dot's sum order
-        k, buf, src, sums = 2 * self.m, self._work[:self.m], self._src, []
+        c, buf, src, sums = self._c, self._work[:self.m], self._src, []
+        k = c * self.m
         with np.errstate(over="ignore", invalid="ignore"):
-            for f in (self._z[0:k:2], self._z[1:k:2], src[0:k:2], src[1:k:2]):
+            for f in (self._z[0:k:c], self._z[c - 1:k:c], src[0:k:c], src[c - 1:k:c]):
                 np.copyto(buf, f)
                 sums.append(self.integral(buf))
         return (*sums, self._sup)
@@ -281,22 +294,24 @@ class _StepPlan:
     """The array views one step reads and writes on the nodes [0, k) while a given
     one of the two level buffers is current: z (the current level), new (the
     level before it, overwritten), the sources, the work buffers and their
-    component slots (u at the even slots, v at the odd ones)."""
+    component slots with the state's stride c (u at the even slots and v at the
+    odd ones when c = 2, one slot for both when c = 1)."""
 
     def __init__(self, state: GridState, k: int):
-        j, z = 2 * k, state._z
-        self.k = k
+        c, z = state._c, state._z
+        j = c * k
+        self.k, self.c = k, c
         self.z, self.new, self.src = z[:j], state._z_prev[:j], state._src[:j]
         self.acc, self.lap = state._work[:j], state._lap[:j]
         # the Laplacian's interior nodes [1, k), their neighbours and 2 z at them
-        self.inner, self.tmp, self.two_z = self.lap[2:], state._tmp[2:j], self.acc[2:]
-        self.right, self.left, self.head = z[4:j + 2], z[:j - 2], z[:4]
-        self.two_dr_r = state._two_dr_r[2:j]
-        self.z_u, self.z_v = self.z[0::2], self.z[1::2]
-        self.new_u, self.new_v = self.new[0::2], self.new[1::2]
-        self.src_u, self.src_v = self.src[0::2], self.src[1::2]
-        self.acc_u, self.acc_v = self.acc[0::2], self.acc[1::2]
-        self.lap_u, self.lap_v = self.lap[0::2], self.lap[1::2]
+        self.inner, self.tmp, self.two_z = self.lap[c:], state._tmp[c:j], self.acc[c:]
+        self.right, self.left, self.head = z[2 * c:j + c], z[:j - c], z[:2 * c]
+        self.two_dr_r = state._two_dr_r[c:j]
+        self.z_u, self.z_v = self.z[0::c], self.z[c - 1::c]
+        self.new_u, self.new_v = self.new[0::c], self.new[c - 1::c]
+        self.src_u, self.src_v = self.src[0::c], self.src[c - 1::c]
+        self.acc_u, self.acc_v = self.acc[0::c], self.acc[c - 1::c]
+        self.lap_u, self.lap_v = self.lap[0::c], self.lap[c - 1::c]
         self.ut, self.vt = state.ut_init[:k], state.vt_init[:k]
 
 
@@ -315,16 +330,20 @@ def _advance(state: GridState, k: int, b1: float, b2: float) -> None:
     np.multiply(2.0, plan.z, out=acc)
     state._laplacian(plan)
     if state.step_index == 0:
-        # second-order Taylor start from the PDE at t = 0
+        # second-order Taylor start from the PDE at t = 0, once per component slot
         for b, new_w, w, w_t0, lap_w, src_w in (
                 (b1, plan.new_u, plan.z_u, plan.ut, plan.lap_u, plan.src_v),
-                (b2, plan.new_v, plan.z_v, plan.vt, plan.lap_v, plan.src_u)):
+                (b2, plan.new_v, plan.z_v, plan.vt, plan.lap_v, plan.src_u))[:plan.c]:
             new_w[...] = w + dt * w_t0 + 0.5 * dt * dt * (lap_w - b * w_t0 + src_w)
         return
     # (2 w - w_prev + half w_prev + dt^2 (lap + src)) / (1 + half), one
     # operation at a time in that order; w_prev is read before it is written
-    np.add(plan.lap_u, plan.src_v, out=plan.lap_u)
-    np.add(plan.lap_v, plan.src_u, out=plan.lap_v)
+    if plan.c == 1:
+        # each slot is u and v at once, and its own source is its partner's
+        np.add(lap, plan.src, out=lap)
+    else:
+        np.add(plan.lap_u, plan.src_v, out=plan.lap_u)
+        np.add(plan.lap_v, plan.src_u, out=plan.lap_v)
     np.multiply(dt * dt, lap, out=lap)
     np.subtract(acc, new, out=acc)
     if b1 == 0.0 and b2 == 0.0:
@@ -332,7 +351,7 @@ def _advance(state: GridState, k: int, b1: float, b2: float) -> None:
         np.add(acc, lap, out=new)
         return
     if b2 is b1:
-        # a shared profile's b scales all 2k slots at once
+        # a shared profile's b scales all c k slots at once
         half = 0.5 * b1 * dt
         np.multiply(half, new, out=new)
         np.add(acc, new, out=acc)
@@ -366,9 +385,10 @@ def step(state: GridState) -> GridState:
     _advance(state, k, b1, b2)
     if k > m_new:
         # the window grows at most one node a step: only node m_new, the old
-        # window when it did not grow, can hold the scheme's tail
-        z_new, j = state._z_prev, 2 * m_new
-        z_new[j] = z_new[j + 1] = 0.0
+        # window when it did not grow, can hold the scheme's tail (one slot when c = 1)
+        c = state._c
+        z_new, j = state._z_prev, c * m_new
+        z_new[j] = z_new[j + c - 1] = 0.0
     state._z_prev, state._z = state._z, state._z_prev
     state.t, state.m = t_new, m_new
     state.step_index += 1
@@ -567,13 +587,13 @@ class CriticalStream:
         self._parts = (_Component(quad_u, profiles[0], 0, 3), _Component(quad_v, profiles[1], 1, 2))
 
     def __call__(self, state: GridState) -> None:
-        m, t = state.m, state.t
-        k, z, w = 2 * m, self._buf[:m], state.weights[:m]
+        m, t, c = state.m, state.t, state._c
+        k, z, w = c * m, self._buf[:m], state.weights[:m]
         u, v = self._parts
         with np.errstate(over="ignore", invalid="ignore"):
             # one 1-D multiply per column: a 2-wide broadcast costs 3-5 times as much
-            for col, f in enumerate((state._z[0:k:2], state._z[1:k:2],
-                                     state._src[0:k:2], state._src[1:k:2])):
+            for col, f in enumerate((state._z[0:k:c], state._z[c - 1:k:c],
+                                     state._src[0:k:c], state._src[c - 1:k:c])):
                 np.multiply(f, w, out=z[:, col])
             prod_u = u.quad.phi_mat[:, :m] @ z
             prods = (prod_u, prod_u if v.quad is u.quad else v.quad.phi_mat[:, :m] @ z)

@@ -111,8 +111,11 @@ def step_identity_residual(params, profiles, data, grid, sources=("Nv", "Nu"), o
     (the coefficients of u_0 and u_1 are +pi and -pi there), zero at n = 1 and 3,
     and zero throughout with origin=False."""
     nodes = []  # u_0, v_0, u_1, v_1 of every level
-    _, tr = sampled_run(params, profiles, data, grid,
-                        (1, lambda state: nodes.append(state._z[:4].copy())), sim=sim)
+
+    def observe(state):
+        nodes.append((state.u[0], state.v[0], state.u[1], state.v[1]))
+
+    _, tr = sampled_run(params, profiles, data, grid, (1, observe), sim=sim)
     u0, v0, u1, v1 = np.array(nodes).T
     weight = math.pi if origin and params.n == 2 else 0.0
     worst = 0.0

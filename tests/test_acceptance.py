@@ -219,7 +219,7 @@ def test_criterion_6_simulator_correctness(free_wave_error):
     # the window invariant: every slot past the cone window is +0.0, bit for bit
     cone = run_until_blowup(params, (ZERO, ZERO), BUMPS, GridConfig(dr=0.02, horizon=5.0)).state
     contained = cone.m < cone.r.size and not any(
-        buf[2 * cone.m:].view(np.uint64).any() for buf in (cone._z, cone._z_prev, cone._src))
+        buf[cone._c * cone.m:].view(np.uint64).any() for buf in (cone._z, cone._z_prev, cone._src))
 
     # the order of the sup error against the exact n = 1 free wave (d'Alembert)
     coarse, fine = (free_wave_error(1, dr, 0.0) for dr in (0.04, 0.02))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from blowup_lab import auxiliary, cli, iteration, simulator
-from blowup_lab.cli import ConfigError, _prepare, main
+from blowup_lab.cli import ConfigError, _modal_nodes, _prepare, main
 from blowup_lab.plotting import PlotSeries, emit_plot, loglog_fit_series
 
 #: a critical verify whose lambda r passes 710 at t = 730: Phi overflows (ROADMAP item 5)
@@ -384,13 +384,33 @@ class TestKernels:
 
     def test_modal_grid_budget_boundary(self):
         # lambda = 1e10 is an OVER_BUDGET case of the contract tests; this pins the edge:
-        # the step is 1e-3 up to lambda = 50, so a horizon of 1048 fits 2^20 nodes, 1049 does not
-        cfg = {"n": 3, "orders": ["1/2"], "t_points": 2, "x_points": 2, "lambdas": [50.0]}
+        # the step is 1e-3 at lambda = 1 up to a horizon of 6e7, so a horizon of 1048 fits
+        # 2^20 nodes, 1049 does not
+        cfg = {"n": 3, "orders": ["1/2"], "t_points": 2, "x_points": 2, "lambdas": [1.0]}
         assert _prepare("kernels", {**cfg, "horizon": 1048.0})
         with pytest.raises(ConfigError, match="budget"):
             _prepare("kernels", {**cfg, "horizon": 1049.0})
         with pytest.raises(ConfigError, match="budget"):  # the step ratio overflows to inf
             _prepare("kernels", {**cfg, "lambdas": [1e300], "horizon": 1e300})
+
+    def test_modal_step(self):
+        # 1e-3 up to lambda = 20 at horizons up to 10; past it RK4's error, about
+        # (lambda h)^4 lambda horizon / 120, is held to half the tolerance
+        for lam in (0.05, 0.5, 1.0, 2.2, 10.0, 20.0):
+            for horizon in (0.5, 2.0, 3.0, 10.0):
+                assert _modal_nodes(lam, horizon) == round(horizon / 1e-3) + 1
+        for lam in (30.0, 40.0, 100.0):
+            steps = _modal_nodes(lam, 10.0) - 1
+            assert 0.99 <= (lam * 10.0 / steps) ** 4 * lam * 10.0 / 120 / 5e-7 <= 1.01, lam
+
+    def test_zero_damping_pair_passes_at_large_lambda(self, tmp_path):
+        # b = 0 makes the bounds equalities; on a 1e-3 step RK4 missed them by slacks of
+        # -2.0e-6 (lambda 30) and -8.3e-6 (lambda 40) against the 1e-6 tolerance
+        cfg = {"lambdas": [20, 30, 40], "damping": {"kind": "zero"}}
+        code, out = run_cli(tmp_path, "kernels", cfg)
+        assert code == 0
+        summary = (out / "summary.txt").read_text()
+        assert "CHECK fundamental-pair-bounds: PASS (lam=20:ok lam=30:ok lam=40:ok)" in summary
 
     def test_quadrature_budgets_boundary(self):
         # quad_nodes 1e13 and x_points 1e13 are OVER_BUDGET cases of the contract tests;

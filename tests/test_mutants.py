@@ -41,13 +41,15 @@ MUTANTS = [
     ("drop the (n-1)/(2 dr r) term",
      "np.add(inner, tmp, out=inner)", "inner"),
     ("n - 1 in place of n at the origin",
-     "plan.lap[0] = n * 2.0 * (z2 - z0) / dr2\n        plan.lap[1] = n * 2.0",
-     "plan.lap[0] = (n - 1) * 2.0 * (z2 - z0) / dr2\n        plan.lap[1] = (n - 1) * 2.0"),
+     "plan.lap[i] = n * 2.0 * (z[c + i] - z[i]) / dr2",
+     "plan.lap[i] = (n - 1) * 2.0 * (z[c + i] - z[i]) / dr2"),
     ("the Taylor start without 1/2 dt^2",
      " + 0.5 * dt * dt * (lap_w - b * w_t0 + src_w)", ""),
     ("each component adding its own source",
-     "np.add(plan.lap_u, plan.src_v, out=plan.lap_u)\n    np.add(plan.lap_v, plan.src_u,",
-     "np.add(plan.lap_u, plan.src_u, out=plan.lap_u)\n    np.add(plan.lap_v, plan.src_v,"),
+     "np.add(plan.lap_u, plan.src_v, out=plan.lap_u)\n        np.add(plan.lap_v, plan.src_u,",
+     "np.add(plan.lap_u, plan.src_u, out=plan.lap_u)\n        np.add(plan.lap_v, plan.src_v,"),
+    ("the one-component update without its source",
+     "np.add(lap, plan.src, out=lap)", "pass"),
     ("damping evaluated at the new level's time",
      "b1 = state.b1.b(state.t)\n    b2 = b1 if state.b2 is state.b1 else state.b2.b(state.t)",
      "b1 = state.b1.b(t_new)\n    b2 = b1 if state.b2 is state.b1 else state.b2.b(t_new)"),
@@ -59,11 +61,20 @@ MUTANTS = [
     ("_cumleft as a right-endpoint sum",
      "np.cumsum(y[:-1] * np.diff(t))", "np.cumsum(y[1:] * np.diff(t))"),
     ("drop the tail zeroing",
-     "z_new[j] = z_new[j + 1] = 0.0", "pass"),
+     "z_new[j] = z_new[j + c - 1] = 0.0", "pass"),
     ("key the plan without the buffer parity",
      "state.step_index % 2", "0"),
     ("the sup norm at the argmin of |z|",
      "z_abs[z_abs.argmax()]", "z_abs[z_abs.argmin()]"),
+    # the one-component guard, one condition at a time
+    ("the one-component guard without the data condition",
+     "self.b2 is self.b1\n                     and self.u_init.tobytes() == self.v_init.tobytes()\n"
+     "                     and self.ut_init.tobytes() == self.vt_init.tobytes())",
+     "self.b2 is self.b1)"),
+    ("the one-component guard without b2 is b1",
+     "self._p == self._q and self.b2 is self.b1\n", "self._p == self._q\n"),
+    ("the one-component guard without p == q",
+     "symmetric = (self._p == self._q and ", "symmetric = ("),
 ]
 
 
@@ -94,6 +105,24 @@ def windowed_levels(sim):
         assert state.u.tobytes() == u.tobytes() and state.v.tobytes() == v.tobytes()
         assert not np.any(state._z[2 * state.m:]) and not np.any(state._src[2 * state.m:])
         sim.step(state)
+
+
+def guarded_layout(sim):
+    # a symmetric run, then runs that each break one condition of the one-component
+    # guard (equal data, one shared profile object, p = q), against the two-component
+    # reference, byte for byte
+    equal, params = simulator.InitialData(1.0, 0.3, 1.0, 0.3), SystemParams(2, F(2), F(2), eps=1.0)
+    cases = [(params, (POLY, POLY), equal),
+             (params, (POLY, POLY), simulator.InitialData(1.0, 0.3, 0.7, 0.2)),
+             (params, (ZERO, POLY), equal), (replace(params, q=F(3)), (POLY, POLY), equal)]
+    grid = simulator.GridConfig(dr=0.05, horizon=2.0)
+    for params, profiles, data in cases:
+        state = sim.GridState(params, profiles, data, grid)
+        ref = reference_levels(sim.GridState(params, profiles, data, grid))
+        for _ in range(40):
+            t, u, v = next(ref)
+            assert state.u.tobytes() == u.tobytes() and state.v.tobytes() == v.tobytes()
+            sim.step(state)
 
 
 def step_identity(sim):
@@ -131,7 +160,7 @@ def frames_on_a_blowup_run(sim):
     assert sim.verify_identities(tr, (ZERO, ZERO), params).inequalities_hold()
 
 
-ORACLES = [windowed_levels, step_identity, exact_free_waves, critical_double_sum,
+ORACLES = [windowed_levels, guarded_layout, step_identity, exact_free_waves, critical_double_sum,
            frames_on_a_blowup_run]
 
 

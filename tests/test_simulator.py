@@ -101,7 +101,7 @@ class TestStep:
         state = run_until_blowup(params1d(), (ZERO, ZERO), BUMPS, grid).state
         assert state.m < state.r.size
         for buf in (state._z, state._z_prev, state._src):
-            assert not buf[2 * state.m:].view(np.uint64).any()
+            assert not buf[state._c * state.m:].view(np.uint64).any()
 
 
 def reference_record(params, profiles, data, grid):
@@ -291,14 +291,15 @@ class TestInterleavedLayout:
             return original(x, *args, **kwargs)
 
         state = init_state(params1d(), (ZERO, ZERO), BUMPS, GridConfig(dr=0.1, horizon=2.0))
+        assert state._c == 1  # symmetric data: one slot per node
         step(state)
         monkeypatch.setattr(np, "abs", counting_abs)
         windows = []
         for _ in range(5):
             state.sup_norm()  # what run_until_blowup checks at every level
             step(state)
-            windows.append(2 * state.m)
-        assert calls == windows  # one call over the (u, v) slots of each new window
+            windows.append(state._c * state.m)
+        assert calls == windows  # one call over the slots of each new window
 
     def test_observers_see_the_live_state_at_their_own_cadence(self):
         # every observer is called at the multiples of its cadence up to the step the
@@ -381,6 +382,75 @@ class TestInterleavedLayout:
             assert ta == tb and np.array_equal(ua, vb) and np.array_equal(va, ub)
 
 
+class TestOneComponentLevels:
+    """p = q, one shared profile object and byte-equal data: v repeats u bit for
+    bit, so a level is one slot per node that u and v both read (c = 1)."""
+
+    SYMMETRIC = InitialData(1.0, 0.3, 1.0, 0.3)
+
+    @pytest.mark.parametrize("n,p", [(1, F(2)), (2, F(3, 2)), (3, ROOT2)])
+    @pytest.mark.parametrize("damping", [ZERO, POLY], ids=["zero", "poly"])
+    @pytest.mark.parametrize("linear", [False, True], ids=["nonlinear", "linear"])
+    def test_matches_the_two_component_reference(self, n, p, damping, linear):
+        # every level byte for byte, signed zeros included
+        params = SystemParams(n, p, p, R=1.0, eps=1.0)
+        grid = GridConfig(dr=0.04, horizon=8.0, linear_mode=linear)
+        state = init_state(params, (damping, damping), self.SYMMETRIC, grid)
+        ref = reference_levels(init_state(params, (damping, damping), self.SYMMETRIC, grid))
+        assert state._c == 1
+        for _ in range(300):
+            t, u, v = next(ref)
+            assert state.t == t
+            assert state.u.tobytes() == u.tobytes() and state.v.tobytes() == v.tobytes()
+            step(state)
+        assert state.m < state.r.size
+
+    def test_u_and_v_are_one_view(self):
+        grid = GridConfig(dr=0.1, horizon=2.0)
+        state = init_state(params1d(), (POLY, POLY), self.SYMMETRIC, grid)
+        for _ in range(3):
+            for u, v in ((state.u, state.v), (state.u_prev, state.v_prev)):
+                assert u.__array_interface__ == v.__array_interface__
+                assert u.base is v.base and u.size == state.r.size
+            assert not np.may_share_memory(state.u, state.u_prev)
+            step(state)
+
+    @pytest.mark.parametrize("p,q,profiles,data,c", [
+        (F(2), F(2), (POLY, POLY), SYMMETRIC, 1),
+        (F(2), F(2), (POLY, POLY), InitialData(1.0, 0.3, 1.0, 0.2), 2),
+        # +0.0 and -0.0 amplitudes compare equal, but the data are not the same bits
+        (F(2), F(2), (ZERO, ZERO), InitialData(1.0, 0.0, 1.0, -0.0), 2),
+        (F(2), F(2), (ZERO, ZERO), InitialData(-0.0, 0.3, 0.0, 0.3), 2),
+        (F(2), F(2), (POLY, replace(POLY)), SYMMETRIC, 2),
+        (F(2), F(2), (ZERO, POLY), SYMMETRIC, 2),
+        (F(2), F(3), (POLY, POLY), SYMMETRIC, 2),
+    ], ids=["symmetric", "speeds", "signed-zero-speed", "signed-zero-amplitude",
+            "equal-profiles", "profiles", "orders"])
+    def test_the_guard(self, p, q, profiles, data, c):
+        state = init_state(params1d(p=p, q=q), profiles, data, GridConfig(dr=0.1, horizon=2.0))
+        assert state._c == c and np.shares_memory(state.u, state.v) == (c == 1)
+
+    def test_critical_report_equals_the_two_component_one(self):
+        # a distinct but equal profile object keeps both components (c = 2) and
+        # changes no float: the trace, the record and the report agree bit for bit
+        params = SystemParams(3, ROOT2, ROOT2, R=1.0, eps=1.0)
+        grid = GridConfig(dr=0.05, horizon=4.0)
+        runs = []
+        for profiles in ((POLY, POLY), (POLY, replace(POLY))):
+            stream = CriticalStream(params, profiles, grid, 10, quad_nodes=16)
+            res, tr, _ = run_with_snapshots(params, profiles, self.SYMMETRIC, grid, 10, stream)
+            runs.append((res, tr, verify_critical_inequalities(stream, log_window=(2.0, 4.0))))
+        (one, tr_one, rep_one), (two, tr_two, rep_two) = runs
+        assert (one.state._c, two.state._c) == (1, 2)
+        assert one.record == two.record
+        for f in fields(tr_one):
+            assert getattr(tr_one, f.name).tobytes() == getattr(tr_two, f.name).tobytes(), f.name
+        assert rep_one.t_checked.size == 16 and rep_one.bounds_hold()
+        for f in fields(rep_one):
+            assert np.array_equal(getattr(rep_one, f.name), getattr(rep_two, f.name),
+                                  equal_nan=True), f.name
+
+
 class TestStepCalls:
     """The numpy calls of a step, the new level's measurement included: one
     contiguous source power when p = q, np.square for an exponent of 2, and a
@@ -390,9 +460,9 @@ class TestStepCalls:
 
     @classmethod
     def calls_per_level(cls, monkeypatch, state, levels=5):
-        """[(2m, [(name, size of the first argument, contiguous)])] of each step
-        past the Taylor start, with the window m of the level it makes; the run's
-        sup norm check before it makes no call."""
+        """[(c m, [(name, size of the first argument, contiguous)])] of each step
+        past the Taylor start, with the window m of the level it makes and the
+        component stride c; the run's sup norm check before it makes no call."""
         out = []
 
         def wrap(name):
@@ -411,7 +481,7 @@ class TestStepCalls:
             out.append((None, []))
             state.sup_norm()
             step(state)
-            out[-1] = (2 * state.m, out[-1][1])
+            out[-1] = (state._c * state.m, out[-1][1])
         monkeypatch.undo()
         return out
 
@@ -423,8 +493,9 @@ class TestStepCalls:
         (3, ROOT2, F(2), [("square", False), ("power", False)]),
     ])
     def test_source_powers_per_level(self, monkeypatch, n, p, q, expect):
-        # p = q: one power over the 2m slots; p != q: |u|^q then |v|^p, each
-        # over the m strided slots of its component; np.square for exponent 2
+        # p = q: one power over the c m slots (m on these symmetric data);
+        # p != q: |u|^q then |v|^p, each over the m strided slots of its component;
+        # np.square for exponent 2
         params = SystemParams(n, p, q, R=1.0, eps=1.0)
         state = init_state(params, (ZERO, ZERO), BUMPS, GridConfig(dr=0.1, horizon=2.0))
         for slots, calls in self.calls_per_level(monkeypatch, state):
@@ -447,17 +518,30 @@ class TestStepCalls:
             step(state)
         assert np.any(state.u != 0.0)
 
-    @pytest.mark.parametrize("n,p,budget", [(1, F(2), (12, 15)), (2, F(3, 2), (15, 18)),
-                                            (3, ROOT2, (16, 19))])
-    @pytest.mark.parametrize("damping", [ZERO, POLY], ids=["zero", "poly"])
-    def test_call_budget_per_step(self, monkeypatch, n, p, budget, damping):
+    #: (n, p, (zero, poly)) two-component call budgets of a step
+    BUDGETS = [(1, F(2), (12, 15)), (2, F(3, 2), (15, 18)), (3, ROOT2, (16, 19))]
+
+    def assert_budget(self, monkeypatch, n, p, damping, data, c, want):
         # array calls of a step with its new level's measurement, for a shared profile
         # and p = q; the sup norm's argmax() is a method no wrapper sees, so it counts as 1
         params = SystemParams(n, p, p, R=1.0, eps=1.0)
-        state = init_state(params, (damping, damping), BUMPS, GridConfig(dr=0.1, horizon=2.0))
-        want = budget[damping is POLY]
+        state = init_state(params, (damping, damping), data, GridConfig(dr=0.1, horizon=2.0))
+        assert state._c == c
         for _, calls in self.calls_per_level(monkeypatch, state):
             assert len(calls) + 1 == want, calls
+
+    @pytest.mark.parametrize("n,p,budget", BUDGETS)
+    @pytest.mark.parametrize("damping", [ZERO, POLY], ids=["zero", "poly"])
+    def test_call_budget_per_step(self, monkeypatch, n, p, budget, damping):
+        # symmetric data, one component (c = 1): its sources are one add, not two
+        self.assert_budget(monkeypatch, n, p, damping, BUMPS, 1, budget[damping is POLY] - 1)
+
+    @pytest.mark.parametrize("n,p,budget", BUDGETS)
+    @pytest.mark.parametrize("damping", [ZERO, POLY], ids=["zero", "poly"])
+    def test_two_component_call_budget_per_step(self, monkeypatch, n, p, budget, damping):
+        # p = q with unequal data keeps both components (c = 2)
+        self.assert_budget(monkeypatch, n, p, damping, InitialData(1.0, 0.0, 0.5, 0.0), 2,
+                           budget[damping is POLY])
 
 
 class TestExactSolutions:
@@ -526,7 +610,8 @@ class TestBlowupDetection:
     def test_nan_in_second_component_is_nonfinite(self):
         # the sup norm is taken when a level is made: a NaN put into v reaches the
         # next level's sup norm, and a run detects it there
-        state = init_state(params1d(), (ZERO, ZERO), BUMPS, GridConfig(horizon=2.0))
+        data = InitialData(1.0, 0.0, 0.5, 0.0)  # v in its own slots
+        state = init_state(params1d(), (ZERO, ZERO), data, GridConfig(horizon=2.0))
         state.v[3] = np.nan
         assert state.sup_norm() == 1.0
         step(state)
@@ -538,7 +623,8 @@ class TestBlowupDetection:
         grid = GridConfig(dr=0.1, horizon=40.0, threshold=sys.float_info.max)
         res = run_until_blowup(params1d(eps=5.0), (ZERO, ZERO), BUMPS, grid)
         state = res.state
-        level, before = state._z[:2 * state.m], state._z_prev[:2 * state.m]
+        k = state._c * state.m
+        level, before = state._z[:k], state._z_prev[:k]
         assert res.record.detection is Detection.NONFINITE and res.record.t_blow == state.t
         assert np.any(np.isposinf(level)) and not np.any(np.isnan(level))
         assert np.all(np.isfinite(before))
@@ -578,13 +664,13 @@ class TestSupNorm:
     ], ids=["nan-after-max", "nan-at-0", "inf", "nan-after-inf", "zeros"])
     def test_equals_the_max_of_abs(self, slots):
         state = init_state(params1d(), (ZERO, ZERO), InitialData(0.0, 0.0, 0.0, 0.0), GridConfig(dr=0.1, horizon=2.0))
-        level = state._z[:2 * state.m]
+        level = state._z[:state._c * state.m]
         assert level.size > 10 and not np.any(level)
         for i, x in slots.items():
             level[i] = x
         with np.errstate(over="ignore", invalid="ignore"):
             state._measure()
-        want = float(np.max(np.abs(state._z[:2 * state.m])))
+        want = float(np.max(np.abs(state._z[:state._c * state.m])))
         assert np.float64(state.sup_norm()).tobytes() == np.float64(want).tobytes()
         assert type(state.sup_norm()) is float
 
@@ -594,7 +680,7 @@ class TestSupNorm:
         seen = []
 
         def observe(state):
-            want = float(np.max(np.abs(state._z[:2 * state.m])))
+            want = float(np.max(np.abs(state._z[:state._c * state.m])))
             seen.append(np.float64(state.sup_norm()).tobytes() == np.float64(want).tobytes())
         res = run_until_blowup(params1d(eps=5.0), (POLY, POLY), BUMPS, grid, [(1, observe)])
         assert res.record.detection is Detection.NONFINITE
@@ -626,7 +712,7 @@ class TestSupNorm:
 
     def test_step_silences_overflow_for_direct_callers(self):
         state = init_state(params1d(), (POLY, POLY), BUMPS, GridConfig(dr=0.1, horizon=2.0))
-        state._z[:2 * state.m] *= 1e200
+        state._z[:state._c * state.m] *= 1e200
         with np.errstate(over="raise", invalid="raise"):
             for _ in range(3):
                 step(state)

@@ -190,16 +190,16 @@ _CRITICAL_CONSTANTS = {  # rows in CriticalConstants field order
 _CONSTANTS = {**_SUBCRITICAL_CONSTANTS, **_CRITICAL_CONSTANTS}
 
 
-# Each of these row groups builds one object: its rows follow the parameter
-# order of the constructor, which receives the parsed values under the name.
-# The dataclasses of simulator are imported by their builders, when a command
-# that runs the solver is prepared.
+# Each of these row groups builds one object from the rows a schema has of it,
+# which follow the parameter order of the constructor (a schema leaves out only
+# the last), and the command receives it under the name.  The dataclasses of
+# simulator are imported by their builders, when a solver command is prepared.
 _PARAMS = {
     "n": (_whole, ...),
     "p": (_exponent, ...),
     "q": (_exponent, ...),
-    "R": (_real, exponents.SystemParams.R),
-    "eps": (_real, exponents.SystemParams.eps),
+    "R": (_real, _FIELD),
+    "eps": (_real, _FIELD),
 }
 _GRID = {
     "dr": (_real, _FIELD),
@@ -227,7 +227,7 @@ def _data(values: dict):
 
 
 _GROUPS = (
-    ("params", exponents.SystemParams, _PARAMS),
+    ("params", lambda *values: _build(exponents.SystemParams, values), _PARAMS),
     ("grid", _grid, _GRID),
     ("data", _data, _RUN_DATA),
     # one shared profile object lets the step evaluate b once for both components
@@ -242,7 +242,7 @@ _SIMULATION = {**_PARAMS, **_GRID, **_PROFILES, **_RUN_DATA}
 _SAMPLING = {"sample_every": (_whole, 1)}  # the trace's cadence, in simulate and verify
 
 SCHEMAS = {
-    "classify": {**_PARAMS, "speeds": (_flags, (False, False))},
+    "classify": {**{key: _PARAMS[key] for key in "npq"}, "speeds": (_flags, (False, False))},
     "iterate": {
         **_PARAMS,
         "j_max": (_whole, 9),
@@ -265,7 +265,7 @@ SCHEMAS = {
     },
     "simulate": {**_SIMULATION, **_SAMPLING},
     "sweep": {
-        **_SIMULATION,
+        **{key: row for key, row in _SIMULATION.items() if key != "eps"},
         "eps_list": (_list_of(_real), ...),
         "slope_rtol": (_positive, 0.25),
         "workers": (_whole, None),
@@ -358,9 +358,9 @@ def _prepare(command: str, cfg) -> dict:
     """A command's keyword arguments: its config parsed, groups built, preconditions met."""
     values = _parse(cfg, SCHEMAS[command], command)
     try:
-        for name, build, table in _GROUPS:
-            if table.keys() <= values.keys():
-                values[name] = build(*(values.pop(key) for key in table))
+        for name, build, table in _GROUPS:  # by row, not by key: kernels has its own n and R
+            if rows := [key for key, row in table.items() if SCHEMAS[command].get(key) is row]:
+                values[name] = build(*(values.pop(key) for key in rows))
         if command in _REQUIRE:
             values.update(_REQUIRE[command](**values) or {})
     except (ValueError, OverflowError) as exc:

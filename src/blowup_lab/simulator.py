@@ -26,13 +26,13 @@ norm (|z| at its argmax), then the sources in their own component's slots,
 |u|^q and |v|^p (one contiguous power when p = q, np.square for exponent 2);
 each update adds its partner's.  2 w is formed once per step for the Laplacian and the
 update; an undamped update skips + 0 w_prev and / 1, exact identities
-there.  Functional sampling and the critical verifier read a run as
-observers of run_until_blowup, each at the cadence of its own (every,
-observer) pair; GridConfig holds no cadence.
+there.  Functional sampling and the critical verifier observe a run, each
+at its own (every, observer) cadence, through GridState.fields().
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import threading
@@ -130,9 +130,6 @@ class FunctionalTrace:
     Nv: np.ndarray
     sup: np.ndarray
 
-    def __len__(self) -> int:
-        return self.t.size
-
 
 #: a run's budget with MAX_NODES, and the critical verifier's, in kernel products (README)
 MAX_NODE_STEPS, MAX_STREAM_WORK = 2 ** 30, 2 ** 34
@@ -167,12 +164,10 @@ def check_run(params: SystemParams, data: InitialData, grid: GridConfig) -> None
 
 class GridState:
     """One radial solution snapshot (two time levels, t = 0 before the first
-    `step`) plus grid metadata; u, v, u_prev and v_prev are views of the levels
-    with the component stride _c: strided views of interleaved levels when
-    _c = 2, and on a symmetric run (_c = 1, see the module docstring) u and v
-    are the same view of one level, as are u_prev and v_prev.  Both levels and
-    the sources are +0.0 at every node past the cone window m, although a step
-    runs on m rounded up to a chunk."""
+    `step`) plus grid metadata.  u, v, u_prev and v_prev are views of the levels
+    with the component stride _c (2: interleaved; 1, a symmetric run: u and v one
+    view, as are u_prev and v_prev).  Both levels and the sources are +0.0 at
+    every node past the cone window m, although a step runs on m rounded up to a chunk."""
 
     def __init__(self, params: SystemParams, profiles, data: InitialData, grid: GridConfig):
         check_run(params, data, grid)
@@ -265,12 +260,18 @@ class GridState:
         """Trapezoid integral of f, given on the grid or on a prefix of it."""
         return float(self.weights[: f.size] @ f)
 
+    def fields(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Views of u, v, |u|^q and |v|^p of the current level on its window m, the
+        observers' one reader of the layout; at _c = 1 v is u and |v|^p is |u|^q."""
+        c, k = self._c, self._c * self.m
+        u, nu = self._z[0:k:c], self._src[0:k:c]
+        return (u, u, nu, nu) if c == 1 else (u, self._z[1:k:2], nu, self._src[1:k:2])
+
     def functionals(self) -> tuple[float, float, float, float, float]:
         # U, V, Nu, Nv; a contiguous copy keeps the dot's sum order
-        c, buf, src, sums = self._c, self._work[:self.m], self._src, []
-        k = c * self.m
+        buf, sums = self._work[:self.m], []
         with np.errstate(over="ignore", invalid="ignore"):
-            for f in (self._z[0:k:c], self._z[c - 1:k:c], src[0:k:c], src[c - 1:k:c]):
+            for f in self.fields():
                 np.copyto(buf, f)
                 sums.append(self.integral(buf))
         return (*sums, self._sup)
@@ -569,7 +570,8 @@ class CriticalStream:
     the data, and each snapshot kicks y' with the previous snapshot's source, rotates
     by the snapshot gap and records the weighted average and its bound, O(K) per
     snapshot after one product Phi[:, :m] @ Z per distinct quadrature, where Z holds
-    u W, v W, |u|^q W and |v|^p W on the cone window m (the fields vanish past it).
+    u W, v W, |u|^q W and |v|^p W on the cone window m (the fields vanish past it),
+    four columns even when v is u and u's recurrence serves both (README).
     """
 
     def __init__(self, params: SystemParams, profiles, grid: GridConfig, snapshot_every: int,
@@ -587,13 +589,14 @@ class CriticalStream:
         self._parts = (_Component(quad_u, profiles[0], 0, 3), _Component(quad_v, profiles[1], 1, 2))
 
     def __call__(self, state: GridState) -> None:
-        m, t, c = state.m, state.t, state._c
-        k, z, w = c * m, self._buf[:m], state.weights[:m]
-        u, v = self._parts
+        m, t = state.m, state.t
+        z, w, fields = self._buf[:m], state.weights[:m], state.fields()
+        if not self.t and fields[1] is fields[0]:
+            self._parts = self._parts[:1]  # one component: v's recurrence would repeat u's
+        u, v = self._parts[0], self._parts[-1]
         with np.errstate(over="ignore", invalid="ignore"):
             # one 1-D multiply per column: a 2-wide broadcast costs 3-5 times as much
-            for col, f in enumerate((state._z[0:k:c], state._z[c - 1:k:c],
-                                     state._src[0:k:c], state._src[c - 1:k:c])):
+            for col, f in enumerate(fields):
                 np.multiply(f, w, out=z[:, col])
             prod_u = u.quad.phi_mat[:, :m] @ z
             prods = (prod_u, prod_u if v.quad is u.quad else v.quad.phi_mat[:, :m] @ z)
@@ -646,7 +649,7 @@ def verify_critical_inequalities(
     first component must additionally grow at least like log(2t/3).
     """
     p, q = float(stream.params.p), float(stream.params.q)
-    u, v = stream._parts
+    u, v = stream._parts[0], stream._parts[-1]  # one part when v is u
     first, second = (u, v) if p >= q else (v, u)
     t_checked = np.asarray(stream.t[1:], dtype=float)
     lhs_1, rhs_1, lhs_2, rhs_2 = (np.asarray(x, dtype=float) for x in
@@ -748,47 +751,43 @@ def lifespan_sweep(
     workers: int | None = None,
 ) -> SweepResult:
     """Run one blow-up detection per eps (independently, sweep_workers(...)
-    at once: this process runs eps too, so the pool forks one worker fewer),
-    fit log T against log eps, and compare with the theoretical law.  Records
-    keep the order of eps_list.  An exception from a run, here or in a
-    worker, is raised here once the runs under way end; no further eps
-    starts; a worker's warnings are raised here.  Survived records are excluded
-    from the fit and counted; with fewer than 2 blow-ups the fitted fields are
-    NaN."""
+    at once: this process runs eps too, so the pool forks one worker fewer,
+    and none at one worker), fit log T against log eps, and compare with the
+    theoretical law.  Records keep the order of eps_list.  An exception from a
+    run, here or in a worker, is raised here once the runs under way end; no
+    further eps starts; a worker's warnings are raised here.  Survived records
+    are excluded from the fit and counted; with fewer than 2 blow-ups the
+    fitted fields are NaN."""
     eps_list = list(eps_list)
     check_sweep(params_template, data, grid, eps_list)
     # a sweep keeps only the records: its runs have no observers
     jobs = [(replace(params_template, eps=float(e)), profiles, data, grid) for e in eps_list]
     nw = sweep_workers(len(jobs), workers)
-    if nw > 1:
-        # nw runners, this process and a pool of nw - 1 workers, pull from one
-        # queue, smallest eps first: it runs longest, so it must not start last
-        queue = deque(sorted(range(len(jobs)), key=lambda i: jobs[i][0].eps))
-        runs, errors = [None] * len(jobs), []
-        with ProcessPoolExecutor(max_workers=nw - 1) as pool:
-            def remote(i):
-                return pool.submit(_sweep_caught, jobs[i]).result
+    # nw runners, this process and a pool of nw - 1 workers, pull from one
+    # queue, smallest eps first: it runs longest, so it must not start last
+    queue = deque(sorted(range(len(jobs)), key=lambda i: jobs[i][0].eps))
+    runs, errors = [None] * len(jobs), []
+    with ProcessPoolExecutor(max_workers=nw - 1) if nw > 1 else contextlib.nullcontext() as pool:
+        def remote(i):
+            return pool.submit(_sweep_caught, jobs[i]).result
 
-            firsts = [queue.popleft() for _ in range(nw - 1)]
-            # submitting them here forks the workers from this thread, before
-            # any feeder thread or run here starts
-            feeders = [threading.Thread(target=_drain,
-                                        args=(queue, runs, errors, remote, (i, remote(i))))
-                       for i in firsts]
-            for t in feeders:
-                t.start()
-            # a run here raises its warnings here itself
-            _drain(queue, runs, errors, lambda i: lambda: (_sweep_one(jobs[i]), []))
-            for t in feeders:
-                t.join()
-        if errors:
-            raise errors[0]
-        for _, caught in runs:
-            for category, message in caught:
-                warnings.warn(message, category)
-        records = [rec for rec, _ in runs]
-    else:
-        records = [_sweep_one(j) for j in jobs]
+        # the first nw - 1 jobs, submitted here: that forks the workers from this
+        # thread, before any feeder thread or run here starts
+        feeders = [threading.Thread(target=_drain,
+                                    args=(queue, runs, errors, remote, (i, remote(i))))
+                   for i in [queue.popleft() for _ in range(nw - 1)]]
+        for t in feeders:
+            t.start()
+        # a run here raises its warnings here itself
+        _drain(queue, runs, errors, lambda i: lambda: (_sweep_one(jobs[i]), []))
+        for t in feeders:
+            t.join()
+    if errors:
+        raise errors[0]
+    for _, caught in runs:
+        for category, message in caught:
+            warnings.warn(message, category)
+    records = [rec for rec, _ in runs]
 
     usable = [rec for rec in records if rec.detection is not Detection.SURVIVED]
     excluded = len(records) - len(usable)

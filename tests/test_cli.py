@@ -52,11 +52,15 @@ class TestConfigValidation:
     @pytest.mark.parametrize("command,key", [
         ("simulate", "rmax"), ("sweep", "rmax"), ("verify", "rmax"),
         ("sweep", "sample_every"), ("sweep", "snapshot_every"), ("simulate", "snapshot_every"),
+        ("sweep", "eps"), ("classify", "R"), ("classify", "eps"),
     ])
     def test_key_a_run_does_not_read_is_unknown(self, tmp_path, capsys, command, key):
         # the grid always reaches past the support cone, so there is no rmax to set; simulate
-        # and verify sample the trace, and only verify streams snapshots
-        cfg = {"n": 1, "p": 2, "q": 2, "horizon": 2.0, key: 5}
+        # and verify sample the trace, and only verify streams snapshots; a sweep sets each
+        # run's eps from eps_list, and classify reads neither the support radius nor eps
+        cfg = {"n": 1, "p": 2, "q": 2, key: 5}
+        if command != "classify":
+            cfg["horizon"] = 2.0
         if command == "sweep":
             cfg["eps_list"] = [1.0, 0.8, 0.6, 0.4]
         code, out = run_cli(tmp_path, command, cfg)

@@ -58,6 +58,10 @@ MUTANTS = [
      "_power(z_abs[0::2], self._p, src[0:k:2])\n            _power(z_abs[1::2], self._q,"),
     ("the critical stream's kick weight 1",
      "kick = 0.5 * (t - self.t[", "kick = 1.0 * (t - self.t["),
+    ("the critical stream's one recurrence on two components",
+     "if not self.t and fields[1] is fields[0]:", "if not self.t:"),
+    ("the level's fields reading u as v on two components",
+     "return (u, u, nu, nu) if c == 1 else", "return (u, u, nu, nu) if True else"),
     ("_cumleft as a right-endpoint sum",
      "np.cumsum(y[:-1] * np.diff(t))", "np.cumsum(y[1:] * np.diff(t))"),
     ("drop the tail zeroing",

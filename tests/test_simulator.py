@@ -430,6 +430,40 @@ class TestOneComponentLevels:
         state = init_state(params1d(p=p, q=q), profiles, data, GridConfig(dr=0.1, horizon=2.0))
         assert state._c == c and np.shares_memory(state.u, state.v) == (c == 1)
 
+    def test_fields_are_the_level_on_its_window(self):
+        # u, v, |u|^q, |v|^p; on one component v is u and |v|^p is |u|^q, the same objects
+        grid = GridConfig(dr=0.1, horizon=2.0)
+        for data in (self.SYMMETRIC, InitialData(1.0, 0.3, 0.7, 0.2)):
+            state = init_state(params1d(), (POLY, POLY), data, grid)
+            step(state)
+            u, v, nu, nv = state.fields()
+            assert (v is u, nv is nu) == (data is self.SYMMETRIC,) * 2
+            m = state.m
+            for got, want in ((u, state.u[:m]), (v, state.v[:m]),
+                              (nu, np.abs(state.u[:m]) ** 2.0), (nv, np.abs(state.v[:m]) ** 2.0)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_one_recurrence_on_one_component(self, monkeypatch):
+        # u's recurrence serves v: one advance per snapshot after t = 0, and the
+        # report reads v's fields from it
+        advanced = []
+        advance = simulator._Component.advance
+
+        def counting_advance(part, *args):
+            advanced.append(part)
+            return advance(part, *args)
+
+        monkeypatch.setattr(simulator._Component, "advance", counting_advance)
+        params = SystemParams(3, ROOT2, ROOT2, R=1.0, eps=1.0)
+        grid = GridConfig(dr=0.1, horizon=2.0)
+        stream = CriticalStream(params, (POLY, POLY), grid, 5, quad_nodes=16)
+        res = run_until_blowup(params, (POLY, POLY), self.SYMMETRIC, grid, [(5, stream)])
+        assert res.record.detection is Detection.SURVIVED and len(stream.t) == 9
+        assert len(advanced) == len(stream.t) - 1 and len({id(part) for part in advanced}) == 1
+        rep = verify_critical_inequalities(stream)
+        assert np.array_equal(rep.weighted_u, rep.weighted_v)
+        assert np.array_equal(rep.rhs_u, rep.rhs_v)
+
     def test_critical_report_equals_the_two_component_one(self):
         # a distinct but equal profile object keeps both components (c = 2) and
         # changes no float: the trace, the record and the report agree bit for bit
@@ -902,6 +936,15 @@ class TestCriticalVerifier:
         with pytest.raises(ValueError, match="needs snapshots; set snapshot_every"):
             CriticalStream(params, (ZERO, ZERO), grid, cadence)
 
+    def test_the_stream_reads_the_level_through_fields(self, monkeypatch):
+        # zero views in place of the level's fields zero every weighted average
+        monkeypatch.setattr(simulator.GridState, "fields", lambda state: (np.zeros(state.m),) * 4)
+        params = SystemParams(3, ROOT2, ROOT2, R=1.0, eps=1.0)
+        *_, stream = critical_stream_run(params, (POLY, POLY), BUMPS,
+                                         GridConfig(dr=0.1, horizon=2.0), 5, quad_nodes=16)
+        rep = verify_critical_inequalities(stream)
+        assert rep.t_checked.size == 8 and not rep.weighted_u.any()
+
     def test_peak_memory_does_not_grow_with_snapshots(self):
         # 25 against 193 snapshots: stored copies of u and v would add about 3.7 MB; the
         # first pass fills one-time caches, so it is not measured
@@ -1221,6 +1264,35 @@ class TestSweep:
             lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, GridConfig(), eps, workers=2)
         assert sorted(f.name for f in tmp_path.glob("start-*")) == ["start-0.5", "start-0.6"]
         assert multiprocessing.active_children() == []
+
+    def test_one_worker_runs_here_smallest_eps_first(self, monkeypatch):
+        # the same queue without a pool: every eps runs in this process, smallest
+        # first, records keep the caller's order, and of several failing runs the
+        # first started raises
+        starts = []
+
+        def fake_run(job):
+            eps = job[0].eps
+            assert threading.current_thread() is threading.main_thread()
+            starts.append(eps)
+            if eps < 0.6:
+                raise RuntimeError(f"run at eps {eps} failed")
+            return LifespanRecord(eps, 1.0 / eps, Detection.THRESHOLD)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was made")
+
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(simulator, "_sweep_one", fake_run)
+        eps = [0.7, 1.0, 0.6, 0.9]
+        sweep = lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, GridConfig(), eps, workers=1)
+        assert starts == sorted(eps) and [r.eps for r in sweep.records] == eps
+        starts.clear()
+        with pytest.raises(RuntimeError, match="eps 0.5 failed"):
+            lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, GridConfig(), [1.0, 0.55, 0.9, 0.5],
+                           workers=1)
+        assert starts == [0.5]
 
     def test_workers_count_usable_cpus(self, monkeypatch):
         # a CPU-pinned process counts the CPUs it may run on, not the host's

@@ -335,16 +335,20 @@ def _require_kernels(n, lambda0, R, quad_nodes, orders, t_max, t_points, x_point
 
 
 def _require_run(params, profiles, data, grid, eps_list=None, critical=False,
-                 snapshot_every=None, lambda0=None, quad_nodes=None, **_):
-    """simulate, sweep and verify: every run can start, and a critical verify's kernels."""
+                 snapshot_every=None, lambda0=None, quad_nodes=None, log_window=None, **_):
+    """simulate, sweep and verify: every run can start; a critical verify's kernels, and a
+    log_window [lo, hi] with lo <= min(hi, horizon) > 1.5, so it holds times where log(2t/3) > 0."""
     from blowup_lab import simulator
     if eps_list is None:
         simulator.check_run(params, data, grid)
     else:
         simulator.check_sweep(params, data, grid, eps_list)
-    if critical:
-        simulator.critical_kernel_configs(params, profiles, grid, snapshot_every, lambda0,
-                                          quad_nodes)
+    if not critical:
+        return
+    simulator.critical_kernel_configs(params, profiles, grid, snapshot_every, lambda0, quad_nodes)
+    if log_window and not log_window[0] <= min(log_window[1], grid.horizon) > 1.5:
+        raise ValueError(f"log_window {list(log_window)} holds no checked time: it needs lo <= "
+                         f"hi, lo <= horizon {grid.horizon:g}, and hi and the horizon past 1.5")
 
 
 _REQUIRE = {

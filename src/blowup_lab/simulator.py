@@ -186,9 +186,9 @@ class GridState:
         self.u_init, self.ut_init, self.v_init, self.vt_init = (
             params.eps * amp * bump for amp in (data.u0_amp, data.u1_amp, data.v0_amp, data.v1_amp))
 
-        self._p, self._q = float(params.p), float(params.q)
+        p, q = float(params.p), float(params.q)
         # bytes, not ==: +0.0 and -0.0 amplitudes compare equal
-        symmetric = (self._p == self._q and self.b2 is self.b1
+        symmetric = (p == q and self.b2 is self.b1
                      and self.u_init.tobytes() == self.v_init.tobytes()
                      and self.ut_init.tobytes() == self.vt_init.tobytes())
         c = self._c = 1 if symmetric else 2
@@ -196,11 +196,22 @@ class GridState:
         self._z, self._z_prev = np.zeros(c * self.r.size), np.zeros(c * self.r.size)
         self.u[:], self.v[:] = self.u_init, self.v_init
         self.t, self.step_index = 0.0, 0
-        self.m = self._window(0.0)
-        self._dr2 = dr ** 2
+        # the cone window r <= t + R + 2 dr, as `step` takes it, or the whole grid
+        self._cone = grid.enforce_cone
+        self.m = min(self.r.size, math.floor(R / dr + 2.0) + 1) if self._cone else self.r.size
+        # the step's constant operands 2, dr^2, n - 1 and dt^2 as 0-d float64 arrays, which
+        # numpy takes as they are (it converts a Python float at each call)
+        self._two, self._dr2, self._n1, self._dt2 = (
+            np.array(x) for x in (2.0, dr ** 2, n - 1.0, self.dt * self.dt))
+        self._origin = n * 2.0, dr ** 2  # 2 n and dr^2 in Python floats
         self._two_dr_r = np.repeat(2.0 * dr * self.r, c)
-        # work buffers of _laplacian, _advance and functionals, and the step plans
-        # over them, one per level buffer
+        # a zero-kind profile pair is undamped at every t: the step takes b = 0.0
+        self._zero = self.b1.kind == self.b2.kind == "zero"
+        # the exponents of |u|^q and |v|^p, one when p = q, none in linear mode (_power)
+        exps = tuple(None if e == 2.0 else np.array(e) for e in (q, p))
+        self._exps = () if grid.linear_mode else exps[:1] if p == q else exps
+        # work buffers of the step and functionals, and the step plans over them,
+        # one per level buffer
         self._lap, self._work, self._tmp = (np.zeros_like(self._z) for _ in range(3))
         self._plans = [None, None]
         # |u|^q, |v|^p of the current level in their own slots; zero past the window
@@ -213,48 +224,19 @@ class GridState:
     u_prev = property(lambda self: self._z_prev[0::self._c])
     v_prev = property(lambda self: self._z_prev[self._c - 1::self._c])
 
-    def _window(self, t: float) -> int:
-        """Length of the grid prefix that can be nonzero at time t: the exact
-        solution is supported in r <= t + R; allow a 2 dr buffer."""
-        if not self.grid.enforce_cone:
-            return self.r.size
-        return min(self.r.size, int(math.floor((t + self.params.R) / self.dr + 2.0)) + 1)
-
     def _measure(self) -> None:
-        """Measure the current level on its window: |z| into the Laplacian's
-        buffer (the next step writes it after reading the sources), the sup norm
-        (|z| at its argmax, the first NaN if there is one: the float max gives),
-        and outside linear mode the sources, |u|^q at the u slots and |v|^p at
-        the v slots (one slot for both when _c = 1)."""
-        k, src = self._c * self.m, self._src
-        z_abs = np.abs(self._z[:k], out=self._lap[:k])
+        """Measure the current level on its window: |z| into the Laplacian's buffer (the
+        next step writes it after reading the sources), the sup norm (|z| at its argmax,
+        the first NaN if there is one: the float max gives), and outside linear mode the
+        sources, |u|^q at the u slots and |v|^p at the v slots (one slot when _c = 1)."""
+        k, src, exps = self._c * self.m, self._src, self._exps
+        z_abs = np.abs(self._z[:k], self._lap[:k])
         self._sup = float(z_abs[z_abs.argmax()])
-        if self.grid.linear_mode:
-            return
-        if self._p == self._q:
-            _power(z_abs, self._p, src[:k])
-        else:
-            _power(z_abs[0::2], self._q, src[0:k:2])
-            _power(z_abs[1::2], self._p, src[1:k:2])
-
-    def _laplacian(self, plan: "_StepPlan"):
-        """Radial Laplacian of u and v at the plan's nodes [0, k), k < r.size, into
-        its work buffer, given 2 z in plan.acc: the operations of (u[2:] - 2 u[1:] +
-        u[:-2]) / dr^2 + (n-1) (u[2:] - u[:-2]) / (2 dr r) in order (no factor
-        1 at n = 2), and n u_rr at the origin via the symmetric ghost node."""
-        n, dr2, inner, tmp = self.params.n, self._dr2, plan.inner, plan.tmp
-        np.subtract(plan.right, plan.two_z, out=inner)
-        np.add(inner, plan.left, out=inner)
-        np.divide(inner, dr2, out=inner)
-        if n > 1:
-            np.subtract(plan.right, plan.left, out=tmp)
-            if n > 2:
-                np.multiply(n - 1, tmp, out=tmp)
-            np.divide(tmp, plan.two_dr_r, out=tmp)
-            np.add(inner, tmp, out=inner)
-        z, c = plan.head.tolist(), plan.c
-        for i in range(c):
-            plan.lap[i] = n * 2.0 * (z[c + i] - z[i]) / dr2
+        if len(exps) == 1:
+            _power(z_abs, exps[0], src[:k])
+        elif exps:
+            _power(z_abs[0::2], exps[0], src[0:k:2])
+            _power(z_abs[1::2], exps[1], src[1:k:2])
 
     def integral(self, f) -> float:
         """Trapezoid integral of f, given on the grid or on a prefix of it."""
@@ -282,8 +264,8 @@ class GridState:
 
 
 def _power(x, e, out):
-    # np.square is bit-equal to np.power(x, 2.0) and about twice as fast
-    return np.square(x, out=out) if e == 2.0 else np.power(x, e, out=out)
+    # e is 0-d, or None for 2: np.square is bit-equal to np.power(x, 2.0), twice as fast
+    return np.square(x, out) if e is None else np.power(x, e, out)
 
 
 #: the stepped extent grows in chunks of this many nodes, so one step plan serves
@@ -302,70 +284,83 @@ class _StepPlan:
         c, z = state._c, state._z
         j = c * k
         self.k, self.c = k, c
-        self.z, self.new, self.src = z[:j], state._z_prev[:j], state._src[:j]
-        self.acc, self.lap = state._work[:j], state._lap[:j]
-        # the Laplacian's interior nodes [1, k), their neighbours and 2 z at them
-        self.inner, self.tmp, self.two_z = self.lap[c:], state._tmp[c:j], self.acc[c:]
-        self.right, self.left, self.head = z[2 * c:j + c], z[:j - c], z[:2 * c]
-        self.two_dr_r = state._two_dr_r[c:j]
-        self.z_u, self.z_v = self.z[0::c], self.z[c - 1::c]
-        self.new_u, self.new_v = self.new[0::c], self.new[c - 1::c]
-        self.src_u, self.src_v = self.src[0::c], self.src[c - 1::c]
-        self.acc_u, self.acc_v = self.acc[0::c], self.acc[c - 1::c]
-        self.lap_u, self.lap_v = self.lap[0::c], self.lap[c - 1::c]
-        self.ut, self.vt = state.ut_init[:k], state.vt_init[:k]
+        new, acc, lap, src = state._z_prev[:j], state._work[:j], state._lap[:j], state._src[:j]
+        # z, new, 2 z, the Laplacian, the sources; at the interior nodes [1, k) the
+        # Laplacian, its work buffer, right and left neighbours, 2 z, 2 dr r; the first two nodes
+        self.views = (z[:j], new, acc, lap, src, lap[c:], state._tmp[c:j], z[2 * c:j + c],
+                      z[:j - c], acc[c:], state._two_dr_r[c:j], z[:2 * c])
+        # u's and v's slots of z, new, 2 z, the Laplacian and the sources, and initial speed
+        self.slots = [(z[i:j:c], new[i::c], acc[i::c], lap[i::c], src[i::c], w_t0[:k])
+                      for i, w_t0 in enumerate((state.ut_init, state.vt_init)[:c])]
 
 
 def _advance(state: GridState, k: int, b1: float, b2: float) -> None:
-    """Write the next level on the nodes [0, k) into _z_prev.  The old levels are
-    +0.0 past their windows, so past the old window plus one node the new level
-    reads only +0.0 inputs and comes out +0.0."""
+    """Write the next level on the nodes [0, k), k < r.size, into _z_prev, with the
+    radial Laplacian, given 2 z, in the Laplacian's buffer: the operations of
+    (u[2:] - 2 u[1:] + u[:-2]) / dr^2 + (n-1) (u[2:] - u[:-2]) / (2 dr r) in
+    order (no factor 1 at n = 2), and n u_rr at the origin via the symmetric
+    ghost node.  The old levels are +0.0 past their windows, so past the old
+    window plus one node the new level reads only +0.0 inputs and comes out +0.0."""
     # one plan per level buffer (every step swaps them), rebuilt when k moves
     # to the next chunk, so at most two are alive
     plans, parity = state._plans, state.step_index % 2
     plan = plans[parity]
     if plan is None or plan.k != k:
         plan = plans[parity] = _StepPlan(state, k)
-    dt = state.dt
-    acc, new, lap = plan.acc, plan.new, plan.lap
-    np.multiply(2.0, plan.z, out=acc)
-    state._laplacian(plan)
+    z, new, acc, lap, src, inner, tmp, right, left, two_z, two_dr_r, head = plan.views
+    n, c, dt = state.params.n, plan.c, state.dt
+    np.multiply(state._two, z, acc)
+    np.subtract(right, two_z, inner)
+    np.add(inner, left, inner)
+    np.divide(inner, state._dr2, inner)
+    if n > 1:
+        np.subtract(right, left, tmp)
+        if n > 2:
+            np.multiply(state._n1, tmp, tmp)
+        np.divide(tmp, two_dr_r, tmp)
+        np.add(inner, tmp, inner)
+    (two_n, dr2), z0 = state._origin, head.tolist()
+    for i in range(c):
+        lap[i] = two_n * (z0[c + i] - z0[i]) / dr2
+    slots = plan.slots
     if state.step_index == 0:
-        # second-order Taylor start from the PDE at t = 0, once per component slot
-        for b, new_w, w, w_t0, lap_w, src_w in (
-                (b1, plan.new_u, plan.z_u, plan.ut, plan.lap_u, plan.src_v),
-                (b2, plan.new_v, plan.z_v, plan.vt, plan.lap_v, plan.src_u))[:plan.c]:
+        # second-order Taylor start from the PDE at t = 0, once per component slot,
+        # with its partner's source
+        for b, (w, new_w, _, lap_w, _, w_t0), partner in zip((b1, b2), slots, slots[::-1]):
+            src_w = partner[4]
             new_w[...] = w + dt * w_t0 + 0.5 * dt * dt * (lap_w - b * w_t0 + src_w)
         return
     # (2 w - w_prev + half w_prev + dt^2 (lap + src)) / (1 + half), one
     # operation at a time in that order; w_prev is read before it is written
-    if plan.c == 1:
+    if c == 1:
         # each slot is u and v at once, and its own source is its partner's
-        np.add(lap, plan.src, out=lap)
+        np.add(lap, src, lap)
     else:
-        np.add(plan.lap_u, plan.src_v, out=plan.lap_u)
-        np.add(plan.lap_v, plan.src_u, out=plan.lap_v)
-    np.multiply(dt * dt, lap, out=lap)
-    np.subtract(acc, new, out=acc)
+        (_, _, _, lap_u, src_u, _), (_, _, _, lap_v, src_v, _) = slots
+        np.add(lap_u, src_v, lap_u)
+        np.add(lap_v, src_u, lap_v)
+    np.multiply(state._dt2, lap, lap)
+    np.subtract(acc, new, acc)
     if b1 == 0.0 and b2 == 0.0:
         # + 0 w_prev and / 1 are exact for finite w_prev, as lap + src is never -0
-        np.add(acc, lap, out=new)
+        np.add(acc, lap, new)
         return
     if b2 is b1:
         # a shared profile's b scales all c k slots at once
         half = 0.5 * b1 * dt
-        np.multiply(half, new, out=new)
-        np.add(acc, new, out=acc)
-        np.add(acc, lap, out=acc)
-        np.divide(acc, 1.0 + half, out=new)
+        np.multiply(half, new, new)
+        np.add(acc, new, acc)
+        np.add(acc, lap, acc)
+        np.divide(acc, 1.0 + half, new)
         return
-    halves = ((0.5 * b1 * dt, plan.new_u, plan.acc_u), (0.5 * b2 * dt, plan.new_v, plan.acc_v))
-    for half, new_w, _ in halves:
-        np.multiply(half, new_w, out=new_w)
-    np.add(acc, new, out=acc)
-    np.add(acc, lap, out=acc)
-    for half, new_w, acc_w in halves:
-        np.divide(acc_w, 1.0 + half, out=new_w)
+    (_, new_u, acc_u, _, _, _), (_, new_v, acc_v, _, _, _) = slots  # two profiles: c = 2
+    half_u, half_v = 0.5 * b1 * dt, 0.5 * b2 * dt
+    np.multiply(half_u, new_u, new_u)
+    np.multiply(half_v, new_v, new_v)
+    np.add(acc, new, acc)
+    np.add(acc, lap, acc)
+    np.divide(acc_u, 1.0 + half_u, new_u)
+    np.divide(acc_v, 1.0 + half_v, new_v)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -377,12 +372,13 @@ def step(state: GridState) -> GridState:
     blow-up detection is the caller's job: the step silences overflow and
     invalid operations, and restores the caller's error state on return or
     raise.  Components that share one damping profile object share one
-    evaluation of b."""
-    t_new = state.t + state.dt
-    m_new = state._window(t_new)
-    k = min(-(-m_new // STEP_CHUNK) * STEP_CHUNK, state.r.size - 1)
-    b1 = state.b1.b(state.t)
-    b2 = b1 if state.b2 is state.b1 else state.b2.b(state.t)
+    evaluation of b, and a zero-kind pair evaluates none."""
+    t, t_new, size = state.t, state.t + state.dt, state.r.size
+    m_new = (min(size, math.floor((t_new + state.params.R) / state.dr + 2.0) + 1)
+             if state._cone else size)
+    k = min(-(-m_new // STEP_CHUNK) * STEP_CHUNK, size - 1)
+    b1 = 0.0 if state._zero else state.b1.b(t)
+    b2 = b1 if state._zero or state.b2 is state.b1 else state.b2.b(t)
     _advance(state, k, b1, b2)
     if k > m_new:
         # the window grows at most one node a step: only node m_new, the old

@@ -25,11 +25,20 @@ def sampled_run(params, profiles, data, grid, *observers, sample_every=1, sim=si
     return res, sampler.trace()
 
 
+def cone_window(state, t):
+    """The nodes of the grid's prefix r <= t + R + 2 dr at time t, or the whole
+    grid when the cone is not enforced."""
+    nodes = state.r.size
+    if not state.grid.enforce_cone:
+        return nodes
+    return min(nodes, int(math.floor((t + state.params.R) / state.dr + 2.0)) + 1)
+
+
 def reference_levels(state):
     """Yield (t, u, v) at t = 0, dt, 2 dt, ... from a plain full-grid leapfrog:
     every node is updated, then the nodes past r = t + R + 2 dr are zeroed."""
     params, grid, r = state.params, state.grid, state.r
-    n, R, dr, dt = params.n, params.R, state.dr, state.dt
+    n, dr, dt = params.n, state.dr, state.dt
     b1, b2 = state.b1, state.b2
 
     def sources(u, v):
@@ -46,10 +55,9 @@ def reference_levels(state):
         return out
 
     def cone(t, u, v):
-        start = int(math.floor((t + R) / dr + 2.0)) + 1
-        if grid.enforce_cone and start < r.size:
-            u[start:] = 0.0
-            v[start:] = 0.0
+        start = cone_window(state, t)
+        u[start:] = 0.0
+        v[start:] = 0.0
 
     u_prev, v_prev, ut, vt = state.u_init, state.v_init, state.ut_init, state.vt_init
     yield 0.0, u_prev, v_prev
@@ -145,7 +153,7 @@ def reference_critical_report(result, snapshots, quad_nodes, linear=False):
     p, q = float(params.p), float(params.q)
 
     def weighted_fields(quad, j):
-        m = state._window(s_times[j])
+        m = cone_window(state, s_times[j])
         u, v = u_snaps[j], v_snaps[j]
         z = np.stack([u * W, v * W, np.power(np.abs(u), q) * W, np.power(np.abs(v), p) * W],
                      axis=1)

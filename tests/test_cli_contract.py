@@ -16,6 +16,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -168,6 +169,8 @@ RUNS = [
                  "horizon": 0.01}),
     ("kernels", {"lambdas": [1000.0], "horizon": 0.01}),
     *(("kernels", extra) for extra, _, _ in LAMBDA_RUNS),
+    # a log_window that holds checked times only in (1.5, 2]
+    ("verify", {"critical": True, "snapshot_every": 5, "horizon": 2.0, "log_window": [1.6, 9.0]}),
 ]
 # runs past the resource budget (grid nodes, node-steps, the critical verifier's work, the
 # modal grid, quadrature nodes, values of Phi): rejected before any allocation
@@ -182,6 +185,13 @@ OVER_BUDGET = [
     ("verify", {"critical": True, "snapshot_every": 5, "quad_nodes": 1e13}),
 ]
 
+# critical verifies whose log_window can hold no checked time, rejected before the run:
+# reversed, past the horizon, and ending where log(2t/3) <= 0
+NO_CHECKED_TIME = [
+    ("verify", {"critical": True, "snapshot_every": 5, "horizon": 12.0, "log_window": window})
+    for window in ([12.0, 5.0], [100.0, 200.0], [1.0, 1.5])
+]
+
 
 def with_base(probes):
     def decorate(test):
@@ -194,7 +204,7 @@ def with_base(probes):
 
 @settings(max_examples=100, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
-@with_base(PROBES + RUNS + OVER_BUDGET)
+@with_base(PROBES + RUNS + OVER_BUDGET + NO_CHECKED_TIME)
 @given(case=configs())
 def test_every_config_ends_in_one_of_three_ways(case, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -229,3 +239,11 @@ def test_runs_over_the_resource_budget_are_config_errors():
         assert code == 2 and left == [], (command, extra, code)
         assert stderr.startswith("config error: ") and "budget" in stderr, stderr
         assert stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,extra", NO_CHECKED_TIME,
+                         ids=["reversed", "past-the-horizon", "ending-at-1.5"])
+def test_log_windows_without_a_checked_time_are_config_errors(command, extra):
+    code, _, stderr, left = run(command, {**BASE[command], **extra})
+    assert code == 2 and left == [], (extra, code)
+    assert stderr.startswith("config error: log_window ") and stderr.count("\n") == 1, stderr

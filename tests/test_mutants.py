@@ -39,23 +39,23 @@ SPEEDS = simulator.InitialData(1.0, 0.3, 0.7, -0.2)
 
 MUTANTS = [
     ("drop the (n-1)/(2 dr r) term",
-     "np.add(inner, tmp, out=inner)", "inner"),
+     "np.add(inner, tmp, inner)", "inner"),
     ("n - 1 in place of n at the origin",
-     "plan.lap[i] = n * 2.0 * (z[c + i] - z[i]) / dr2",
-     "plan.lap[i] = (n - 1) * 2.0 * (z[c + i] - z[i]) / dr2"),
+     "self._origin = n * 2.0, dr ** 2", "self._origin = (n - 1) * 2.0, dr ** 2"),
     ("the Taylor start without 1/2 dt^2",
      " + 0.5 * dt * dt * (lap_w - b * w_t0 + src_w)", ""),
     ("each component adding its own source",
-     "np.add(plan.lap_u, plan.src_v, out=plan.lap_u)\n        np.add(plan.lap_v, plan.src_u,",
-     "np.add(plan.lap_u, plan.src_u, out=plan.lap_u)\n        np.add(plan.lap_v, plan.src_v,"),
+     "np.add(lap_u, src_v, lap_u)\n        np.add(lap_v, src_u,",
+     "np.add(lap_u, src_u, lap_u)\n        np.add(lap_v, src_v,"),
     ("the one-component update without its source",
-     "np.add(lap, plan.src, out=lap)", "pass"),
+     "np.add(lap, src, lap)", "pass"),
     ("damping evaluated at the new level's time",
-     "b1 = state.b1.b(state.t)\n    b2 = b1 if state.b2 is state.b1 else state.b2.b(state.t)",
-     "b1 = state.b1.b(t_new)\n    b2 = b1 if state.b2 is state.b1 else state.b2.b(t_new)"),
+     "state.b1.b(t)\n    b2 = b1 if state._zero or state.b2 is state.b1 else state.b2.b(t)",
+     "state.b1.b(t_new)\n    b2 = b1 if state._zero or state.b2 is state.b1 else "
+     "state.b2.b(t_new)"),
     ("p and q swapped in _measure",
-     "_power(z_abs[0::2], self._q, src[0:k:2])\n            _power(z_abs[1::2], self._p,",
-     "_power(z_abs[0::2], self._p, src[0:k:2])\n            _power(z_abs[1::2], self._q,"),
+     "_power(z_abs[0::2], exps[0], src[0:k:2])\n            _power(z_abs[1::2], exps[1],",
+     "_power(z_abs[0::2], exps[1], src[0:k:2])\n            _power(z_abs[1::2], exps[0],"),
     ("the critical stream's kick weight 1",
      "kick = 0.5 * (t - self.t[", "kick = 1.0 * (t - self.t["),
     ("the critical stream's one recurrence on two components",
@@ -76,9 +76,22 @@ MUTANTS = [
      "                     and self.ut_init.tobytes() == self.vt_init.tobytes())",
      "self.b2 is self.b1)"),
     ("the one-component guard without b2 is b1",
-     "self._p == self._q and self.b2 is self.b1\n", "self._p == self._q\n"),
+     "p == q and self.b2 is self.b1\n", "p == q\n"),
     ("the one-component guard without p == q",
-     "symmetric = (self._p == self._q and ", "symmetric = ("),
+     "symmetric = (p == q and ", "symmetric = ("),
+    # the step's operands built once per state, and the undamped shortcut by kind
+    ("dr^2 built as 2 dr",
+     "(2.0, dr ** 2, n - 1.0,", "(2.0, 2.0 * dr, n - 1.0,"),
+    ("dt^2 built as dt",
+     "n - 1.0, self.dt * self.dt)", "n - 1.0, self.dt)"),
+    ("n - 1 built as n",
+     "dr ** 2, n - 1.0, self.dt", "dr ** 2, n + 0.0, self.dt"),
+    ("the source exponents built as (p, q)",
+     "for e in (q, p))", "for e in (p, q))"),
+    ("the step's cone window without its 2 dr buffer",
+     "/ state.dr + 2.0) + 1)", "/ state.dr + 1.0) + 1)"),
+    ("a pair undamped by the kind of its first profile",
+     "self.b1.kind == self.b2.kind == \"zero\"", "self.b1.kind == \"zero\""),
 ]
 
 

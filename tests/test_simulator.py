@@ -126,7 +126,7 @@ class _CountingDamping:
     """Stand-in damping profile that counts its calls to b."""
 
     def __init__(self, profile):
-        self.profile, self.calls = profile, 0
+        self.profile, self.kind, self.calls = profile, profile.kind, 0
 
     def b(self, t):
         self.calls += 1
@@ -232,6 +232,39 @@ class TestWindowedStep:
         calls = first.calls if shared else first.calls + profiles[1].calls
         assert calls == (10 if shared else 20)
         assert np.array_equal(state.u, plain.u) and np.array_equal(state.v, plain.v)
+
+    def test_a_zero_kind_pair_evaluates_no_damping(self):
+        profiles = (_CountingDamping(ZERO), _CountingDamping(ZERO))
+        state = init_state(params1d(), profiles, BUMPS, GridConfig(dr=0.1, horizon=2.0))
+        for _ in range(10):
+            step(state)
+        assert profiles[0].calls == profiles[1].calls == 0
+
+    @pytest.mark.parametrize("profiles,c", [
+        ((DampingProfile.polynomial_tail(0.0, 2.0),) * 2, 1),
+        ((DampingProfile.tabulated([0.0, 0.5], [1.0, 0.25]),) * 2, 1),
+        ((DampingProfile.polynomial_tail(0.0, 2.0), DampingProfile.tabulated([0, 0.5], [0, 0])), 2),
+    ], ids=["poly-mu-0", "table-past-its-last-node", "two-profiles-coupled"])
+    def test_undamped_shortcut_by_value(self, monkeypatch, profiles, c):
+        # profiles not of zero kind whose b reads 0.0 take the undamped update (the
+        # table past t = 0.5): every level is the reference's, byte for byte, signed
+        # zeros included, and a step makes the array calls of a zero-kind pair's step
+        q = F(3, 2) if c == 1 else F(2)
+        params = SystemParams(2, F(3, 2), q, R=1.0, eps=1.0)
+        data = InitialData(1.0, 0.3, 1.0, 0.3) if c == 1 else InitialData(1.0, 0.3, 0.5, -0.2)
+        grid = GridConfig(dr=0.04, horizon=4.0)
+        state = init_state(params, profiles, data, grid)
+        zero = init_state(params, (ZERO, ZERO) if c == 1 else (ZERO, replace(ZERO)), data, grid)
+        ref = reference_levels(init_state(params, profiles, data, grid))
+        assert state._c == zero._c == c and not state._zero and zero._zero
+        for _ in range(200):
+            t, u, v = next(ref)
+            assert state.u.tobytes() == u.tobytes() and state.v.tobytes() == v.tobytes(), t
+            step(state)
+            step(zero)
+        assert all(prof.b(state.t) == 0.0 for prof in profiles)
+        calls = [TestStepCalls.calls_per_level(monkeypatch, s, levels=3) for s in (state, zero)]
+        assert calls[0] == calls[1]
 
     def test_sweep_family_matches_full_grid(self):
         params = SystemParams(2, F(3, 2), F(3, 2), R=1.0, eps=1.0)

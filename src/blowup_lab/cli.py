@@ -280,7 +280,7 @@ SCHEMAS = {
 
 
 # Preconditions: what else a config decides, checked before any work.  Each
-# returns None, or values that replace parsed ones (iterate: the built constants).
+# returns None, or values that replace parsed ones (iterate's constants, verify's window).
 def _require_iterate(params, j_max, scheme, constants, low_dim, speed_integrals, **_):
     from blowup_lab import iteration
     # The trace prints every exact exponent, the last frame's the longest.  Past
@@ -336,8 +336,9 @@ def _require_kernels(n, lambda0, R, quad_nodes, orders, t_max, t_points, x_point
 
 def _require_run(params, profiles, data, grid, eps_list=None, critical=False,
                  snapshot_every=None, lambda0=None, quad_nodes=None, log_window=None, **_):
-    """simulate, sweep and verify: every run can start; a critical verify's kernels, and a
-    log_window [lo, hi] with lo <= min(hi, horizon) > 1.5, so it holds times where log(2t/3) > 0."""
+    """simulate, sweep and verify: every run can start; a critical verify's kernels, and its
+    log_window [lo, hi], by default [5, horizon], with lo <= min(hi, horizon) > 1.5, so it
+    holds times where log(2t/3) > 0: the window that cmd_verify checks."""
     from blowup_lab import simulator
     if eps_list is None:
         simulator.check_run(params, data, grid)
@@ -346,9 +347,11 @@ def _require_run(params, profiles, data, grid, eps_list=None, critical=False,
     if not critical:
         return
     simulator.critical_kernel_configs(params, profiles, grid, snapshot_every, lambda0, quad_nodes)
-    if log_window and not log_window[0] <= min(log_window[1], grid.horizon) > 1.5:
+    log_window = log_window or (5.0, grid.horizon)
+    if not log_window[0] <= min(log_window[1], grid.horizon) > 1.5:
         raise ValueError(f"log_window {list(log_window)} holds no checked time: it needs lo <= "
                          f"hi, lo <= horizon {grid.horizon:g}, and hi and the horizon past 1.5")
+    return {"log_window": log_window}
 
 
 _REQUIRE = {
@@ -491,28 +494,31 @@ def cmd_simulate(out: str, params, profiles, data, grid, sample_every) -> list[C
 def cmd_sweep(out: str, params, profiles, data, grid, eps_list, slope_rtol,
               workers) -> list[Check]:
     from blowup_lab import simulator
-    sweep = simulator.lifespan_sweep(params, profiles, data, grid, eps_list, workers)
-    simulator.write_records_csv(sweep.records, grid, os.path.join(out, "records.csv"))
+    records = simulator.lifespan_sweep(params, profiles, data, grid, eps_list, workers)
+    simulator.write_records_csv(records, grid, os.path.join(out, "records.csv"))
 
-    usable = [r for r in sweep.records if r.detection is not simulator.Detection.SURVIVED]
+    # survived runs have no lifespan: they are left out of the fit and counted
+    usable = [r for r in records if r.detection is not simulator.Detection.SURVIVED]
+    excluded = len(records) - len(usable)
     if len(usable) < 2:
         return [Check("sweep-fit", False,
                       f"{len(usable)} blow-up records, 2 needed to fit a slope; "
-                      f"excluded={sweep.excluded}")]
+                      f"excluded={excluded}")]
     eps = np.array([r.eps for r in usable])
     ts = np.array([r.t_blow for r in usable])
-    fit_series = plotting.loglog_fit_series(eps, sweep.slope, sweep.intercept)
+    slope, intercept = simulator.fit_power_law(eps, ts)
+    theory = float(exponents.lifespan_law(params, data.speed_flags()).exponent)
+    fit_series = plotting.loglog_fit_series(eps, slope, intercept)
     plotting.emit_plot([plotting.PlotSeries(eps, ts, "measured T(eps)"), fit_series],
                        os.path.join(out, "sweep.svg"), title="lifespan sweep", xlabel="eps",
                        ylabel="T", loglog=True)
     mono = bool(np.all(np.diff(ts[np.argsort(eps)]) <= grid.dt + 1e-12))
     return [
-        Check("sweep-fit", sweep.excluded == 0,
-              f"slope={sweep.slope:.6g} theory={sweep.theory_exponent:.6g} "
-              f"excluded={sweep.excluded}"),
+        Check("sweep-fit", excluded == 0,
+              f"slope={slope:.6g} theory={theory:.6g} excluded={excluded}"),
         Check("lifespans-monotone", mono, "smaller eps never blows up sooner"),
-        Check("slope-window", sweep.slope_matches(slope_rtol),
-              f"|{sweep.slope:.4g} - {sweep.theory_exponent:.4g}| <= {slope_rtol:g}|theory|"),
+        Check("slope-window", abs(slope - theory) <= slope_rtol * abs(theory),
+              f"|{slope:.4g} - {theory:.4g}| <= {slope_rtol:g}|theory|"),
     ]
 
 
@@ -536,7 +542,6 @@ def cmd_verify(out: str, params, profiles, data, grid, sample_every, snapshot_ev
               f"C1={report.c1_fit:.4g} K1={report.k1_fit:.4g}"),
     ]
     if critical:
-        log_window = log_window or (5.0, grid.horizon)
         crit = simulator.verify_critical_inequalities(stream, log_window=log_window)
         plotting.write_csv(
             os.path.join(out, "critical_functionals.csv"),

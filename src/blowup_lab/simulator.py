@@ -182,9 +182,11 @@ class GridState:
         with np.errstate(over="ignore"):  # past float range U, V read NaN: trace-finite fails
             self.weights = sphere_area(n - 1) * self.r ** (n - 1) * w
 
-        bump = np.where(self.r < R, (1.0 - np.minimum(self.r / R, 1.0) ** 2) ** 4, 0.0)
+        # +0.0 past R whatever the amplitude's sign: amp * 0.0 is -0.0 for amp < 0
+        inside, bump = self.r < R, (1.0 - np.minimum(self.r / R, 1.0) ** 2) ** 4
         self.u_init, self.ut_init, self.v_init, self.vt_init = (
-            params.eps * amp * bump for amp in (data.u0_amp, data.u1_amp, data.v0_amp, data.v1_amp))
+            np.where(inside, params.eps * amp * bump, 0.0)
+            for amp in (data.u0_amp, data.u1_amp, data.v0_amp, data.v1_amp))
 
         p, q = float(params.p), float(params.q)
         # bytes, not ==: +0.0 and -0.0 amplitudes compare equal
@@ -662,18 +664,6 @@ def verify_critical_inequalities(
 # -- lifespan sweeps --
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    records: list[LifespanRecord]
-    slope: float
-    intercept: float
-    theory_exponent: float
-    excluded: int
-
-    def slope_matches(self, rel_tol: float = 0.25) -> bool:
-        return abs(self.slope - self.theory_exponent) <= rel_tol * abs(self.theory_exponent)
-
-
 def fit_power_law(eps: np.ndarray, t_blow: np.ndarray) -> tuple[float, float]:
     """Least-squares slope/intercept of log T against log eps."""
     if eps.size < 2:
@@ -745,15 +735,12 @@ def lifespan_sweep(
     grid: GridConfig,
     eps_list,
     workers: int | None = None,
-) -> SweepResult:
-    """Run one blow-up detection per eps (independently, sweep_workers(...)
-    at once: this process runs eps too, so the pool forks one worker fewer,
-    and none at one worker), fit log T against log eps, and compare with the
-    theoretical law.  Records keep the order of eps_list.  An exception from a
-    run, here or in a worker, is raised here once the runs under way end; no
-    further eps starts; a worker's warnings are raised here.  Survived records
-    are excluded from the fit and counted; with fewer than 2 blow-ups the
-    fitted fields are NaN."""
+) -> list[LifespanRecord]:
+    """The record of one blow-up detection per eps, in the order of eps_list.
+    The runs are independent, sweep_workers(...) at once: this process runs
+    eps too, so the pool forks one worker fewer, and none at one worker.  An
+    exception from a run, here or in a worker, is raised here once the runs
+    under way end; no further eps starts; a worker's warnings are raised here."""
     eps_list = list(eps_list)
     check_sweep(params_template, data, grid, eps_list)
     # a sweep keeps only the records: its runs have no observers
@@ -783,19 +770,7 @@ def lifespan_sweep(
     for _, caught in runs:
         for category, message in caught:
             warnings.warn(message, category)
-    records = [rec for rec, _ in runs]
-
-    usable = [rec for rec in records if rec.detection is not Detection.SURVIVED]
-    excluded = len(records) - len(usable)
-    eps = np.array([rec.eps for rec in usable])
-    ts = np.array([rec.t_blow for rec in usable])
-    law = lifespan_law(params_template, data.speed_flags())
-    theory = float(law.exponent)
-    if eps.size < 2:
-        # too few blow-ups to fit: a numerical outcome, not a usage error
-        return SweepResult(records, math.nan, math.nan, theory, excluded)
-    slope, intercept = fit_power_law(eps, ts)
-    return SweepResult(records, slope, intercept, theory, excluded)
+    return [rec for rec, _ in runs]
 
 
 # -- CSV persistence (schemas documented in the header rows) --

@@ -45,6 +45,14 @@ class TestConfigValidation:
         code = main(["classify", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert code == 2
 
+    def test_config_that_is_not_json_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"n": 3, "p": 2,')
+        code = main(["classify", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("config error: config is not valid JSON: ")
+        assert err.count("\n") == 1 and not (tmp_path / "out").exists()
+
     def test_unknown_keys_rejected(self, tmp_path):
         code, _ = run_cli(tmp_path, "classify", {"n": 3, "p": 2, "q": 2, "zzz": 1})
         assert code == 2
@@ -97,9 +105,14 @@ class TestConfigValidation:
         ({"eps": 10, "data": {"u1": 1e308}}, "eps * data amplitudes must be finite"),
         ({"eps_list": [10, 5, 2, 1], "data": {"u1": 1e308}},
          "eps * data amplitudes must be finite"),
+        ({"dr": 0}, "dr must be positive, got 0.0"),
+        ({"horizon": 0}, "horizon and threshold must be positive"),
+        ({"damping": {"kind": "poly", "mu": -1}}, "damping: mu must be finite and >= 0"),
+        ({"damping": {"kind": "tabulated"}}, "damping: tabulated damping needs a csv path"),
     ], ids=["infinite-horizon", "zero-snapshot-cadence", "damping-not-object", "infinite-eps",
             "huge-n", "infinite-R", "nan-data", "threshold-below-data", "overflowing-scaled-data",
-            "overflowing-scaled-sweep-data"])
+            "overflowing-scaled-sweep-data", "zero-dr", "zero-horizon", "negative-mu",
+            "tabulated-without-csv"])
     def test_bad_simulation_value_is_one_line_config_error(self, tmp_path, capsys, extra, reason):
         cfg = {"n": 1, "p": 2, "q": 2, "horizon": 2.0, **extra}
         command = ("sweep" if "eps_list" in extra else "verify" if "snapshot_every" in extra
@@ -196,6 +209,14 @@ class TestClassify:
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("config error: dimension too large")
         assert not any(out.iterdir())
+
+    def test_unknown_region_has_no_law(self, tmp_path):
+        # no blow-up law is claimed at n = 3, p = q = 4: the report says so and the run passes
+        code, out = run_cli(tmp_path, "classify", {"n": 3, "p": 4, "q": 4})
+        assert code == 0
+        rows = read_csv(out / "classify.csv")
+        assert rows[-3:] == [["law_form", "none"], ["law_exponent", ""],
+                             ["law_note", "unknown region"]]
 
     def test_labels_and_notes_with_commas_stay_one_field(self, tmp_path):
         cfg = {"n": 1, "p": "3/2", "q": "3/2", "speeds": [True, True]}
@@ -352,6 +373,17 @@ class TestIterate:
             summary = (out / "summary.txt").read_text()
             assert "CHECK closed-form-equality: PASS" in summary
             assert "CHECK logD-lower-bound: PASS" in summary
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_critical_amplitudes_past_float_range_still_run(self, tmp_path, capsys):
+        for j_max in (500, 600):  # the bound's gain (pq)^j = 4^j overflows at j = 512
+            code, out = run_cli(tmp_path, "iterate",
+                                {"n": 3, "p": 2, "q": 2, "j_max": j_max, "scheme": "critical"},
+                                name=f"j{j_max}")
+            assert code == 0
+            summary = (out / "summary.txt").read_text()
+            assert "CHECK closed-form-equality: PASS" in summary
+            assert "CHECK logC-lower-bound: PASS" in summary
         assert "Traceback" not in capsys.readouterr().err
 
     def test_exponents_past_digit_limit_are_config_error(self, tmp_path, capsys):
@@ -763,10 +795,10 @@ class TestVerifyCommand:
         assert table == (out_sw / "critical_functionals.csv").read_bytes()
 
     def test_critical_bounds_fail_with_nothing_checked(self, tmp_path):
-        # 20 steps against a snapshot every 40: only the t = 0 snapshot exists
+        # 40 steps against a snapshot every 50: only the t = 0 snapshot exists
         p0 = 2.414213562373095
-        cfg = {"n": 3, "p": p0, "q": p0, "dr": 0.1, "horizon": 1.0, "snapshot_every": 40,
-               "sample_every": 1, "critical": True}
+        cfg = {"n": 3, "p": p0, "q": p0, "dr": 0.1, "horizon": 2.0, "snapshot_every": 50,
+               "sample_every": 1, "critical": True, "log_window": [1.6, 2.0]}
         code, out = run_cli(tmp_path, "verify", cfg)
         assert code == 1
         assert "CHECK critical-bounds: FAIL (checked 0 times)" in (out / "summary.txt").read_text()

@@ -171,6 +171,8 @@ RUNS = [
     *(("kernels", extra) for extra, _, _ in LAMBDA_RUNS),
     # a log_window that holds checked times only in (1.5, 2]
     ("verify", {"critical": True, "snapshot_every": 5, "horizon": 2.0, "log_window": [1.6, 9.0]}),
+    # no log_window: the default [5, horizon] holds checked times
+    ("verify", {"critical": True, "snapshot_every": 5, "horizon": 6.0}),
 ]
 # runs past the resource budget (grid nodes, node-steps, the critical verifier's work, the
 # modal grid, quadrature nodes, values of Phi): rejected before any allocation
@@ -186,10 +188,13 @@ OVER_BUDGET = [
 ]
 
 # critical verifies whose log_window can hold no checked time, rejected before the run:
-# reversed, past the horizon, and ending where log(2t/3) <= 0
+# reversed, past the horizon, ending where log(2t/3) <= 0, and the default [5, horizon]
+# at a horizon below 5
 NO_CHECKED_TIME = [
-    ("verify", {"critical": True, "snapshot_every": 5, "horizon": 12.0, "log_window": window})
-    for window in ([12.0, 5.0], [100.0, 200.0], [1.0, 1.5])
+    *(("verify", {"critical": True, "snapshot_every": 5, "horizon": 12.0, "log_window": window})
+      for window in ([12.0, 5.0], [100.0, 200.0], [1.0, 1.5])),
+    ("verify", {"n": 3, "p": 2.414213562373095, "q": 2.414213562373095, "dr": 0.1,
+                "horizon": 4.0, "snapshot_every": 10, "critical": True}),
 ]
 
 
@@ -242,7 +247,8 @@ def test_runs_over_the_resource_budget_are_config_errors():
 
 
 @pytest.mark.parametrize("command,extra", NO_CHECKED_TIME,
-                         ids=["reversed", "past-the-horizon", "ending-at-1.5"])
+                         ids=["reversed", "past-the-horizon", "ending-at-1.5",
+                              "default-past-the-horizon"])
 def test_log_windows_without_a_checked_time_are_config_errors(command, extra):
     code, _, stderr, left = run(command, {**BASE[command], **extra})
     assert code == 2 and left == [], (extra, code)

@@ -48,6 +48,13 @@ def test_tabulated_validation():
         DampingProfile.tabulated([0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
     with pytest.raises(ValueError):
         DampingProfile.tabulated([0.0, 1.0], [1.0, -1.0])
+    with pytest.raises(ValueError, match="matching 1-d arrays"):
+        DampingProfile.tabulated([0.0, 1.0, 2.0], [1.0, 0.5])
+
+
+def test_unknown_kind_rejected():
+    with pytest.raises(ValueError, match="unknown damping kind 'exp'"):
+        DampingProfile("exp", 1.0, 2.0)
 
 
 def test_csv_roundtrip(tmp_path):

@@ -65,6 +65,12 @@ class TestComputeG:
         with pytest.warns(UserWarning):
             compute_G(3, F(2), F(2))
 
+    def test_rejects_bad_exponents(self):
+        with pytest.raises(ValueError, match="compute_G requires p, q > 1"):
+            compute_G(2, F(1), F(2))
+        with pytest.raises(ValueError, match="compute_G requires p, q > 1"):
+            compute_G(2, F(2), F(1, 2))
+
     def test_sign_change_located_by_bisection(self):
         # on the diagonal p = q in n = 2, G = 2(2-p)/(p(p-1)) crosses zero at p = 2
         g = lambda p: float(compute_G(2, p, p))

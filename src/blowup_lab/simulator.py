@@ -15,12 +15,17 @@ exact solution vanishes there; the zeroing drops the scheme's own dispersive
 tail, so no leakage is left past the window to check).  A step runs on the
 window rounded up to a STEP_CHUNK-node chunk, so that its array views, a step
 plan, are built once per chunk and level buffer.  A time level is one buffer
-of c N slots, with c the component stride.  A coupled run has c = 2, u_i at slot
-2i and v_i at 2i+1: each step operation is one numpy pass over the stepped prefix
-for both components.  A symmetric run, p = q as floats, one shared damping profile
-object and u-data byte-equal to the v-data, is the single equation
+of c B slots per node, node-major: B lanes, each one run's eps-scaled data, and
+c the component stride, so node i, lane j, component k sits at slot (i B + j) c + k
+and the stencil's neighbours lie c B slots away.  A coupled run has c = 2, u at the
+even slots and v at the odd ones: each step operation is one numpy pass over the
+stepped prefix for every lane and both components.  A run has one lane; a sweep
+steps its eps ladder as the lanes of one level (lifespan_sweep), each lane's
+arithmetic that of its run alone.  A symmetric run, p = q as floats, one shared
+damping profile object and u-data byte-equal to the v-data, is the single equation
 u_tt - lap(u) + b u_t = |u|^p: v repeats u bit for bit, so it has c = 1, one slot
-per node that u and v both read, and each step does the work of one component.
+per node and lane that u and v both read, and each step does the work of one
+component.
 Each level is measured once, on its window, when it is made: |z|, then its sup
 norm (|z| at its argmax), then the sources in their own component's slots,
 |u|^q and |v|^p (one contiguous power when p = q, np.square for exponent 2);
@@ -35,9 +40,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import threading
 import warnings
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -164,28 +167,39 @@ def check_run(params: SystemParams, data: InitialData, grid: GridConfig) -> None
 
 class GridState:
     """One radial solution snapshot (two time levels, t = 0 before the first
-    `step`) plus grid metadata.  u, v, u_prev and v_prev are views of the levels
-    with the component stride _c (2: interleaved; 1, a symmetric run: u and v one
-    view, as are u_prev and v_prev).  Both levels and the sources are +0.0 at
-    every node past the cone window m, although a step runs on m rounded up to a chunk."""
+    `step`) plus grid metadata, for each lane: the eps of `lanes`, by default the
+    one run of params.eps.  u, v, u_prev and v_prev are views of the levels with
+    the component stride _c (2: interleaved; 1, a symmetric run: u and v one
+    view, as are u_prev and v_prev), node-major over the lanes like u_init,
+    ut_init, v_init and vt_init; with one lane, the run's fields.  Both levels and
+    the sources are +0.0 at every node past the cone window m, although a step
+    runs on m rounded up to a chunk."""
 
-    def __init__(self, params: SystemParams, profiles, data: InitialData, grid: GridConfig):
-        check_run(params, data, grid)
+    def __init__(self, params: SystemParams, profiles, data: InitialData, grid: GridConfig,
+                 lanes=None):
+        self.lanes = (params.eps,) if lanes is None else tuple(lanes)
+        for eps in self.lanes:
+            check_run(replace(params, eps=eps), data, grid)
         self.params, self.grid = params, grid
         self.b1, self.b2 = profiles
         n, R, dr = params.n, params.R, grid.dr
         self.dr, self.dt = dr, grid.dt
         self.r = _radii(params, grid)
-        # trapezoid weights against the surface measure |S^(n-1)| r^(n-1) dr
+        # trapezoid weights against the surface measure |S^(n-1)| r^(n-1) dr, and at
+        # n = 2 the origin cell's measure pi dr^2 / 4, where the trapezoid gives 0: then
+        # the weighted sum of the discrete Laplacian telescopes to zero at every n
         w = np.full(self.r.size, dr)
         w[0] = w[-1] = 0.5 * dr
         with np.errstate(over="ignore"):  # past float range U, V read NaN: trace-finite fails
             self.weights = sphere_area(n - 1) * self.r ** (n - 1) * w
+        if n == 2:
+            self.weights[0] = math.pi * dr ** 2 / 4.0
 
         # +0.0 past R whatever the amplitude's sign: amp * 0.0 is -0.0 for amp < 0
         inside, bump = self.r < R, (1.0 - np.minimum(self.r / R, 1.0) ** 2) ** 4
         self.u_init, self.ut_init, self.v_init, self.vt_init = (
-            np.where(inside, params.eps * amp * bump, 0.0)
+            np.where(inside[:, None], bump[:, None] * [eps * amp for eps in self.lanes],
+                     0.0).ravel()
             for amp in (data.u0_amp, data.u1_amp, data.v0_amp, data.v1_amp))
 
         p, q = float(params.p), float(params.q)
@@ -194,8 +208,10 @@ class GridState:
                      and self.u_init.tobytes() == self.v_init.tobytes()
                      and self.ut_init.tobytes() == self.vt_init.tobytes())
         c = self._c = 1 if symmetric else 2
+        # the slots of a node, the stencil's shift
+        s = self._s = c * len(self.lanes)
         # `step` writes the new level into _z_prev
-        self._z, self._z_prev = np.zeros(c * self.r.size), np.zeros(c * self.r.size)
+        self._z, self._z_prev = np.zeros(s * self.r.size), np.zeros(s * self.r.size)
         self.u[:], self.v[:] = self.u_init, self.v_init
         self.t, self.step_index = 0.0, 0
         # the cone window r <= t + R + 2 dr, as `step` takes it, or the whole grid
@@ -206,7 +222,7 @@ class GridState:
         self._two, self._dr2, self._n1, self._dt2 = (
             np.array(x) for x in (2.0, dr ** 2, n - 1.0, self.dt * self.dt))
         self._origin = n * 2.0, dr ** 2  # 2 n and dr^2 in Python floats
-        self._two_dr_r = np.repeat(2.0 * dr * self.r, c)
+        self._two_dr_r = np.repeat(2.0 * dr * self.r, s)
         # a zero-kind profile pair is undamped at every t: the step takes b = 0.0
         self._zero = self.b1.kind == self.b2.kind == "zero"
         # the exponents of |u|^q and |v|^p, one when p = q, none in linear mode (_power)
@@ -231,7 +247,7 @@ class GridState:
         next step writes it after reading the sources), the sup norm (|z| at its argmax,
         the first NaN if there is one: the float max gives), and outside linear mode the
         sources, |u|^q at the u slots and |v|^p at the v slots (one slot when _c = 1)."""
-        k, src, exps = self._c * self.m, self._src, self._exps
+        k, src, exps = self._s * self.m, self._src, self._exps
         z_abs = np.abs(self._z[:k], self._lap[:k])
         self._sup = float(z_abs[z_abs.argmax()])
         if len(exps) == 1:
@@ -240,12 +256,31 @@ class GridState:
             _power(z_abs[0::2], exps[0], src[0:k:2])
             _power(z_abs[1::2], exps[1], src[1:k:2])
 
+    def lane_sups(self) -> np.ndarray:
+        """Each lane's sup norm on the window: max |u|, |v| over its slots, NaN when
+        one of them is NaN, as its own run's sup norm reads."""
+        z = np.abs(self._z[:self._s * self.m]).reshape(self.m, len(self.lanes), self._c)
+        return z.max(axis=(0, 2))
+
+    def keep_lanes(self, keep) -> None:
+        """Drop every lane but those at the positions `keep`, in that order: the
+        levels, the sources and the data lose their slots, and the step plans go."""
+        b, c = len(self.lanes), self._c
+        for name in ("_z", "_z_prev", "_src"):
+            setattr(self, name, getattr(self, name).reshape(-1, b, c)[:, keep].ravel())
+        for name in ("u_init", "ut_init", "v_init", "vt_init"):
+            setattr(self, name, getattr(self, name).reshape(-1, b)[:, keep].ravel())
+        self.lanes = tuple(self.lanes[j] for j in keep)
+        self._s = c * len(self.lanes)
+        self._two_dr_r = np.repeat(2.0 * self.dr * self.r, self._s)
+        self._plans = [None, None]
+
     def integral(self, f) -> float:
         """Trapezoid integral of f, given on the grid or on a prefix of it."""
         return float(self.weights[: f.size] @ f)
 
     def fields(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Views of u, v, |u|^q and |v|^p of the current level on its window m, the
+        """Views of u, v, |u|^q and |v|^p of a one-lane level on its window m, the
         observers' one reader of the layout; at _c = 1 v is u and |v|^p is |u|^q."""
         c, k = self._c, self._c * self.m
         u, nu = self._z[0:k:c], self._src[0:k:c]
@@ -278,21 +313,22 @@ STEP_CHUNK = 64
 class _StepPlan:
     """The array views one step reads and writes on the nodes [0, k) while a given
     one of the two level buffers is current: z (the current level), new (the
-    level before it, overwritten), the sources, the work buffers and their
-    component slots with the state's stride c (u at the even slots and v at the
-    odd ones when c = 2, one slot for both when c = 1)."""
+    level before it, overwritten), the sources, the work buffers, each node's s
+    slots (its lanes' components) apart from its neighbours', and their component
+    slots with the state's stride c (u at the even slots and v at the odd ones
+    when c = 2, one slot for both when c = 1)."""
 
     def __init__(self, state: GridState, k: int):
-        c, z = state._c, state._z
-        j = c * k
-        self.k, self.c = k, c
+        c, s, z = state._c, state._s, state._z
+        j = s * k
+        self.k, self.c, self.s = k, c, s
         new, acc, lap, src = state._z_prev[:j], state._work[:j], state._lap[:j], state._src[:j]
         # z, new, 2 z, the Laplacian, the sources; at the interior nodes [1, k) the
         # Laplacian, its work buffer, right and left neighbours, 2 z, 2 dr r; the first two nodes
-        self.views = (z[:j], new, acc, lap, src, lap[c:], state._tmp[c:j], z[2 * c:j + c],
-                      z[:j - c], acc[c:], state._two_dr_r[c:j], z[:2 * c])
+        self.views = (z[:j], new, acc, lap, src, lap[s:], state._tmp[s:j], z[2 * s:j + s],
+                      z[:j - s], acc[s:], state._two_dr_r[s:j], z[:2 * s])
         # u's and v's slots of z, new, 2 z, the Laplacian and the sources, and initial speed
-        self.slots = [(z[i:j:c], new[i::c], acc[i::c], lap[i::c], src[i::c], w_t0[:k])
+        self.slots = [(z[i:j:c], new[i::c], acc[i::c], lap[i::c], src[i::c], w_t0[:j // c])
                       for i, w_t0 in enumerate((state.ut_init, state.vt_init)[:c])]
 
 
@@ -310,7 +346,7 @@ def _advance(state: GridState, k: int, b1: float, b2: float) -> None:
     if plan is None or plan.k != k:
         plan = plans[parity] = _StepPlan(state, k)
     z, new, acc, lap, src, inner, tmp, right, left, two_z, two_dr_r, head = plan.views
-    n, c, dt = state.params.n, plan.c, state.dt
+    n, c, s, dt = state.params.n, plan.c, plan.s, state.dt
     np.multiply(state._two, z, acc)
     np.subtract(right, two_z, inner)
     np.add(inner, left, inner)
@@ -322,8 +358,8 @@ def _advance(state: GridState, k: int, b1: float, b2: float) -> None:
         np.divide(tmp, two_dr_r, tmp)
         np.add(inner, tmp, inner)
     (two_n, dr2), z0 = state._origin, head.tolist()
-    for i in range(c):
-        lap[i] = two_n * (z0[c + i] - z0[i]) / dr2
+    for i in range(s):
+        lap[i] = two_n * (z0[s + i] - z0[i]) / dr2
     slots = plan.slots
     if state.step_index == 0:
         # second-order Taylor start from the PDE at t = 0, once per component slot,
@@ -384,10 +420,9 @@ def step(state: GridState) -> GridState:
     _advance(state, k, b1, b2)
     if k > m_new:
         # the window grows at most one node a step: only node m_new, the old
-        # window when it did not grow, can hold the scheme's tail (one slot when c = 1)
-        c = state._c
-        z_new, j = state._z_prev, c * m_new
-        z_new[j] = z_new[j + c - 1] = 0.0
+        # window when it did not grow, can hold the scheme's tail, in each lane's slots
+        s = state._s
+        state._z_prev[s * m_new:s * (m_new + 1)] = 0.0
     state._z_prev, state._z = state._z, state._z_prev
     state.t, state.m = t_new, m_new
     state.step_index += 1
@@ -417,8 +452,8 @@ class FunctionalSampler:
         return FunctionalTrace(*(np.asarray(col) for col in zip(*self._rows)))
 
 
-def init_state(params, profiles, data: InitialData, grid: GridConfig) -> GridState:
-    return GridState(params, profiles, data, grid)
+def init_state(params, profiles, data: InitialData, grid: GridConfig, lanes=None) -> GridState:
+    return GridState(params, profiles, data, grid, lanes)
 
 
 def run_until_blowup(
@@ -672,49 +707,54 @@ def fit_power_law(eps: np.ndarray, t_blow: np.ndarray) -> tuple[float, float]:
     return float(coef[0]), float(coef[1])
 
 
-def _sweep_one(args) -> LifespanRecord:
-    params, profiles, data, grid = args
-    return run_until_blowup(params, profiles, data, grid).record
+def _sweep_lanes(args) -> list[LifespanRecord]:
+    """The records of a lane group (params, profiles, data, grid, eps), in the order
+    of eps: each eps is a lane of one level, and each lane meets its own run's checks
+    (run_until_blowup's) at every step, in the same order.  Lanes' own sup norms are
+    read only when the level's is non-finite or above the threshold, or at the last
+    step; a lane that ends is dropped from the level."""
+    params, profiles, data, grid, eps = args
+    state = init_state(params, profiles, data, grid, eps)
+    threshold, n_steps = grid.threshold, grid.n_steps
+    # live: the positions in eps of the level's lanes, lane by lane
+    records, live = [None] * len(eps), list(range(len(eps)))
+    while True:
+        last = state.step_index == n_steps
+        # NaN compares false: a non-finite sup norm reads the lanes too
+        if not state.sup_norm() <= threshold or last:
+            keep = []
+            for lane, (pos, sup) in enumerate(zip(live, state.lane_sups())):
+                if not math.isfinite(sup):
+                    records[pos] = LifespanRecord(eps[pos], state.t, Detection.NONFINITE)
+                elif sup > threshold:
+                    records[pos] = LifespanRecord(eps[pos], state.t, Detection.THRESHOLD)
+                elif last:
+                    records[pos] = LifespanRecord(eps[pos], grid.horizon, Detection.SURVIVED)
+                else:
+                    keep.append(lane)
+            live = [live[lane] for lane in keep]
+            if not live:
+                return records
+            state.keep_lanes(keep)
+        step(state)
 
 
-def _sweep_caught(args) -> tuple[LifespanRecord, list]:
-    """_sweep_one(args) in a pool worker, and the (category, message) of each
+def _sweep_caught(args) -> tuple[list[LifespanRecord], list]:
+    """_sweep_lanes(args) in a pool worker, and the (category, message) of each
     warning it raised, which lifespan_sweep raises again in this process."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        record = _sweep_one(args)
-    return record, [(w.category, str(w.message)) for w in caught]
+        records = _sweep_lanes(args)
+    return records, [(w.category, str(w.message)) for w in caught]
 
 
 def sweep_workers(n_jobs: int, requested: int | None = None) -> int:
-    """Runs at once in a sweep, this process included: the requested value
-    (default one per job), capped by the jobs and by the usable CPUs, the
+    """Lane groups of a sweep, one per runner, this process included: the requested
+    value (default 1), capped by the eps count n_jobs and by the usable CPUs, the
     CPUs this process may run on (its affinity set) where the platform tells."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    return max(1, min(cpus if requested is None else requested, cpus, n_jobs))
-
-
-def _drain(queue: deque, records: list, errors: list, start, job=None) -> None:
-    """Run job indices popped off the shared queue until it is empty, storing
-    each job's result at its index.  start(i) begins job i and returns a call
-    that waits for its result; `job` is an (i, wait) pair begun before this call.
-    A failure goes to errors and clears the queue, so no runner starts another
-    job; the caller re-raises it."""
-    try:
-        while True:
-            if job is None:
-                try:
-                    i = queue.popleft()
-                except IndexError:
-                    return
-                job = i, start(i)
-            i, wait = job
-            records[i] = wait()
-            job = None
-    except BaseException as exc:
-        errors.append(exc)
-        queue.clear()
+    return max(1, min(1 if requested is None else requested, cpus, n_jobs))
 
 
 def check_sweep(params_template: SystemParams, data: InitialData, grid: GridConfig,
@@ -736,41 +776,31 @@ def lifespan_sweep(
     eps_list,
     workers: int | None = None,
 ) -> list[LifespanRecord]:
-    """The record of one blow-up detection per eps, in the order of eps_list.
-    The runs are independent, sweep_workers(...) at once: this process runs
-    eps too, so the pool forks one worker fewer, and none at one worker.  An
-    exception from a run, here or in a worker, is raised here once the runs
-    under way end; no further eps starts; a worker's warnings are raised here."""
-    eps_list = list(eps_list)
+    """The record of one blow-up detection per eps, in the order of eps_list, each
+    bit for bit that of run_until_blowup on its eps alone.  The eps, smallest first,
+    are dealt round robin into sweep_workers(...) lane groups, each stepped as the
+    lanes of one level: this process runs the first group and a pool forked for the
+    others one each, so the default, one group, forks nothing.  An exception from a
+    group, here or in a worker, is raised here once the groups under way end; a
+    worker's warnings are raised here."""
+    eps_list = [float(e) for e in eps_list]
     check_sweep(params_template, data, grid, eps_list)
-    # a sweep keeps only the records: its runs have no observers
-    jobs = [(replace(params_template, eps=float(e)), profiles, data, grid) for e in eps_list]
-    nw = sweep_workers(len(jobs), workers)
-    # nw runners, this process and a pool of nw - 1 workers, pull from one
-    # queue, smallest eps first: it runs longest, so it must not start last
-    queue = deque(sorted(range(len(jobs)), key=lambda i: jobs[i][0].eps))
-    runs, errors = [None] * len(jobs), []
+    nw = sweep_workers(len(eps_list), workers)
+    order = sorted(range(len(eps_list)), key=eps_list.__getitem__)
+    groups = [order[g::nw] for g in range(nw)]
+    jobs = [(params_template, profiles, data, grid, [eps_list[i] for i in group])
+            for group in groups]
     with ProcessPoolExecutor(max_workers=nw - 1) if nw > 1 else contextlib.nullcontext() as pool:
-        def remote(i):
-            return pool.submit(_sweep_caught, jobs[i]).result
-
-        # the first nw - 1 jobs, submitted here: that forks the workers from this
-        # thread, before any feeder thread or run here starts
-        feeders = [threading.Thread(target=_drain,
-                                    args=(queue, runs, errors, remote, (i, remote(i))))
-                   for i in [queue.popleft() for _ in range(nw - 1)]]
-        for t in feeders:
-            t.start()
-        # a run here raises its warnings here itself
-        _drain(queue, runs, errors, lambda i: lambda: (_sweep_one(jobs[i]), []))
-        for t in feeders:
-            t.join()
-    if errors:
-        raise errors[0]
-    for _, caught in runs:
+        # the other groups first: the workers fork before this process runs its own
+        remote = [pool.submit(_sweep_caught, job) for job in jobs[1:]]
+        runs = [(_sweep_lanes(jobs[0]), []), *(future.result() for future in remote)]
+    records = [None] * len(eps_list)
+    for group, (group_records, caught) in zip(groups, runs):
+        for i, rec in zip(group, group_records):
+            records[i] = rec
         for category, message in caught:
             warnings.warn(message, category)
-    return [rec for rec, _ in runs]
+    return records
 
 
 # -- CSV persistence (schemas documented in the header rows) --

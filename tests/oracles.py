@@ -106,32 +106,21 @@ def critical_stream_run(params, profiles, data, grid, snapshot_every, quad_nodes
     return res, snapshots, stream
 
 
-def step_identity_residual(params, profiles, data, grid, sources=("Nv", "Nu"), origin=True,
-                           sim=simulator):
+def step_identity_residual(params, profiles, data, grid, sources=("Nv", "Nu"), sim=simulator):
     """The largest residual of the scheme's identity for the space averages over
     the levels k >= 1 of a run sampled at every step,
 
-        (1 + h_k) U_(k+1) - 2 U_k + (1 - h_k) U_(k-1) = dt^2 (Nv_k + E_k),  h_k = b1(t_k) dt / 2,
+        (1 + h_k) U_(k+1) - 2 U_k + (1 - h_k) U_(k-1) = dt^2 Nv_k,  h_k = b1(t_k) dt / 2,
 
     relative to |U_k|, and its mirror for V with b2 and Nu; `sources` names the
-    trace fields paired with U and V.  E_k is what the trapezoid sum of the
-    discrete Laplacian leaves at the origin: pi (u_0 - u_1) of level k at n = 2
-    (the coefficients of u_0 and u_1 are +pi and -pi there), zero at n = 1 and 3,
-    and zero throughout with origin=False."""
-    nodes = []  # u_0, v_0, u_1, v_1 of every level
-
-    def observe(state):
-        nodes.append((state.u[0], state.v[0], state.u[1], state.v[1]))
-
-    _, tr = sampled_run(params, profiles, data, grid, (1, observe), sim=sim)
-    u0, v0, u1, v1 = np.array(nodes).T
-    weight = math.pi if origin and params.n == 2 else 0.0
+    trace fields paired with U and V.  The weighted sum of the discrete Laplacian
+    telescopes to zero at every n, the origin cell's weight included at n = 2."""
+    _, tr = sampled_run(params, profiles, data, grid, sim=sim)
     worst = 0.0
-    for F_k, source, prof, E in zip((tr.U, tr.V), sources, profiles,
-                                    (weight * (u0 - u1), weight * (v0 - v1))):
+    for F_k, source, prof in zip((tr.U, tr.V), sources, profiles):
         h = 0.5 * prof.b(tr.t[1:-1]) * grid.dt
         res = ((1.0 + h) * F_k[2:] - 2.0 * F_k[1:-1] + (1.0 - h) * F_k[:-2]
-               - grid.dt ** 2 * (getattr(tr, source)[1:-1] + E[1:-1]))
+               - grid.dt ** 2 * getattr(tr, source)[1:-1])
         worst = max(worst, float(np.max(np.abs(res) / np.abs(F_k[1:-1]))))
     return worst
 

@@ -5,7 +5,8 @@ exits 0, exits 1 with a failing CHECK line, or exits 2 with exactly one
 The strategies come from `cli.SCHEMAS`: every key of every command draws
 valid, boundary, wrongly typed and non-finite values, and unknown keys are
 drawn too.  Valid draws of the keys that set a run's cost stay small, so each
-example runs on a tiny grid."""
+example runs on a tiny grid; one `verify` in three starts from a critical config
+whose horizon passes 1.5, so its checks reach the critical verifier."""
 
 import contextlib
 import io
@@ -88,11 +89,24 @@ def valid(key, convert):
     return BY_KEY[key] if key in BY_KEY else BY_CONVERTER[convert]
 
 
+# a critical verify checks log(2t/3) > 0, past t = 1.5: a short horizon past it, a
+# snapshot cadence and a coarse grid keep the run cheap
+CRITICAL = st.fixed_dictionaries({
+    "critical": st.just(True),
+    "horizon": st.floats(1.5, 3.0, exclude_min=True),
+    "snapshot_every": st.integers(1, 4),
+    "dr": st.floats(0.05, 0.2),
+    "log_window": st.tuples(st.floats(0.0, 1.5), st.floats(1.5, 9.0)).map(list),
+})
+
+
 @st.composite
 def configs(draw):
     command = draw(st.sampled_from(sorted(cli.SCHEMAS)))
     schema = cli.SCHEMAS[command]
     cfg = dict(BASE[command])
+    if command == "verify" and draw(st.integers(0, 2)) == 0:
+        cfg.update(draw(CRITICAL))
     for key in draw(st.lists(st.sampled_from(sorted(schema)), max_size=3, unique=True)):
         kind = draw(st.sampled_from(["valid", "valid", "valid", "wrong", "non-finite"]))
         cfg[key] = draw({"valid": valid(key, schema[key][0]), "wrong": WRONG_TYPES,

@@ -65,7 +65,7 @@ MUTANTS = [
     ("_cumleft as a right-endpoint sum",
      "np.cumsum(y[:-1] * np.diff(t))", "np.cumsum(y[1:] * np.diff(t))"),
     ("drop the tail zeroing",
-     "z_new[j] = z_new[j + c - 1] = 0.0", "pass"),
+     "state._z_prev[s * m_new:s * (m_new + 1)] = 0.0", "pass"),
     ("key the plan without the buffer parity",
      "state.step_index % 2", "0"),
     ("the sup norm at the argmin of |z|",
@@ -92,6 +92,17 @@ MUTANTS = [
      "/ state.dr + 2.0) + 1)", "/ state.dr + 1.0) + 1)"),
     ("a pair undamped by the kind of its first profile",
      "self.b1.kind == self.b2.kind == \"zero\"", "self.b1.kind == \"zero\""),
+    ("the n = 2 origin cell's weight back to the trapezoid's 0",
+     "self.weights[0] = math.pi * dr ** 2 / 4.0", "self.weights[0] = 0.0"),
+    # lanes: one level of c B slots a node
+    ("the stencil shifted by c instead of c B",
+     "z[2 * s:j + s],\n                      z[:j - s]",
+     "z[s + c:j + c],\n                      z[s - c:j - c]"),
+    ("only lane 0's tail slots zeroed",
+     "state._z_prev[s * m_new:s * (m_new + 1)] = 0.0",
+     "state._z_prev[s * m_new:s * m_new + state._c] = 0.0"),
+    ("compaction that keeps the lane that ended",
+     "state.keep_lanes(keep)", "state.keep_lanes(range(len(state.lanes)))"),
 ]
 
 
@@ -143,7 +154,7 @@ def guarded_layout(sim):
 
 
 def step_identity(sim):
-    # n = 2 on the full grid, with the origin term: about 1e-15 relative
+    # n = 2 on the full grid, the origin cell weighted: about 1e-15 relative
     params = SystemParams(2, F(3), F(2), R=1.0, eps=0.5)
     grid = simulator.GridConfig(dr=0.025, horizon=2.0, enforce_cone=False)
     assert step_identity_residual(params, (POLY, POLY), SPEEDS, grid, sim=sim) <= 1e-12
@@ -177,8 +188,66 @@ def frames_on_a_blowup_run(sim):
     assert sim.verify_identities(tr, (ZERO, ZERO), params).inequalities_hold()
 
 
+def lane_levels(sim):
+    # three lanes stepped as one level against their runs alone, slot for slot at every
+    # step, before and after the middle lane is dropped: coupled data with two profiles
+    # (c = 2) and symmetric data (c = 1)
+    cases = [(SystemParams(2, F(3, 2), F(2), R=1.0, eps=1.0), (POLY, replace(POLY)), SPEEDS),
+             (SystemParams(1, F(2), F(2), R=1.0, eps=1.0), (ZERO, ZERO), simulator.InitialData())]
+    grid, eps = simulator.GridConfig(dr=0.05, horizon=4.0), [1.0, 0.5, 0.25]
+    for params, profiles, data in cases:
+        lanes = sim.GridState(params, profiles, data, grid, eps)
+        solo = [sim.GridState(replace(params, eps=e), profiles, data, grid) for e in eps]
+        for step_index in range(120):
+            if step_index == 60:
+                lanes.keep_lanes([0, 2])
+                del solo[1]
+            level = lanes._z.reshape(-1, len(solo), lanes._c)
+            for j, state in enumerate(solo):
+                assert level[:, j].tobytes() == state._z.reshape(-1, state._c).tobytes()
+                sim.step(state)
+            sim.step(lanes)
+
+
+def lane_records(sim):
+    # every record of a sweep is that of its run alone: n = 1 (with a repeated eps),
+    # 2 and 3, and a coupled pair with two profiles and speeds; and so is every record
+    # of one lane group in the ladder's own order, where lanes end in any order
+    ladders = [
+        (SystemParams(1, F(2), F(2), R=1.0, eps=1.0), (ZERO, ZERO), simulator.InitialData(),
+         simulator.GridConfig(dr=0.1, horizon=12.0), [1.0, 0.5, 1.0, 0.35, 0.5, 0.25]),
+        (SystemParams(2, F(3, 2), F(3, 2), R=1.0, eps=1.0), (POLY, POLY),
+         simulator.InitialData(), simulator.GridConfig(dr=0.1, horizon=18.0), [2.0, 1.0, 0.7, 0.5]),
+        (SystemParams(3, F(2), F(2), R=1.0, eps=1.0), (ZERO, ZERO), simulator.InitialData(),
+         simulator.GridConfig(dr=0.1, horizon=20.0, threshold=1e6), [16.0, 12.0, 8.0, 6.0]),
+        (SystemParams(2, F(3, 2), F(2), R=1.0, eps=1.0), (POLY, replace(POLY)),
+         simulator.InitialData(1.0, 0.3, 0.7, 0.2), simulator.GridConfig(dr=0.1, horizon=30.0),
+         [2.0, 1.0, 0.7, 0.5]),
+    ]
+    for params, profiles, data, grid, eps in ladders:
+        records = sim.lifespan_sweep(params, profiles, data, grid, eps)
+        assert records == [sim.run_until_blowup(replace(params, eps=e), profiles, data, grid).record
+                           for e in eps]
+        assert sim._sweep_lanes((params, profiles, data, grid, eps)) == records
+        assert {rec.detection for rec in records} == {sim.Detection.THRESHOLD,
+                                                      sim.Detection.SURVIVED}
+
+
+def nonfinite_lane(sim):
+    # at threshold 1e300 the lane at eps 0.5 overflows first, and its neighbours run
+    # on: 0.45 crosses the threshold, 0.4 and 0.3 survive
+    params = SystemParams(1, F(3, 2), F(3, 2), R=1.0, eps=1.0)
+    grid = simulator.GridConfig(dr=0.1, horizon=10.9, threshold=1e300)
+    eps, data = [0.3, 0.5, 0.4, 0.45], simulator.InitialData()
+    records = sim.lifespan_sweep(params, (ZERO, ZERO), data, grid, eps)
+    assert records == [sim.run_until_blowup(replace(params, eps=e), (ZERO, ZERO), data, grid).record
+                       for e in eps]
+    assert [rec.detection.value for rec in records] == ["Survived", "NonFinite", "Survived",
+                                                        "ThresholdCross"]
+
+
 ORACLES = [windowed_levels, guarded_layout, step_identity, exact_free_waves, critical_double_sum,
-           frames_on_a_blowup_run]
+           frames_on_a_blowup_run, lane_levels, lane_records, nonfinite_lane]
 
 
 AUX_MUTANTS = [

@@ -1,9 +1,9 @@
 import math
 import multiprocessing
 import os
+import re
 import sys
 import threading
-import time
 import tracemalloc
 import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -829,7 +829,7 @@ STEP_IDENTITY_DATA = InitialData(u0_amp=1.0, u1_amp=0.3, v0_amp=0.7, v1_amp=0.2)
 class TestStepIdentity:
     """The leapfrog's space averages obey the discrete form of U'' + b1 U' = int |v|^p
     and V'' + b2 V' = int |u|^q exactly: the weighted sum of the discrete Laplacian
-    telescopes at n = 1 and 3, and at n = 2 up to its origin term pi (u0 - u1), while
+    telescopes at every n, at n = 2 with the origin cell's weight pi dr^2 / 4, while
     the numerical support, one node per step, stays negligible at the grid's end
     r = horizon + R + 0.5 (at n = 3 the residual reads 1.2e-15 at horizon 2, 1.6e-13
     at horizon 4)."""
@@ -858,15 +858,32 @@ class TestStepIdentity:
         ]
         assert max(misses) <= 1e-12, misses
 
-    def test_exact_on_the_full_grid_at_n2(self):
-        # measured 7.3e-16 with the origin term, 1.9e-6 without it and 5.5e-5 with
-        # the sources swapped
+    def test_exact_on_the_full_grid_at_n2(self, monkeypatch):
+        # measured 7.2e-16 with the origin cell's weight, 1.9e-6 with the trapezoid's 0
+        # there and 5.5e-5 with the sources swapped
         params = SystemParams(2, F(3), F(2), R=1.0, eps=0.5)
         grid = GridConfig(dr=0.025, horizon=2.0, enforce_cone=False)
         case = (params, (POLY, POLY), STEP_IDENTITY_DATA, grid)
         assert step_identity_residual(*case) <= 1e-12
-        assert step_identity_residual(*case, origin=False) >= 1e-6
         assert step_identity_residual(*case, sources=("Nu", "Nv")) >= 1e-6
+        init = simulator.GridState.__init__
+
+        def trapezoid_origin(state, *args):
+            init(state, *args)
+            state.weights[0] = 0.0
+
+        monkeypatch.setattr(simulator.GridState, "__init__", trapezoid_origin)
+        assert step_identity_residual(*case) >= 1e-6
+
+    def test_free_wave_keeps_its_integral_at_n2(self):
+        # undamped and linear on the full grid, U'' = 0 with U'(0) = 0: measured 1.1e-12
+        # up to t = 15 (the trapezoid's 0 at the origin drifted 1.1e-3), on a grid whose
+        # end the scheme's precursor has not reached by then
+        params = SystemParams(2, F(2), F(2), R=1.0, eps=1.0)
+        grid = GridConfig(dr=0.025, horizon=20.0, linear_mode=True, enforce_cone=False)
+        _, tr = sampled_run(params, (ZERO, ZERO), BUMPS, grid, sample_every=10)
+        U = tr.U[tr.t <= 15.0]
+        assert U.size == 121 and np.max(np.abs(U - U[0])) <= 1e-11 * U[0]
 
 
 class TestVerifyIdentities:
@@ -1090,7 +1107,7 @@ class TestCriticalVerifier:
             np.testing.assert_allclose(getattr(rep, name), ref[name], rtol=1e-13, atol=0.0)
 
 
-_real_sweep_one = simulator._sweep_one
+_real_sweep_lanes = simulator._sweep_lanes
 
 
 @dataclass(frozen=True)
@@ -1098,51 +1115,35 @@ class _PidRecord(LifespanRecord):
     pid: int = 0
 
 
-def _sweep_one_tagged(job):
-    """The real run, tagged with the pid of the process that ran it."""
-    rec = _real_sweep_one(job)
-    return _PidRecord(rec.eps, rec.t_blow, rec.detection, os.getpid())
+def _sweep_lanes_tagged(job):
+    """The real lane group, each record tagged with the pid of the process that ran it."""
+    return [_PidRecord(rec.eps, rec.t_blow, rec.detection, os.getpid())
+            for rec in _real_sweep_lanes(job)]
 
 
-def _sweep_one_warning(job):
-    """The real run, after a warning that names its eps."""
-    warnings.warn(f"run at eps {job[0].eps}", RuntimeWarning)
-    return _real_sweep_one(job)
+def _sweep_lanes_warning(job):
+    """The real lane group, after a warning per eps that names it."""
+    for eps in job[-1]:
+        warnings.warn(f"run at eps {eps}", RuntimeWarning)
+    return _real_sweep_lanes(job)
 
 
 def usable_cpus(monkeypatch, k):
-    """Let this process run on k CPUs, so a sweep runs up to k eps at once."""
+    """Let this process run on k CPUs, so a sweep runs up to k lane groups at once."""
     monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: set(range(k)),
                         raising=False)
 
 
-# set per test: the directory the runs mark, the pid of the sweep's own process,
-# and which side fails ("here" or "worker"); a fork carries it into the worker
+# set per test: the pid of the sweep's own process and which side fails ("here" or
+# "worker"); a fork carries it into the worker
 _failing = {}
 
 
-def _wait_for(cond, what):
-    deadline = time.monotonic() + 10.0
-    while not cond():
-        if time.monotonic() > deadline:
-            raise TimeoutError(f"waited 10 s for {what}")
-        time.sleep(0.01)
-
-
-def _sweep_one_failing(job):
-    """Marks its eps as started.  A run on the failing side waits until both
-    runners have started, then raises; a run on the other side waits for that
-    failure, and 1 s more for it to reach the sweep, then returns."""
-    eps, d = job[0].eps, _failing["dir"]
-    (d / f"start-{eps}").touch()
-    here = os.getpid() == _failing["pid"]
-    if here == (_failing["side"] == "here"):
-        _wait_for(lambda: len(list(d.glob("start-*"))) >= 2, "both runners to start")
-        (d / "failed").touch()
-        raise RuntimeError(f"run at eps {eps} failed")
-    _wait_for((d / "failed").exists, "the other runner to fail")
-    time.sleep(1.0)
-    return LifespanRecord(eps, 1.0 / eps, Detection.THRESHOLD)
+def _sweep_lanes_failing(job):
+    """The group on the failing side raises; the other returns a record per eps."""
+    if (os.getpid() == _failing["pid"]) == (_failing["side"] == "here"):
+        raise RuntimeError(f"group at eps {job[-1]} failed")
+    return [LifespanRecord(eps, 1.0 / eps, Detection.THRESHOLD) for eps in job[-1]]
 
 
 def sweep_slope(records) -> float:
@@ -1214,9 +1215,9 @@ class TestSweep:
         assert sweep_slope(serial) == sweep_slope(parallel)
 
     def test_run_warnings_reach_the_caller_at_any_worker_count(self, monkeypatch):
-        # a run in a pool worker warns here as one in this process does
+        # a lane group in a pool worker warns here as one in this process does
         usable_cpus(monkeypatch, 2)
-        monkeypatch.setattr(simulator, "_sweep_one", _sweep_one_warning)
+        monkeypatch.setattr(simulator, "_sweep_lanes", _sweep_lanes_warning)
         grid = GridConfig(dr=0.05, horizon=30.0)
         eps = [0.5, 1.0, 0.35, 0.7]
         for workers in (1, 2):
@@ -1227,7 +1228,7 @@ class TestSweep:
                 (RuntimeWarning, f"run at eps {e}") for e in eps)
 
     def test_two_workers_fork_one_and_run_here(self, tmp_path, monkeypatch):
-        # workers=2 is two runs at once: this process and one forked worker;
+        # workers=2 is two lane groups at once: this process and one forked worker;
         # records keep the caller's order and the CSV is that of one worker
         pools = []
 
@@ -1238,7 +1239,7 @@ class TestSweep:
 
         usable_cpus(monkeypatch, 2)
         monkeypatch.setattr(simulator, "ProcessPoolExecutor", SpyPool)
-        monkeypatch.setattr(simulator, "_sweep_one", _sweep_one_tagged)
+        monkeypatch.setattr(simulator, "_sweep_lanes", _sweep_lanes_tagged)
         grid = GridConfig(dr=0.05, horizon=30.0)
         eps = [0.5, 1.0, 0.35, 0.7]
         for workers in (1, 2):
@@ -1251,113 +1252,98 @@ class TestSweep:
         assert {r.pid for r in records} == worker_pids | {os.getpid()}
         assert multiprocessing.active_children() == []
 
-    def test_runs_start_smallest_eps_first(self, monkeypatch):
-        # threads stand in for the pool's processes; the pool's first run waits
-        # until this process starts one, so the two smallest eps start first
-        pools, starts = [], []
-        started_here = threading.Event()
+    def test_groups_deal_eps_smallest_first(self, monkeypatch):
+        # a thread pool stands in for the processes: three groups, this process's
+        # holding the smallest eps, then every third, each group's lanes ascending
+        pools, groups = [], {}
 
         class ThreadPool(ThreadPoolExecutor):
             def __init__(self, max_workers):
                 pools.append(max_workers)
                 super().__init__(max_workers)
 
-        def fake_run(job):
-            eps, here = job[0].eps, threading.current_thread() is threading.main_thread()
-            starts.append((eps, here))
-            if here:
-                started_here.set()
-            else:
-                assert started_here.wait(10.0)
-            return LifespanRecord(eps, 1.0 / eps, Detection.THRESHOLD)
+        def fake_group(job):
+            here = threading.current_thread() is threading.main_thread()
+            groups.setdefault(here, []).append(job[-1])
+            return [LifespanRecord(e, 1.0 / e, Detection.THRESHOLD) for e in job[-1]]
 
-        usable_cpus(monkeypatch, 2)
+        usable_cpus(monkeypatch, 3)
         monkeypatch.setattr(simulator, "ProcessPoolExecutor", ThreadPool)
-        monkeypatch.setattr(simulator, "_sweep_one", fake_run)
-        eps = [0.5, 1.0, 0.25, 0.7, 0.35, 0.9]
-        records = lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, GridConfig(), eps, workers=2)
-        assert pools == [1]
+        monkeypatch.setattr(simulator, "_sweep_lanes", fake_group)
+        eps = [0.5, 1.0, 0.25, 0.7, 0.35, 0.9, 0.6]
+        records = lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, GridConfig(), eps, workers=3)
+        assert pools == [2]
         assert [r.eps for r in records] == eps
-        assert sorted(e for e, _ in starts) == sorted(eps)
-        pool_side = [e for e, here in starts if not here]
-        this_side = [e for e, here in starts if here]
-        assert pool_side[0] == 0.25 and this_side[0] == 0.35
-        assert pool_side == sorted(pool_side) and this_side == sorted(this_side)
+        assert groups[True] == [[0.25, 0.6, 1.0]]
+        assert sorted(groups[False]) == [[0.35, 0.7], [0.5, 0.9]]
 
-    def test_shared_queue_runs_each_eps_once(self, monkeypatch):
-        # more runners than CPUs and a short switch interval: a lost pop or a
-        # lost record would run an eps twice or leave a record out
+    def test_groups_run_each_eps_once(self, monkeypatch):
+        # more groups than CPUs are capped, and every eps runs in exactly one group,
+        # one lane per position: a repeated eps runs twice
         runs = []
 
-        def fake_run(job):
-            runs.append(job[0].eps)
-            return LifespanRecord(job[0].eps, 1.0, Detection.THRESHOLD)
+        def fake_group(job):
+            runs.append(job[-1])
+            return [LifespanRecord(e, 1.0, Detection.THRESHOLD) for e in job[-1]]
 
         usable_cpus(monkeypatch, 8)
         monkeypatch.setattr(simulator, "ProcessPoolExecutor", ThreadPoolExecutor)
-        monkeypatch.setattr(simulator, "_sweep_one", fake_run)
-        eps = [1.0 - k / 400 for k in range(200)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            records = lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, GridConfig(), eps, workers=8)
-        finally:
-            sys.setswitchinterval(interval)
-        assert sorted(runs) == sorted(eps)
+        monkeypatch.setattr(simulator, "_sweep_lanes", fake_group)
+        eps = [1.0 - k / 400 for k in range(200)] + [0.9, 0.9]
+        records = lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, GridConfig(), eps, workers=16)
+        assert len(runs) == 8
+        assert sorted(e for group in runs for e in group) == sorted(eps)
         assert [r.eps for r in records] == eps
 
     @pytest.mark.parametrize("side", ["here", "worker"])
-    def test_failed_run_stops_the_sweep(self, side, tmp_path, monkeypatch):
-        # the error surfaces whichever runner raised it, the queued eps never
-        # start, and no worker outlives the call
-        monkeypatch.setitem(_failing, "dir", tmp_path)
+    def test_failed_run_stops_the_sweep(self, side, monkeypatch):
+        # the error surfaces whichever runner raised it, and no worker outlives the call
         monkeypatch.setitem(_failing, "pid", os.getpid())
         monkeypatch.setitem(_failing, "side", side)
         usable_cpus(monkeypatch, 2)
-        monkeypatch.setattr(simulator, "_sweep_one", _sweep_one_failing)
+        monkeypatch.setattr(simulator, "_sweep_lanes", _sweep_lanes_failing)
         eps = [1.0, 0.9, 0.8, 0.7, 0.6, 0.5]
-        with pytest.raises(RuntimeError, match="failed"):
+        want = "[0.5, 0.7, 0.9]" if side == "here" else "[0.6, 0.8, 1.0]"
+        with pytest.raises(RuntimeError, match=re.escape(f"group at eps {want} failed")):
             lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, GridConfig(), eps, workers=2)
-        assert sorted(f.name for f in tmp_path.glob("start-*")) == ["start-0.5", "start-0.6"]
         assert multiprocessing.active_children() == []
 
-    def test_one_worker_runs_here_smallest_eps_first(self, monkeypatch):
-        # the same queue without a pool: every eps runs in this process, smallest
-        # first, records keep the caller's order, and of several failing runs the
-        # first started raises
-        starts = []
+    def test_one_worker_runs_every_eps_here_as_lanes(self, monkeypatch):
+        # the default is one group without a pool: every eps a lane in this process,
+        # smallest first, records in the caller's order, and its failure raised here
+        groups = []
 
-        def fake_run(job):
-            eps = job[0].eps
+        def fake_group(job):
             assert threading.current_thread() is threading.main_thread()
-            starts.append(eps)
-            if eps < 0.6:
-                raise RuntimeError(f"run at eps {eps} failed")
-            return LifespanRecord(eps, 1.0 / eps, Detection.THRESHOLD)
+            groups.append(job[-1])
+            if min(job[-1]) < 0.6:
+                raise RuntimeError(f"group at eps {job[-1]} failed")
+            return [LifespanRecord(e, 1.0 / e, Detection.THRESHOLD) for e in job[-1]]
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was made")
 
         usable_cpus(monkeypatch, 2)
         monkeypatch.setattr(simulator, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(simulator, "_sweep_one", fake_run)
+        monkeypatch.setattr(simulator, "_sweep_lanes", fake_group)
         eps = [0.7, 1.0, 0.6, 0.9]
-        records = lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, GridConfig(), eps, workers=1)
-        assert starts == sorted(eps) and [r.eps for r in records] == eps
-        starts.clear()
-        with pytest.raises(RuntimeError, match="eps 0.5 failed"):
-            lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, GridConfig(), [1.0, 0.55, 0.9, 0.5],
-                           workers=1)
-        assert starts == [0.5]
+        for workers in (None, 1):
+            records = lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, GridConfig(), eps,
+                                     workers=workers)
+            assert [r.eps for r in records] == eps
+        assert groups == [sorted(eps)] * 2
+        with pytest.raises(RuntimeError, match="failed"):
+            lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, GridConfig(), [1.0, 0.55, 0.9, 0.5])
 
     def test_workers_count_usable_cpus(self, monkeypatch):
-        # a CPU-pinned process counts the CPUs it may run on, not the host's
+        # one group by default; a CPU-pinned process counts the CPUs it may run on,
+        # not the host's
         monkeypatch.setattr(simulator.os, "cpu_count", lambda: 8)
         monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
-        assert simulator.sweep_workers(5) == 2
+        assert simulator.sweep_workers(5) == 1
         assert simulator.sweep_workers(5, requested=4) == 2
         assert simulator.sweep_workers(5, requested=1) == 1
-        assert simulator.sweep_workers(1) == 1
+        assert simulator.sweep_workers(1, requested=4) == 1
 
 
 class TestPersistence:

@@ -493,8 +493,9 @@ def cmd_simulate(out: str, params, profiles, data, grid, sample_every) -> list[C
 
 def cmd_sweep(out: str, params, profiles, data, grid, eps_list, slope_rtol,
               workers) -> list[Check]:
+    # workers is accepted and unused: a sweep steps its whole ladder in this process
     from blowup_lab import simulator
-    records = simulator.lifespan_sweep(params, profiles, data, grid, eps_list, workers)
+    records = simulator.lifespan_sweep(params, profiles, data, grid, eps_list)
     simulator.write_records_csv(records, grid, os.path.join(out, "records.csv"))
 
     # survived runs have no lifespan: they are left out of the fit and counted

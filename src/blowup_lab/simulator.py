@@ -37,11 +37,8 @@ at its own (every, observer) cadence, through GridState.fields().
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
-import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401  (bench/run.py wraps it)
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -258,9 +255,10 @@ class GridState:
 
     def lane_sups(self) -> np.ndarray:
         """Each lane's sup norm on the window: max |u|, |v| over its slots, NaN when
-        one of them is NaN, as its own run's sup norm reads."""
-        z = np.abs(self._z[:self._s * self.m]).reshape(self.m, len(self.lanes), self._c)
-        return z.max(axis=(0, 2))
+        one of them is NaN, as its own run's sup norm reads.  It reads the |z| that
+        _measure left in the Laplacian's buffer: call it before the next step."""
+        z_abs = self._lap[:self._s * self.m].reshape(self.m, len(self.lanes), self._c)
+        return z_abs.max(axis=(0, 2))
 
     def keep_lanes(self, keep) -> None:
         """Drop every lane but those at the positions `keep`, in that order: the
@@ -281,7 +279,10 @@ class GridState:
 
     def fields(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Views of u, v, |u|^q and |v|^p of a one-lane level on its window m, the
-        observers' one reader of the layout; at _c = 1 v is u and |v|^p is |u|^q."""
+        observers' one reader of the layout; at _c = 1 v is u and |v|^p is |u|^q.
+        A level of several lanes raises: its slots would mix the lanes' values."""
+        if len(self.lanes) != 1:
+            raise ValueError(f"fields() reads a one-lane level, this one has {len(self.lanes)}")
         c, k = self._c, self._c * self.m
         u, nu = self._z[0:k:c], self._src[0:k:c]
         return (u, u, nu, nu) if c == 1 else (u, self._z[1:k:2], nu, self._src[1:k:2])
@@ -468,25 +469,44 @@ def run_until_blowup(
     observers: (every, callable) pairs; at steps 0, every, 2 every, ... up to
     the step the run ends on, each due callable is called with the live
     state, in the order given, before the checks of that step."""
-    state = init_state(params, profiles, data, grid)
-    detection = Detection.SURVIVED
-    t_blow = grid.horizon
-    n_steps = grid.n_steps
+    records, state = _run_lanes(params, profiles, data, grid, (params.eps,), observers)
+    return RunResult(records[0], state)
+
+
+def _run_lanes(params, profiles, data, grid, eps, observers=()):
+    """The records, in the order of eps, and the state a run ends on, with each eps a
+    lane of one level.  At every step the due observers see the state, then each lane
+    meets the checks in order: a non-finite sup norm, one above the threshold, the
+    last step (Survived at the horizon).  Lanes' own sup norms are read only when
+    the level's is non-finite or above the threshold, or at the last step; a lane
+    that ends is dropped from the level, and the state is left as the last lane
+    ends."""
+    state = init_state(params, profiles, data, grid, eps)
+    threshold, n_steps = grid.threshold, grid.n_steps
+    # live: the positions in eps of the level's lanes, lane by lane
+    records, live = [None] * len(eps), list(range(len(eps)))
     while True:
         for every, observe in observers:
             if state.step_index % every == 0:
                 observe(state)
-        sup = state.sup_norm()
-        if not math.isfinite(sup):
-            detection, t_blow = Detection.NONFINITE, state.t
-            break
-        if sup > grid.threshold:
-            detection, t_blow = Detection.THRESHOLD, state.t
-            break
-        if state.step_index == n_steps:
-            break
+        last = state.step_index == n_steps
+        # NaN compares false: a non-finite sup norm reads the lanes too
+        if not state.sup_norm() <= threshold or last:
+            keep = []
+            for lane, (pos, sup) in enumerate(zip(live, state.lane_sups())):
+                if not math.isfinite(sup):
+                    records[pos] = LifespanRecord(eps[pos], state.t, Detection.NONFINITE)
+                elif sup > threshold:
+                    records[pos] = LifespanRecord(eps[pos], state.t, Detection.THRESHOLD)
+                elif last:
+                    records[pos] = LifespanRecord(eps[pos], grid.horizon, Detection.SURVIVED)
+                else:
+                    keep.append(lane)
+            live = [live[lane] for lane in keep]
+            if not live:
+                return records, state
+            state.keep_lanes(keep)
         step(state)
-    return RunResult(LifespanRecord(params.eps, t_blow, detection), state)
 
 
 # -- identity and inequality verification --
@@ -707,56 +727,6 @@ def fit_power_law(eps: np.ndarray, t_blow: np.ndarray) -> tuple[float, float]:
     return float(coef[0]), float(coef[1])
 
 
-def _sweep_lanes(args) -> list[LifespanRecord]:
-    """The records of a lane group (params, profiles, data, grid, eps), in the order
-    of eps: each eps is a lane of one level, and each lane meets its own run's checks
-    (run_until_blowup's) at every step, in the same order.  Lanes' own sup norms are
-    read only when the level's is non-finite or above the threshold, or at the last
-    step; a lane that ends is dropped from the level."""
-    params, profiles, data, grid, eps = args
-    state = init_state(params, profiles, data, grid, eps)
-    threshold, n_steps = grid.threshold, grid.n_steps
-    # live: the positions in eps of the level's lanes, lane by lane
-    records, live = [None] * len(eps), list(range(len(eps)))
-    while True:
-        last = state.step_index == n_steps
-        # NaN compares false: a non-finite sup norm reads the lanes too
-        if not state.sup_norm() <= threshold or last:
-            keep = []
-            for lane, (pos, sup) in enumerate(zip(live, state.lane_sups())):
-                if not math.isfinite(sup):
-                    records[pos] = LifespanRecord(eps[pos], state.t, Detection.NONFINITE)
-                elif sup > threshold:
-                    records[pos] = LifespanRecord(eps[pos], state.t, Detection.THRESHOLD)
-                elif last:
-                    records[pos] = LifespanRecord(eps[pos], grid.horizon, Detection.SURVIVED)
-                else:
-                    keep.append(lane)
-            live = [live[lane] for lane in keep]
-            if not live:
-                return records
-            state.keep_lanes(keep)
-        step(state)
-
-
-def _sweep_caught(args) -> tuple[list[LifespanRecord], list]:
-    """_sweep_lanes(args) in a pool worker, and the (category, message) of each
-    warning it raised, which lifespan_sweep raises again in this process."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        records = _sweep_lanes(args)
-    return records, [(w.category, str(w.message)) for w in caught]
-
-
-def sweep_workers(n_jobs: int, requested: int | None = None) -> int:
-    """Lane groups of a sweep, one per runner, this process included: the requested
-    value (default 1), capped by the eps count n_jobs and by the usable CPUs, the
-    CPUs this process may run on (its affinity set) where the platform tells."""
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    return max(1, min(1 if requested is None else requested, cpus, n_jobs))
-
-
 def check_sweep(params_template: SystemParams, data: InitialData, grid: GridConfig,
                 eps_list) -> None:
     """Raise ValueError for a sweep that cannot run: fewer than 4 distinct eps,
@@ -774,33 +744,13 @@ def lifespan_sweep(
     data: InitialData,
     grid: GridConfig,
     eps_list,
-    workers: int | None = None,
 ) -> list[LifespanRecord]:
     """The record of one blow-up detection per eps, in the order of eps_list, each
-    bit for bit that of run_until_blowup on its eps alone.  The eps, smallest first,
-    are dealt round robin into sweep_workers(...) lane groups, each stepped as the
-    lanes of one level: this process runs the first group and a pool forked for the
-    others one each, so the default, one group, forks nothing.  An exception from a
-    group, here or in a worker, is raised here once the groups under way end; a
-    worker's warnings are raised here."""
+    bit for bit that of run_until_blowup on its eps alone: every eps is a lane of
+    one level, stepped in this process."""
     eps_list = [float(e) for e in eps_list]
     check_sweep(params_template, data, grid, eps_list)
-    nw = sweep_workers(len(eps_list), workers)
-    order = sorted(range(len(eps_list)), key=eps_list.__getitem__)
-    groups = [order[g::nw] for g in range(nw)]
-    jobs = [(params_template, profiles, data, grid, [eps_list[i] for i in group])
-            for group in groups]
-    with ProcessPoolExecutor(max_workers=nw - 1) if nw > 1 else contextlib.nullcontext() as pool:
-        # the other groups first: the workers fork before this process runs its own
-        remote = [pool.submit(_sweep_caught, job) for job in jobs[1:]]
-        runs = [(_sweep_lanes(jobs[0]), []), *(future.result() for future in remote)]
-    records = [None] * len(eps_list)
-    for group, (group_records, caught) in zip(groups, runs):
-        for i, rec in zip(group, group_records):
-            records[i] = rec
-        for category, message in caught:
-            warnings.warn(message, category)
-    return records
+    return _run_lanes(params_template, profiles, data, grid, eps_list)[0]
 
 
 # -- CSV persistence (schemas documented in the header rows) --

@@ -611,13 +611,13 @@ class TestSimulateAndSweep:
     def test_smaller_eps_blowing_up_sooner_fails_monotone(self, tmp_path, monkeypatch):
         # a doctored sweep: the run at eps 0.5 reports half its lifespan, which puts it
         # below the lifespan at eps 0.7
-        real = simulator._sweep_lanes
+        real = simulator.lifespan_sweep
 
-        def doctored(job):
+        def doctored(*args):
             return [replace(rec, t_blow=0.5 * rec.t_blow) if rec.eps == 0.5 else rec
-                    for rec in real(job)]
+                    for rec in real(*args)]
 
-        monkeypatch.setattr(simulator, "_sweep_lanes", doctored)
+        monkeypatch.setattr(simulator, "lifespan_sweep", doctored)
         cfg = {"n": 1, "p": 2, "q": 2, "dr": 0.05, "horizon": 40.0,
                "eps_list": [1.0, 0.7, 0.5, 0.35], "workers": 1}
         code, out = run_cli(tmp_path, "sweep", cfg)
@@ -867,7 +867,7 @@ class TestEveryCheckCanFail:
 
 class TestImports:
     """A command loads the lab modules it runs and no others: kernels and classify
-    neither the solver with its sweep pool nor the iteration frames."""
+    neither the solver with the process pool it imports nor the iteration frames."""
 
     SOLVER = {"blowup_lab.simulator", "concurrent.futures.process"}
     CASES = {  # command: (config, modules it must not load, modules it must load)

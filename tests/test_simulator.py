@@ -1,13 +1,10 @@
 import math
 import multiprocessing
-import os
 import re
 import sys
-import threading
 import tracemalloc
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -21,7 +18,7 @@ from oracles import (
     step_identity_residual,
 )
 
-from blowup_lab import simulator
+from blowup_lab import cli, simulator
 from blowup_lab.damping import DampingProfile
 from blowup_lab.exponents import SystemParams, lifespan_law, strauss_exponent
 from blowup_lab.simulator import (
@@ -281,7 +278,7 @@ class TestWindowedStep:
         params = SystemParams(2, F(3, 2), F(3, 2), R=1.0, eps=1.0)
         grid = GridConfig(dr=0.04, horizon=40.0)
         eps_list = [1.0, 0.5, 0.25, 0.125]
-        records = lifespan_sweep(params, (POLY, POLY), BUMPS, grid, eps_list, workers=1)
+        records = lifespan_sweep(params, (POLY, POLY), BUMPS, grid, eps_list)
         for rec in records:
             ref = reference_record(replace(params, eps=rec.eps), (POLY, POLY), BUMPS, grid)
             assert (rec.t_blow, rec.detection) == ref
@@ -486,6 +483,14 @@ class TestOneComponentLevels:
             for got, want in ((u, state.u[:m]), (v, state.v[:m]),
                               (nu, np.abs(state.u[:m]) ** 2.0), (nv, np.abs(state.v[:m]) ** 2.0)):
                 assert got.tobytes() == want.tobytes()
+
+    def test_fields_of_a_level_of_lanes_raise(self):
+        # three lanes' slots read as one run's would mix them in every field and functional
+        state = init_state(params1d(), (ZERO, ZERO), BUMPS, GridConfig(dr=0.1, horizon=2.0),
+                           [1.0, 0.5, 0.25])
+        for read in (state.fields, state.functionals):
+            with pytest.raises(ValueError, match="one-lane level, this one has 3"):
+                read()
 
     def test_one_recurrence_on_one_component(self, monkeypatch):
         # u's recurrence serves v: one advance per snapshot after t = 0, and the
@@ -1107,45 +1112,6 @@ class TestCriticalVerifier:
             np.testing.assert_allclose(getattr(rep, name), ref[name], rtol=1e-13, atol=0.0)
 
 
-_real_sweep_lanes = simulator._sweep_lanes
-
-
-@dataclass(frozen=True)
-class _PidRecord(LifespanRecord):
-    pid: int = 0
-
-
-def _sweep_lanes_tagged(job):
-    """The real lane group, each record tagged with the pid of the process that ran it."""
-    return [_PidRecord(rec.eps, rec.t_blow, rec.detection, os.getpid())
-            for rec in _real_sweep_lanes(job)]
-
-
-def _sweep_lanes_warning(job):
-    """The real lane group, after a warning per eps that names it."""
-    for eps in job[-1]:
-        warnings.warn(f"run at eps {eps}", RuntimeWarning)
-    return _real_sweep_lanes(job)
-
-
-def usable_cpus(monkeypatch, k):
-    """Let this process run on k CPUs, so a sweep runs up to k lane groups at once."""
-    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: set(range(k)),
-                        raising=False)
-
-
-# set per test: the pid of the sweep's own process and which side fails ("here" or
-# "worker"); a fork carries it into the worker
-_failing = {}
-
-
-def _sweep_lanes_failing(job):
-    """The group on the failing side raises; the other returns a record per eps."""
-    if (os.getpid() == _failing["pid"]) == (_failing["side"] == "here"):
-        raise RuntimeError(f"group at eps {job[-1]} failed")
-    return [LifespanRecord(eps, 1.0 / eps, Detection.THRESHOLD) for eps in job[-1]]
-
-
 def sweep_slope(records) -> float:
     """The slope cmd_sweep fits: log T against log eps over the records that blew up."""
     usable = [r for r in records if r.detection is not Detection.SURVIVED]
@@ -1164,7 +1130,6 @@ class TestSweep:
             params1d(), (ZERO, ZERO), BUMPS,
             GridConfig(dr=0.04, horizon=60.0),
             [1.0, 0.7, 0.5, 0.35],
-            workers=1,
         )
         assert not any(r.detection is Detection.SURVIVED for r in records)
         ts = [r.t_blow for r in records]
@@ -1188,7 +1153,7 @@ class TestSweep:
             return integral(state, f)
 
         monkeypatch.setattr(simulator.GridState, "integral", counting_integral)
-        records = lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, grid, eps, workers=1)
+        records = lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, grid, eps)
         write_records_csv(records, grid, tmp_path / "records.csv")
         assert integrated_at == []
         assert (tmp_path / "records.csv").read_bytes() == (tmp_path / "sampled.csv").read_bytes()
@@ -1205,145 +1170,70 @@ class TestSweep:
         with pytest.raises(ValueError, match="4 distinct eps points, got 2"):
             lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, GridConfig(), [1.0, 0.5, 1.0, 0.5])
 
-    def test_parallel_matches_serial(self, monkeypatch):
-        usable_cpus(monkeypatch, 2)
+    def test_parallel_matches_serial(self):
+        # the eps stepped in parallel as the lanes of one level read the records of
+        # their runs one at a time, and so the same fitted slope
         grid = GridConfig(dr=0.05, horizon=30.0)
         eps = [1.0, 0.7, 0.5, 0.35]
-        serial = lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, grid, eps, workers=1)
-        parallel = lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, grid, eps, workers=2)
-        assert [r.t_blow for r in serial] == [r.t_blow for r in parallel]
+        serial = [run_until_blowup(params1d(eps=e), (ZERO, ZERO), BUMPS, grid).record for e in eps]
+        parallel = lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, grid, eps)
+        assert parallel == serial
         assert sweep_slope(serial) == sweep_slope(parallel)
 
-    def test_run_warnings_reach_the_caller_at_any_worker_count(self, monkeypatch):
-        # a lane group in a pool worker warns here as one in this process does
-        usable_cpus(monkeypatch, 2)
-        monkeypatch.setattr(simulator, "_sweep_lanes", _sweep_lanes_warning)
-        grid = GridConfig(dr=0.05, horizon=30.0)
+    def test_run_warnings_reach_the_caller_at_any_worker_count(self, tmp_path, monkeypatch):
+        # the config's workers changes nothing: the lanes' steps warn in this process,
+        # once a level, and the artifacts are byte-identical
+        real_step = simulator.step
+
+        def warning_step(state):
+            warnings.warn(f"step at lanes {state.lanes}", RuntimeWarning)
+            return real_step(state)
+
+        monkeypatch.setattr(simulator, "step", warning_step)
+        grid = GridConfig(dr=0.1, horizon=0.5)
         eps = [0.5, 1.0, 0.35, 0.7]
-        for workers in (1, 2):
+        for workers in (None, 1, 2):
+            (tmp_path / f"w{workers}").mkdir()
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, grid, eps, workers=workers)
-            assert sorted((w.category, str(w.message)) for w in caught) == sorted(
-                (RuntimeWarning, f"run at eps {e}") for e in eps)
+                cli.cmd_sweep(str(tmp_path / f"w{workers}"), params1d(), (ZERO, ZERO), BUMPS,
+                              grid, eps, 0.25, workers)
+            assert [str(w.message) for w in caught] == [f"step at lanes {tuple(eps)}"] * 10
+        assert len({(tmp_path / f"w{w}" / "records.csv").read_bytes() for w in (None, 1, 2)}) == 1
 
-    def test_two_workers_fork_one_and_run_here(self, tmp_path, monkeypatch):
-        # workers=2 is two lane groups at once: this process and one forked worker;
-        # records keep the caller's order and the CSV is that of one worker
-        pools = []
+    def test_failed_run_stops_the_sweep(self, monkeypatch):
+        # an error from the level's step is raised here, and no process is left
+        def failing_step(state):
+            raise RuntimeError(f"step at lanes {state.lanes} failed")
 
-        class SpyPool(ProcessPoolExecutor):
-            def shutdown(self, *args, **kwargs):
-                pools.append((self._max_workers, set(self._processes or {})))
-                super().shutdown(*args, **kwargs)
-
-        usable_cpus(monkeypatch, 2)
-        monkeypatch.setattr(simulator, "ProcessPoolExecutor", SpyPool)
-        monkeypatch.setattr(simulator, "_sweep_lanes", _sweep_lanes_tagged)
-        grid = GridConfig(dr=0.05, horizon=30.0)
-        eps = [0.5, 1.0, 0.35, 0.7]
-        for workers in (1, 2):
-            records = lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, grid, eps, workers=workers)
-            assert [r.eps for r in records] == eps
-            write_records_csv(records, grid, tmp_path / f"records{workers}.csv")
-        assert (tmp_path / "records1.csv").read_bytes() == (tmp_path / "records2.csv").read_bytes()
-        [(max_workers, worker_pids)] = pools
-        assert max_workers == 1 and len(worker_pids) == 1
-        assert {r.pid for r in records} == worker_pids | {os.getpid()}
+        monkeypatch.setattr(simulator, "step", failing_step)
+        eps = [1.0, 0.9, 0.8, 0.7]
+        with pytest.raises(RuntimeError, match=re.escape(f"step at lanes {tuple(eps)} failed")):
+            lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, GridConfig(), eps)
         assert multiprocessing.active_children() == []
 
-    def test_groups_deal_eps_smallest_first(self, monkeypatch):
-        # a thread pool stands in for the processes: three groups, this process's
-        # holding the smallest eps, then every third, each group's lanes ascending
-        pools, groups = [], {}
+    def test_sweep_runs_every_eps_here_as_lanes(self, monkeypatch):
+        # one level holds every eps as a lane, in the caller's order and a repeated eps
+        # once per position, and no pool is made; records keep the caller's order
+        starts, real_init = [], simulator.init_state
 
-        class ThreadPool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers)
-
-        def fake_group(job):
-            here = threading.current_thread() is threading.main_thread()
-            groups.setdefault(here, []).append(job[-1])
-            return [LifespanRecord(e, 1.0 / e, Detection.THRESHOLD) for e in job[-1]]
-
-        usable_cpus(monkeypatch, 3)
-        monkeypatch.setattr(simulator, "ProcessPoolExecutor", ThreadPool)
-        monkeypatch.setattr(simulator, "_sweep_lanes", fake_group)
-        eps = [0.5, 1.0, 0.25, 0.7, 0.35, 0.9, 0.6]
-        records = lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, GridConfig(), eps, workers=3)
-        assert pools == [2]
-        assert [r.eps for r in records] == eps
-        assert groups[True] == [[0.25, 0.6, 1.0]]
-        assert sorted(groups[False]) == [[0.35, 0.7], [0.5, 0.9]]
-
-    def test_groups_run_each_eps_once(self, monkeypatch):
-        # more groups than CPUs are capped, and every eps runs in exactly one group,
-        # one lane per position: a repeated eps runs twice
-        runs = []
-
-        def fake_group(job):
-            runs.append(job[-1])
-            return [LifespanRecord(e, 1.0, Detection.THRESHOLD) for e in job[-1]]
-
-        usable_cpus(monkeypatch, 8)
-        monkeypatch.setattr(simulator, "ProcessPoolExecutor", ThreadPoolExecutor)
-        monkeypatch.setattr(simulator, "_sweep_lanes", fake_group)
-        eps = [1.0 - k / 400 for k in range(200)] + [0.9, 0.9]
-        records = lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, GridConfig(), eps, workers=16)
-        assert len(runs) == 8
-        assert sorted(e for group in runs for e in group) == sorted(eps)
-        assert [r.eps for r in records] == eps
-
-    @pytest.mark.parametrize("side", ["here", "worker"])
-    def test_failed_run_stops_the_sweep(self, side, monkeypatch):
-        # the error surfaces whichever runner raised it, and no worker outlives the call
-        monkeypatch.setitem(_failing, "pid", os.getpid())
-        monkeypatch.setitem(_failing, "side", side)
-        usable_cpus(monkeypatch, 2)
-        monkeypatch.setattr(simulator, "_sweep_lanes", _sweep_lanes_failing)
-        eps = [1.0, 0.9, 0.8, 0.7, 0.6, 0.5]
-        want = "[0.5, 0.7, 0.9]" if side == "here" else "[0.6, 0.8, 1.0]"
-        with pytest.raises(RuntimeError, match=re.escape(f"group at eps {want} failed")):
-            lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, GridConfig(), eps, workers=2)
-        assert multiprocessing.active_children() == []
-
-    def test_one_worker_runs_every_eps_here_as_lanes(self, monkeypatch):
-        # the default is one group without a pool: every eps a lane in this process,
-        # smallest first, records in the caller's order, and its failure raised here
-        groups = []
-
-        def fake_group(job):
-            assert threading.current_thread() is threading.main_thread()
-            groups.append(job[-1])
-            if min(job[-1]) < 0.6:
-                raise RuntimeError(f"group at eps {job[-1]} failed")
-            return [LifespanRecord(e, 1.0 / e, Detection.THRESHOLD) for e in job[-1]]
+        def spy_init(*args):
+            state = real_init(*args)
+            starts.append(state.lanes)
+            return state
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was made")
 
-        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(simulator, "init_state", spy_init)
         monkeypatch.setattr(simulator, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(simulator, "_sweep_lanes", fake_group)
-        eps = [0.7, 1.0, 0.6, 0.9]
-        for workers in (None, 1):
-            records = lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, GridConfig(), eps,
-                                     workers=workers)
-            assert [r.eps for r in records] == eps
-        assert groups == [sorted(eps)] * 2
-        with pytest.raises(RuntimeError, match="failed"):
-            lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, GridConfig(), [1.0, 0.55, 0.9, 0.5])
-
-    def test_workers_count_usable_cpus(self, monkeypatch):
-        # one group by default; a CPU-pinned process counts the CPUs it may run on,
-        # not the host's
-        monkeypatch.setattr(simulator.os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
-        assert simulator.sweep_workers(5) == 1
-        assert simulator.sweep_workers(5, requested=4) == 2
-        assert simulator.sweep_workers(5, requested=1) == 1
-        assert simulator.sweep_workers(1, requested=4) == 1
+        grid = GridConfig(dr=0.1, horizon=20.0)
+        eps = [0.7, 1.0, 0.5, 0.7, 0.35]
+        records = lifespan_sweep(params1d(), (ZERO, ZERO), BUMPS, grid, eps)
+        assert starts == [tuple(eps)]
+        assert [r.eps for r in records] == eps and records[0] == records[3]
+        assert records == [run_until_blowup(params1d(eps=e), (ZERO, ZERO), BUMPS, grid).record
+                           for e in eps]
 
 
 class TestPersistence:
